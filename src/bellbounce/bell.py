@@ -24,6 +24,9 @@ __all__ = [
 
 # Full enumeration is refused beyond this many total settings.
 BRUTEFORCE_MAX_SETTINGS = 24
+# classical_bound enumerates 2^min(m1, m2) sign patterns at once; it is
+# refused beyond this many settings on the smaller side (20 peaks near 0.5 GB).
+ENUMERATION_MAX_SIDE = 20
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,16 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
     the reduction min_b of -sum_x1 |sum_x2 alpha[x1,x2] b[x2]|, enumerating
     the smaller party side. Ties are broken toward the lexicographically
     smallest b, then a (with -1 ordered before +1).
+
+    Raises:
+        ValueError: if min(m1, m2) exceeds ENUMERATION_MAX_SIDE.
     """
     alpha = bc.alpha
     m1, m2 = alpha.shape
+    if min(m1, m2) > ENUMERATION_MAX_SIDE:
+        raise ValueError(
+            f"scenario too large to enumerate: min({m1}, {m2}) > {ENUMERATION_MAX_SIDE}"
+        )
     if m2 <= m1:
         patterns = _sign_patterns(m2)
         rows = alpha @ patterns.T  # (m1, 2^m2)

@@ -24,7 +24,6 @@ from . import __version__
 from .bell import (
     BellCoeffs,
     Scenario,
-    bell_value,
     classical_bound,
     gisin_bound_closed_form,
     gisin_variant,
@@ -43,7 +42,6 @@ from .mapping import (
     RANK_RCOND,
     RESIDUAL_RTOL,
     LinearSolveError,
-    MeasurementSettings,
     bell_operator,
     build_transfer_matrix,
     quantum_value_from_data,
@@ -59,13 +57,13 @@ from .optimize import (
     FiniteDiffConfig,
     NoFeasiblePointError,
     OptimizerConfig,
-    bound_maximization_task,
     bounce_loop,
-    minimize_quantum_value,
+    bound_objective,
     restart_harness,
-    value_minimization_task,
+    run_search,
+    value_objective,
 )
-from .pauli import JACOBI_SWEEP_TOL, JacobiConvergenceError, correlator_vector
+from .pauli import correlator_vector
 from .presets import OPERATOR_PRESETS, operator_preset, tetrahedron_axes_settings
 from .serialize import format_float, write_csv, write_json, write_json_lines
 
@@ -127,7 +125,7 @@ _DEFAULTS = {
     "lattice": {
         "file": None,
         "epsilon": None,
-        "gisin_delta": 2.0,
+        "gisin_delta": None,
         "alpha_file": None,
         "improved_bound": None,
         "seed": 0,
@@ -143,7 +141,6 @@ def _provenance(cfg: dict) -> dict:
         "noise_placement": cfg.get("noise_placement"),
         "residual_rtol": RESIDUAL_RTOL,
         "rank_rcond": RANK_RCOND,
-        "jacobi_sweep_tol": JACOBI_SWEEP_TOL,
         "fd_step": cfg.get("fd_step"),
     }
 
@@ -197,6 +194,8 @@ def _resolve_h(cfg: dict) -> np.ndarray:
         h = _parse_numbers(cfg["h"])
         if h.shape != (9,):
             raise ValueError(f"h must have 9 entries, got {h.size}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("h entries must be finite")
         return h
     raise ValueError("no operator given: use --preset or --h")
 
@@ -248,10 +247,8 @@ def _cmd_ham2ineq(cfg: dict):
         max_steps=int(cfg["steps"]),
     )
     fd_cfg = FiniteDiffConfig(step=float(cfg["fd_step"]))
-    task = bound_maximization_task(
-        h, scenario, cfg=opt_cfg, fd_cfg=fd_cfg, solve_mode=cfg.get("solve_mode")
-    )
-    outcome = restart_harness(task, int(cfg["restarts"]), int(cfg["seed"]))
+    objective = bound_objective(h, scenario, cfg.get("solve_mode"))
+    outcome = restart_harness(objective, int(cfg["restarts"]), int(cfg["seed"]), opt_cfg, fd_cfg)
     best = outcome.best
     t_best = build_transfer_matrix(best.settings)
     resid = residual_norm(t_best, best.alpha.alpha.ravel(), h)
@@ -317,10 +314,11 @@ def _cmd_ineq2ham(cfg: dict):
     seed = int(cfg["seed"])
     for p, c in sources:
         original = quantum_value_from_data(c, t0, bc)
-        best = minimize_quantum_value(bc, c, ms0, cfg=opt_cfg, fd_cfg=fd_cfg).value
+        objective = value_objective(bc, c)
+        best = run_search(objective, ms0.to_vector()[None, :], opt_cfg, fd_cfg)[0].value
         if n_restarts > 0:
-            task = value_minimization_task(bc, c, cfg=opt_cfg, fd_cfg=fd_cfg)
-            best = min(best, restart_harness(task, n_restarts, seed).best.value)
+            outcome = restart_harness(objective, n_restarts, seed, opt_cfg, fd_cfg)
+            best = min(best, outcome.best.value)
         rows.append((p, original, best, beta_c))
         label = "data" if p is None else f"p={format_float(p)}"
         print(
@@ -424,7 +422,7 @@ def _cmd_lattice(cfg: dict):
                 for u, v, j, color in ls.edges
             ),
         )
-    local = _resolve_alpha(cfg)
+    local = _resolve_alpha(cfg, default_delta=2.0)
     if (local.scenario.m1, local.scenario.m2) != (4, 3):
         raise ValueError("lattice quantum floor is wired for (4, 3) local coefficients")
     local_op = bell_operator(tetrahedron_axes_settings(), local)
@@ -551,13 +549,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # LinAlgError subclasses ValueError, so the numerical clause comes first.
     try:
         cfg = _merge_config(args)
         _HANDLERS[args.command](cfg)
+    except (LinearSolveError, np.linalg.LinAlgError, NoFeasiblePointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LinearSolveError, JacobiConvergenceError, NoFeasiblePointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     return 0

@@ -1,6 +1,6 @@
 """Gradient-based search over measurement angles, plus the bounce loop.
 
-Both search directions share one engine:
+Both search directions are an Objective run by one engine (run_search):
   maximize beta_C(solve(T(theta), h))   -- Hamiltonian fixed, Adam ascent
   minimize c . T(theta) . alpha         -- inequality fixed, Adam descent
 
@@ -19,7 +19,8 @@ points in one batched call. Per-restart random streams are seeded from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,15 +29,15 @@ from .mapping import (
     RANK_RCOND,
     RESIDUAL_RTOL,
     MeasurementSettings,
-    TransferMatrix,
     build_transfer_matrix,
+    solve_alpha,
 )
 
 __all__ = [
     "OptimizerConfig",
     "FiniteDiffConfig",
     "AdamState",
-    "RunRecord",
+    "Objective",
     "OptimizeResult",
     "RestartOutcome",
     "BounceRecord",
@@ -45,10 +46,9 @@ __all__ = [
     "finite_diff_gradient",
     "adam_init",
     "adam_step",
-    "maximize_classical_bound",
-    "minimize_quantum_value",
-    "bound_maximization_task",
-    "value_minimization_task",
+    "bound_objective",
+    "value_objective",
+    "run_search",
     "restart_harness",
     "bounce_loop",
     "DEFAULT_ASCENT",
@@ -81,13 +81,10 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class FiniteDiffConfig:
     step: float = 1e-4
-    scheme: str = "central"
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("finite-difference step must be positive")
-        if self.scheme != "central":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
 
 
 # Ascent on the classical bound / descent on the quantum value.
@@ -146,21 +143,11 @@ def finite_diff_gradient(f, theta, cfg: FiniteDiffConfig = DEFAULT_FD) -> np.nda
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    step: int
-    theta: np.ndarray
-    value: float
-    is_best: bool
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
     settings: MeasurementSettings
     value: float
     alpha: BellCoeffs | None
     history: np.ndarray  # best-so-far objective, indexed by step
-    records: tuple[RunRecord, ...]
-    restart_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -288,19 +275,16 @@ def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
 
 
 def _run_lockstep(
-    objective,
+    objective: Objective,
     theta0: np.ndarray,
     cfg: OptimizerConfig,
     fd_cfg: FiniteDiffConfig,
-    maximize: bool,
     seed_values: np.ndarray | None = None,
     seed_payload: np.ndarray | None = None,
-    record_every: int | None = None,
 ):
+    maximize = objective.maximize
     n_runs, dim = theta0.shape
     steps = cfg.max_steps
-    if record_every is None:
-        record_every = max(1, steps // 100)
     worst = -np.inf if maximize else np.inf
     state = adam_init(theta0)
     best_value = np.full(n_runs, worst)
@@ -310,7 +294,6 @@ def _run_lockstep(
         best_value = seed_values.astype(float).copy()
         best_payload = None if seed_payload is None else seed_payload.copy()
     history = np.empty((n_runs, steps + 1))
-    records: list[list[RunRecord]] = [[] for _ in range(n_runs)]
     offsets = np.concatenate(
         [np.zeros((1, dim)), np.eye(dim) * fd_cfg.step, -np.eye(dim) * fd_cfg.step]
     )
@@ -318,12 +301,12 @@ def _run_lockstep(
     for t in range(steps + 1):
         if t < steps:
             pts = (state.theta[:, None, :] + offsets[None, :, :]).reshape(n_runs * n_pts, dim)
-            values, payload = objective(pts)
+            values, payload = objective.evaluate(pts)
             values = values.reshape(n_runs, n_pts)
             center = values[:, 0]
             center_payload = None if payload is None else payload.reshape(n_runs, n_pts, -1)[:, 0, :]
         else:
-            center, payload = objective(state.theta)
+            center, payload = objective.evaluate(state.theta)
             center_payload = payload
         improved = (center > best_value) if maximize else (center < best_value)
         improved &= np.isfinite(center)
@@ -335,11 +318,6 @@ def _run_lockstep(
                     best_payload = np.zeros((n_runs, center_payload.shape[-1]))
                 best_payload[improved] = center_payload[improved]
         history[:, t] = best_value
-        if t % record_every == 0 or t == steps:
-            for r in range(n_runs):
-                records[r].append(
-                    RunRecord(step=t, theta=state.theta[r].copy(), value=float(center[r]), is_best=bool(improved[r]))
-                )
         if t == steps:
             break
         f_up = values[:, 1 : dim + 1]
@@ -349,11 +327,32 @@ def _run_lockstep(
         diff = np.subtract(f_up, f_down, out=np.zeros_like(f_up), where=ok)
         grad = diff / (2.0 * fd_cfg.step)
         state = adam_step(state, grad, cfg, maximize=maximize)
-    return best_value, best_theta, best_payload, history, records
+    return best_value, best_theta, best_payload, history
 
 
 # ---------------------------------------------------------------------------
 # public search operations
+
+
+@dataclass(frozen=True)
+class Objective:
+    """One search direction for the engine.
+
+    evaluate maps a batch of angle vectors (n, dim) to (values, payload),
+    where payload is the solved coefficient rows of a bound objective and
+    None for a value objective. h is the operator a bound objective
+    reproduces; alpha is the inequality a value objective holds fixed.
+    """
+
+    scenario: Scenario
+    maximize: bool
+    evaluate: Callable
+    h: np.ndarray | None = None
+    alpha: BellCoeffs | None = None
+
+    @property
+    def dim(self) -> int:
+        return 2 * (self.scenario.m1 + self.scenario.m2)
 
 
 def _auto_solve_mode(scenario: Scenario, solve_mode: str | None) -> str:
@@ -373,181 +372,106 @@ def _check_settings(scenario: Scenario, ms: MeasurementSettings):
         )
 
 
-def maximize_classical_bound(
-    h,
-    scenario: Scenario,
-    init: MeasurementSettings,
-    cfg: OptimizerConfig | None = None,
-    fd_cfg: FiniteDiffConfig | None = None,
-    solve_mode: str | None = None,
-    init_alpha: BellCoeffs | None = None,
-) -> OptimizeResult:
-    """Adam ascent of the classical bound at fixed operator coefficients h.
+def bound_objective(h, scenario: Scenario, solve_mode: str | None = None) -> Objective:
+    """Ascent of the classical bound at fixed operator coefficients h.
 
-    Every reported iterate solves T(theta) alpha = h within tolerance, and
-    the reported bound is the exact enumerated bound of the reported alpha.
-    If init_alpha is supplied (a known-feasible solution at init), the best
-    tracker is seeded with it, so the result never falls below its bound.
+    Every scored point solves T(theta) alpha = h within tolerance, and its
+    score is the exact enumerated bound of that alpha.
     """
     h = np.asarray(h, dtype=float)
-    cfg = cfg or DEFAULT_ASCENT
-    fd_cfg = fd_cfg or DEFAULT_FD
-    _check_settings(scenario, init)
     mode = _auto_solve_mode(scenario, solve_mode)
-    objective = _make_bound_objective(h, scenario.m1, scenario.m2, mode)
-    theta0 = init.to_vector()[None, :]
-    seed_values = seed_payload = None
-    if init_alpha is not None:
-        if init_alpha.alpha.shape != (scenario.m1, scenario.m2):
-            raise ValueError("init_alpha does not match the scenario")
-        t0 = build_transfer_matrix(init)
-        res = float(np.linalg.norm(t0.matrix @ init_alpha.alpha.ravel() - h))
-        if res > RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(h))):
-            raise ValueError(f"init_alpha is not feasible at init: residual {res!r}")
-        seed_values = _enumerated_bounds(init_alpha.alpha[None, :, :])
-        seed_payload = init_alpha.alpha.ravel()[None, :]
-    best_value, best_theta, best_payload, history, records = _run_lockstep(
-        objective, theta0, cfg, fd_cfg, maximize=True,
-        seed_values=seed_values, seed_payload=seed_payload,
-    )
-    if not np.isfinite(best_value[0]):
-        raise NoFeasiblePointError("no feasible settings found for these coefficients")
-    alpha = BellCoeffs(scenario, best_payload[0].reshape(scenario.m1, scenario.m2))
-    return OptimizeResult(
-        settings=MeasurementSettings.from_vector(scenario.m1, scenario.m2, best_theta[0]),
-        value=float(best_value[0]),
-        alpha=alpha,
-        history=history[0],
-        records=tuple(records[0]),
-    )
+    evaluate = _make_bound_objective(h, scenario.m1, scenario.m2, mode)
+    return Objective(scenario, True, evaluate, h=h)
 
 
-def minimize_quantum_value(
-    alpha: BellCoeffs,
-    c,
-    init: MeasurementSettings,
-    cfg: OptimizerConfig | None = None,
-    fd_cfg: FiniteDiffConfig | None = None,
-) -> OptimizeResult:
-    """Adam descent of c . T(theta) . alpha at fixed inequality coefficients."""
-    cfg = cfg or DEFAULT_DESCENT
-    fd_cfg = fd_cfg or DEFAULT_FD
-    scenario = alpha.scenario
-    _check_settings(scenario, init)
+def value_objective(alpha: BellCoeffs, c) -> Objective:
+    """Descent of c . T(theta) . alpha at fixed inequality coefficients."""
     c = np.asarray(c, dtype=float)
     if c.shape != (9,):
         raise ValueError(f"correlator vector must have shape (9,), got {c.shape}")
-    objective = _make_qv_objective(alpha.alpha, c, scenario.m1, scenario.m2)
-    best_value, best_theta, _, history, records = _run_lockstep(
-        objective, init.to_vector()[None, :], cfg, fd_cfg, maximize=False
+    evaluate = _make_qv_objective(alpha.alpha, c, alpha.scenario.m1, alpha.scenario.m2)
+    return Objective(alpha.scenario, False, evaluate, alpha=alpha)
+
+
+def run_search(
+    objective: Objective,
+    theta0s: np.ndarray,
+    cfg: OptimizerConfig | None = None,
+    fd_cfg: FiniteDiffConfig | None = None,
+    init_alpha: BellCoeffs | None = None,
+) -> list[OptimizeResult]:
+    """Run the engine from each row of theta0s, one result per row.
+
+    If init_alpha is supplied (a known-feasible solution at the single start
+    of a bound objective), the best tracker is seeded with it, so the result
+    never falls below its bound.
+    """
+    cfg = cfg or (DEFAULT_ASCENT if objective.maximize else DEFAULT_DESCENT)
+    fd_cfg = fd_cfg or DEFAULT_FD
+    sc = objective.scenario
+    theta0s = np.asarray(theta0s, dtype=float)
+    if theta0s.ndim != 2 or theta0s.shape[1] != objective.dim:
+        raise ValueError(f"starts must have shape (n, {objective.dim}), got {theta0s.shape}")
+    seed_values = seed_payload = None
+    if init_alpha is not None:
+        if objective.h is None or theta0s.shape[0] != 1:
+            raise ValueError("init_alpha seeds a single start of a bound objective")
+        if init_alpha.alpha.shape != (sc.m1, sc.m2):
+            raise ValueError("init_alpha does not match the scenario")
+        t0 = build_transfer_matrix(MeasurementSettings.from_vector(sc.m1, sc.m2, theta0s[0]))
+        res = float(np.linalg.norm(t0.matrix @ init_alpha.alpha.ravel() - objective.h))
+        if res > RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(objective.h))):
+            raise ValueError(f"init_alpha is not feasible at init: residual {res!r}")
+        seed_values = _enumerated_bounds(init_alpha.alpha[None, :, :])
+        seed_payload = init_alpha.alpha.ravel()[None, :]
+    best_value, best_theta, best_payload, history = _run_lockstep(
+        objective, theta0s, cfg, fd_cfg, seed_values=seed_values, seed_payload=seed_payload
     )
-    return OptimizeResult(
-        settings=MeasurementSettings.from_vector(scenario.m1, scenario.m2, best_theta[0]),
-        value=float(best_value[0]),
-        alpha=alpha,
-        history=history[0],
-        records=tuple(records[0]),
-    )
-
-
-@dataclass(frozen=True)
-class OptimizationTask:
-    """A restartable search: init sampler plus a lockstep batch runner."""
-
-    scenario: Scenario
-    maximize: bool
-    _objective_payload: tuple
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.scenario.m1 + self.scenario.m2)
-
-    def sample_init(self, rng: np.random.Generator) -> np.ndarray:
-        # Polar angles uniform on [0, pi], azimuths on [0, 2 pi).
-        u = rng.random(self.dim)
-        u[0::2] *= np.pi
-        u[1::2] *= 2.0 * np.pi
-        return u
-
-    def run_batch(self, theta0s: np.ndarray) -> list[OptimizeResult]:
-        kind, objective, cfg, fd_cfg, alpha_fixed = self._objective_payload
-        best_value, best_theta, best_payload, history, records = _run_lockstep(
-            objective, theta0s, cfg, fd_cfg, maximize=self.maximize
-        )
-        out = []
-        for r in range(theta0s.shape[0]):
-            if kind == "bound" and np.isfinite(best_value[r]):
-                alpha = BellCoeffs(
-                    self.scenario,
-                    best_payload[r].reshape(self.scenario.m1, self.scenario.m2),
-                )
-            elif kind == "bound":
-                alpha = None
-            else:
-                alpha = alpha_fixed
-            out.append(
-                OptimizeResult(
-                    settings=MeasurementSettings.from_vector(
-                        self.scenario.m1, self.scenario.m2, best_theta[r]
-                    ),
-                    value=float(best_value[r]),
-                    alpha=alpha,
-                    history=history[r],
-                    records=tuple(records[r]),
-                    restart_index=r,
-                )
+    out = []
+    for r in range(theta0s.shape[0]):
+        alpha = objective.alpha
+        if objective.h is not None and np.isfinite(best_value[r]):
+            alpha = BellCoeffs(sc, best_payload[r].reshape(sc.m1, sc.m2))
+        out.append(
+            OptimizeResult(
+                settings=MeasurementSettings.from_vector(sc.m1, sc.m2, best_theta[r]),
+                value=float(best_value[r]),
+                alpha=alpha,
+                history=history[r],
             )
-        return out
+        )
+    return out
 
 
-def bound_maximization_task(
-    h,
-    scenario: Scenario,
+def restart_harness(
+    objective: Objective,
+    n_restarts: int,
+    seed: int,
     cfg: OptimizerConfig | None = None,
     fd_cfg: FiniteDiffConfig | None = None,
-    solve_mode: str | None = None,
-) -> OptimizationTask:
-    h = np.asarray(h, dtype=float)
-    mode = _auto_solve_mode(scenario, solve_mode)
-    objective = _make_bound_objective(h, scenario.m1, scenario.m2, mode)
-    return OptimizationTask(
-        scenario, True, ("bound", objective, cfg or DEFAULT_ASCENT, fd_cfg or DEFAULT_FD, None)
-    )
-
-
-def value_minimization_task(
-    alpha: BellCoeffs,
-    c,
-    cfg: OptimizerConfig | None = None,
-    fd_cfg: FiniteDiffConfig | None = None,
-) -> OptimizationTask:
-    c = np.asarray(c, dtype=float)
-    objective = _make_qv_objective(alpha.alpha, c, alpha.scenario.m1, alpha.scenario.m2)
-    return OptimizationTask(
-        alpha.scenario, False, ("qv", objective, cfg or DEFAULT_DESCENT, fd_cfg or DEFAULT_FD, alpha)
-    )
-
-
-def restart_harness(task: OptimizationTask, n_restarts: int, seed: int) -> RestartOutcome:
-    """Run the task from deterministically seeded random inits; keep the best.
+) -> RestartOutcome:
+    """Run the objective from deterministically seeded random inits; keep the best.
 
     Restart i draws its init from a stream seeded by (seed, i), so a single
-    restart reproduces exactly the first member of a larger batch. Ties go to
-    the lowest restart index.
+    restart reproduces exactly the first member of a larger batch. Polar
+    angles are uniform on [0, pi], azimuths on [0, 2 pi). Ties go to the
+    lowest restart index.
     """
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     theta0s = np.stack(
         [
-            task.sample_init(np.random.default_rng(np.random.SeedSequence((seed, i))))
+            np.random.default_rng(np.random.SeedSequence((seed, i))).random(objective.dim)
             for i in range(n_restarts)
         ]
     )
-    runs = task.run_batch(theta0s)
+    theta0s[:, 0::2] *= np.pi
+    theta0s[:, 1::2] *= 2.0 * np.pi
+    runs = run_search(objective, theta0s, cfg, fd_cfg)
     values = np.array([r.value for r in runs])
-    best_index = int(np.argmax(values)) if task.maximize else int(np.argmin(values))
+    best_index = int(np.argmax(values)) if objective.maximize else int(np.argmin(values))
     best = runs[best_index]
-    if task.maximize and not np.isfinite(best.value):
+    if objective.maximize and not np.isfinite(best.value):
         raise NoFeasiblePointError("no restart found a feasible point")
     return RestartOutcome(best=best, runs=tuple(runs), best_index=best_index)
 
@@ -609,18 +533,11 @@ def bounce_loop(
     if max_loops < 1:
         raise ValueError("loop budget must be positive")
     c = np.asarray(c, dtype=float)
-    min_cfg = min_cfg or DEFAULT_DESCENT
-    max_cfg = max_cfg or DEFAULT_ASCENT
-    fd_cfg = fd_cfg or DEFAULT_FD
     if isinstance(start, BellCoeffs):
         alpha = start
     else:
-        from .mapping import solve_alpha
-
-        t0 = build_transfer_matrix(ms0)
-        h0 = np.asarray(start, dtype=float)
-        mode0 = "unique" if ms0.m1 * ms0.m2 == 9 else "min_norm"
-        alpha = solve_alpha(t0, h0, mode0)
+        mode0 = _auto_solve_mode(ms0.scenario(), None)
+        alpha = solve_alpha(build_transfer_matrix(ms0), np.asarray(start, dtype=float), mode0)
     scenario = alpha.scenario
     _check_settings(scenario, ms0)
 
@@ -637,16 +554,17 @@ def bounce_loop(
     converged = False
     half = 0
     for _ in range(max_loops):
-        res_min = minimize_quantum_value(alpha, c, ms, cfg=min_cfg, fd_cfg=fd_cfg)
+        theta = ms.to_vector()[None, :]
+        (res_min,) = run_search(value_objective(alpha, c), theta, min_cfg, fd_cfg)
         ms = res_min.settings
         beta_q = res_min.value
         half += 1
         records.append(BounceRecord(half, "minimize-quantum-value", beta_c, beta_q, beta_q - beta_c))
 
         h_cur = build_transfer_matrix(ms).matrix @ alpha.alpha.ravel()
-        res_max = maximize_classical_bound(
-            h_cur, scenario, ms, cfg=max_cfg, fd_cfg=fd_cfg,
-            solve_mode=solve_mode, init_alpha=alpha,
+        (res_max,) = run_search(
+            bound_objective(h_cur, scenario, solve_mode), ms.to_vector()[None, :],
+            max_cfg, fd_cfg, init_alpha=alpha,
         )
         ms = res_max.settings
         alpha = res_max.alpha

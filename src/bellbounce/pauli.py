@@ -1,8 +1,8 @@
 """Two-qubit Pauli algebra.
 
 Bloch-vector observables, Pauli correlator decompositions of 4x4 Hermitian
-operators, density-matrix sanity checks, and a dependency-free Jacobi
-eigensolver used everywhere a smallest eigenvalue is needed.
+operators, density-matrix sanity checks, and the smallest eigenvalue of a
+4x4 Hermitian operator.
 
 All 9-component coefficient/correlator vectors use the fixed row order
 (xx, xy, xz, yx, yy, yz, zx, zy, zz), i.e. index 3*i + j for Pauli pair
@@ -19,7 +19,6 @@ __all__ = [
     "SIGMA_Z",
     "IDENTITY_2",
     "PAULI_PAIR_LABELS",
-    "JacobiConvergenceError",
     "bloch_from_angles",
     "observable_from_bloch",
     "pauli_coeffs_from_operator",
@@ -46,12 +45,6 @@ POSITIVITY_TOL = 1e-10
 # Residual single-body/identity content above this means the operator is not
 # a pure two-body correlator combination.
 CORRELATOR_CONTENT_TOL = 1e-10
-JACOBI_SWEEP_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 60
-
-
-class JacobiConvergenceError(RuntimeError):
-    """The cyclic Jacobi iteration failed to reach its sweep tolerance."""
 
 
 def bloch_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -140,53 +133,14 @@ def operator_from_pauli_coeffs(h) -> np.ndarray:
     return np.einsum("k,kab->ab", h, _PAULI_PAIRS)
 
 
-def _jacobi_min_eig_symmetric(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a real symmetric matrix by cyclic Jacobi sweeps."""
-    a = m.copy()
-    n = a.shape[0]
-    tol = JACOBI_SWEEP_TOL * max(1.0, float(np.linalg.norm(a)))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
-        if off <= tol:
-            return float(np.min(np.diag(a)))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p].copy(), a[q].copy()
-                a[p] = c * rp - s * rq
-                a[q] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise JacobiConvergenceError(
-        f"Jacobi sweeps did not reach off-diagonal norm {tol!r}"
-    )
-
-
 def min_eigenvalue(h_op) -> float:
-    """Smallest eigenvalue of a 4x4 Hermitian operator.
-
-    Uses cyclic Jacobi on the 8x8 real-symmetric embedding
-    [[Re H, -Im H], [Im H, Re H]], whose spectrum is that of H doubled.
+    """Smallest eigenvalue of a 4x4 Hermitian operator (LAPACK eigvalsh).
 
     Raises:
         ValueError: if the input is not Hermitian within 1e-12.
     """
     h_op = _check_hermitian(h_op, 4, "operator")
-    a, b = h_op.real, h_op.imag
-    embedded = np.block([[a, -b], [b, a]])
-    return _jacobi_min_eig_symmetric(embedded)
+    return float(np.linalg.eigvalsh(h_op)[0])
 
 
 def check_state(rho) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellCoeffs, Scenario, gisin_variant
+from .bell import BellCoeffs, Scenario
 from .mapping import MeasurementSettings
 from .pauli import operator_from_pauli_coeffs
 
@@ -113,8 +113,3 @@ def singlet_correlators() -> np.ndarray:
     c = np.zeros(9)
     c[0] = c[4] = c[8] = -1.0
     return c
-
-
-def gisin_delta_2() -> BellCoeffs:
-    """Convenience alias for the Delta=2 coefficient family."""
-    return gisin_variant(2.0)

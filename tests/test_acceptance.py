@@ -53,11 +53,11 @@ from bellbounce.noise import (
 from bellbounce.optimize import (
     OptimizerConfig,
     bounce_loop,
-    bound_maximization_task,
+    bound_objective,
     finite_diff_gradient,
-    minimize_quantum_value,
     restart_harness,
-    value_minimization_task,
+    run_search,
+    value_objective,
 )
 from bellbounce.pauli import (
     check_state,
@@ -68,7 +68,6 @@ from bellbounce.pauli import (
 from bellbounce.presets import (
     ELEGANT_COEFFS,
     H_G_COEFFS,
-    gisin_delta_2,
     hamiltonian_hg,
     tetrahedron_axes_settings,
     two_chsh_coeffs,
@@ -85,7 +84,7 @@ def _report(num, detail):
 
 def _best_of_32(h, scenario):
     start = time.perf_counter()
-    out = restart_harness(bound_maximization_task(h, scenario), RESTARTS, SEED)
+    out = restart_harness(bound_objective(h, scenario), RESTARTS, SEED)
     return out.best.value, time.perf_counter() - start
 
 
@@ -182,7 +181,7 @@ def test_criterion_07_elegant_windows(elegant_3x3, elegant_4x3):
 
 def test_criterion_08_honeycomb_scaling():
     ls = load_lattice(bundled_lattice_path())
-    local = gisin_delta_2()
+    local = gisin_variant(2.0)
     beta, cert = lattice_classical_bound(ls, local)
     assert abs(beta - (-526.0)) <= 1e-9
     assert abs(lattice_certificate_value(ls, local, cert) - beta) <= 1e-12
@@ -201,14 +200,15 @@ def test_criterion_08_honeycomb_scaling():
 def test_criterion_09_noise_sweep():
     grid = np.arange(15) / 1000.0
     ms0 = tetrahedron_axes_settings()
-    bc = gisin_delta_2()
+    bc = gisin_variant(2.0)
     original = np.array([v for _, v in noise_sweep(grid, ms0, bc)])
     cfg = OptimizerConfig(learning_rate=0.01, max_steps=2000)
     optimized = []
     for p in grid:
         c = correlator_vector(prepare_noisy_singlet(NoiseModel(float(p))))
-        from_preset = minimize_quantum_value(bc, c, ms0, cfg).value
-        from_random = restart_harness(value_minimization_task(bc, c, cfg), 4, 1).best.value
+        objective = value_objective(bc, c)
+        from_preset = run_search(objective, ms0.to_vector()[None, :], cfg)[0].value
+        from_random = restart_harness(objective, 4, 1, cfg).best.value
         optimized.append(min(from_preset, from_random))
     optimized = np.array(optimized)
     assert np.all(np.diff(original) >= 0.0)
@@ -222,7 +222,7 @@ def test_criterion_09_noise_sweep():
 
 def test_criterion_10_bounce_loop():
     c = correlator_vector(prepare_noisy_singlet(NoiseModel(0.010)))
-    res = bounce_loop(gisin_delta_2(), tetrahedron_axes_settings(), c)
+    res = bounce_loop(gisin_variant(2.0), tetrahedron_axes_settings(), c)
     assert res.final_gap < 0.0
     assert res.converged
     assert res.loops <= 4

@@ -5,6 +5,7 @@ import pytest
 
 from bellbounce.bell import (
     BRUTEFORCE_MAX_SETTINGS,
+    ENUMERATION_MAX_SIDE,
     BellCoeffs,
     DeterministicStrategy,
     Scenario,
@@ -136,3 +137,11 @@ def test_bruteforce_size_guard():
     assert 13 + 12 > BRUTEFORCE_MAX_SETTINGS
     with pytest.raises(ValueError):
         classical_bound_bruteforce(big)
+
+
+def test_enumeration_size_guard():
+    # refused before the 2^21-pattern table is built
+    big = BellCoeffs(Scenario(21, 21), np.zeros((21, 21)))
+    assert 21 > ENUMERATION_MAX_SIDE
+    with pytest.raises(ValueError, match=str(ENUMERATION_MAX_SIDE)):
+        classical_bound(big)

@@ -39,6 +39,10 @@ def test_validation_exit_codes(capsys, tmp_path):
     assert main(["ineq2ham", "--p-grid", "bad", "--out", str(tmp_path)]) == 2
     assert main(["ham2ineq", "--preset", "H_G", "--m1", "4", "--m2", "4",
                  "--solve-mode", "unique", "--out", str(tmp_path)]) == 2
+    assert main(["ham2ineq", "--h", "nan 0 0 0 1 0 0 0 1", "--restarts", "1",
+                 "--steps", "5", "--out", str(tmp_path)]) == 2
+    assert main(["bounce", "--h", "1 0 0 0 1 0 0 0 nan", "--steps", "5",
+                 "--out", str(tmp_path)]) == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"classical-bound": {"bogus": 1}}')
     assert main(["classical-bound", "--config", str(cfg)]) == 2
@@ -136,6 +140,19 @@ def test_lattice_report(capsys, tmp_path):
     assert summary["vertices"] == 73
     assert summary["certificate_sha256"] == CERT_SHA
     assert abs(summary["quantum_floor"] - 65.75 * (-16 / np.sqrt(3))) < 1e-9
+
+
+def test_lattice_alpha_file(capsys, tmp_path):
+    path = tmp_path / "delta2.json"
+    path.write_text(json.dumps([[1, 1, 2], [1, -1, -2], [-1, 1, -2], [-1, -1, 2]]))
+    assert main(["lattice", "--out", str(tmp_path / "default")]) == 0
+    assert main(["lattice", "--alpha-file", str(path), "--out", str(tmp_path / "file")]) == 0
+    capsys.readouterr()
+    default = json.loads((tmp_path / "default" / "lattice_summary.json").read_text())
+    summary = json.loads((tmp_path / "file" / "lattice_summary.json").read_text())
+    assert summary["certificate_sha256"] == CERT_SHA
+    for key in ("beta_lattice", "certificate_sha256", "quantum_floor"):
+        assert summary[key] == default[key]
 
 
 def test_lattice_epsilon_recoupling(capsys):

@@ -12,12 +12,11 @@ from bellbounce.optimize import (
     adam_init,
     adam_step,
     bounce_loop,
-    bound_maximization_task,
+    bound_objective,
     finite_diff_gradient,
-    maximize_classical_bound,
-    minimize_quantum_value,
     restart_harness,
-    value_minimization_task,
+    run_search,
+    value_objective,
 )
 from bellbounce.presets import (
     hamiltonian_hg,
@@ -47,8 +46,6 @@ def test_config_validation():
         OptimizerConfig(learning_rate=0.1, max_steps=0)
     with pytest.raises(ValueError):
         FiniteDiffConfig(step=0.0)
-    with pytest.raises(ValueError):
-        FiniteDiffConfig(scheme="forward")
 
 
 def test_adam_step_reference():
@@ -96,9 +93,8 @@ def test_finite_diff_rejects_nonfinite():
 
 def test_maximize_bound_consistency():
     rng = np.random.default_rng(52)
-    res = maximize_classical_bound(
-        H_HG, Scenario(3, 3), _random_settings(rng, 3, 3), cfg=FAST
-    )
+    start = _random_settings(rng, 3, 3).to_vector()[None, :]
+    (res,) = run_search(bound_objective(H_HG, Scenario(3, 3)), start, FAST)
     # reported alpha reproduces h at the reported settings
     t = build_transfer_matrix(res.settings)
     assert np.linalg.norm(t.matrix @ res.alpha.alpha.ravel() - H_HG) <= 1e-8 * np.linalg.norm(H_HG)
@@ -114,81 +110,68 @@ def test_minimize_value_descends():
     bc = gisin_variant(2.0)
     c = singlet_correlators()
     init = _random_settings(rng, 4, 3)
-    res = minimize_quantum_value(bc, c, init, cfg=FAST_DOWN)
+    (res,) = run_search(value_objective(bc, c), init.to_vector()[None, :], FAST_DOWN)
     assert res.value <= res.history[0]
     assert np.all(np.diff(res.history) <= 0)
+    assert len(res.history) == FAST_DOWN.max_steps + 1
     assert res.value >= -4 * np.sqrt(6) - 1e-9  # optimum over settings for ideal data
 
 
-def test_records_are_decimated():
-    rng = np.random.default_rng(54)
-    cfg = OptimizerConfig(learning_rate=0.01, max_steps=500)
-    res = minimize_quantum_value(
-        gisin_variant(2.0), singlet_correlators(), _random_settings(rng, 4, 3), cfg=cfg
-    )
-    steps = [r.step for r in res.records]
-    assert steps[0] == 0 and steps[-1] == cfg.max_steps
-    assert len(steps) <= cfg.max_steps // 5 + 2
-    assert len(res.history) == cfg.max_steps + 1
-
-
 def test_harness_determinism_and_seeding():
-    task = bound_maximization_task(H_HG, Scenario(3, 3), cfg=FAST)
-    out1 = restart_harness(task, 3, seed=9)
-    out2 = restart_harness(task, 3, seed=9)
+    objective = bound_objective(H_HG, Scenario(3, 3))
+    out1 = restart_harness(objective, 3, seed=9, cfg=FAST)
+    out2 = restart_harness(objective, 3, seed=9, cfg=FAST)
     assert [r.value for r in out1.runs] == [r.value for r in out2.runs]
     assert np.array_equal(out1.best.settings.to_vector(), out2.best.settings.to_vector())
     # restart i depends only on (seed, i), not on how many restarts run
-    solo = restart_harness(task, 1, seed=9)
+    solo = restart_harness(objective, 1, seed=9, cfg=FAST)
     assert solo.runs[0].value == out1.runs[0].value
-    different = restart_harness(task, 1, seed=10)
+    different = restart_harness(objective, 1, seed=10, cfg=FAST)
     assert different.runs[0].value != solo.runs[0].value
     with pytest.raises(ValueError):
-        restart_harness(task, 0, seed=1)
+        restart_harness(objective, 0, seed=1, cfg=FAST)
 
 
 def test_infeasible_target_raises():
     # a 2x2 scenario spans a 4-dimensional slice of the 9 coefficients, so a
     # generic target is unreachable from every restart
-    task = bound_maximization_task(
-        np.array([1.0, 0.7, -0.3, 0.2, -1.0, 0.4, 0.9, -0.6, 0.5]),
-        Scenario(2, 2),
-        cfg=OptimizerConfig(learning_rate=0.02, max_steps=40),
+    objective = bound_objective(
+        np.array([1.0, 0.7, -0.3, 0.2, -1.0, 0.4, 0.9, -0.6, 0.5]), Scenario(2, 2)
     )
     with pytest.raises(NoFeasiblePointError):
-        restart_harness(task, 2, seed=0)
+        restart_harness(objective, 2, seed=0, cfg=OptimizerConfig(learning_rate=0.02, max_steps=40))
 
 
 def test_init_alpha_seeding():
     ms = tetrahedron_axes_settings()
     bc = gisin_variant(2.0)
     h = build_transfer_matrix(ms).matrix @ bc.alpha.ravel()
-    res = maximize_classical_bound(
-        h, Scenario(4, 3), ms, cfg=OptimizerConfig(learning_rate=0.02, max_steps=30),
-        init_alpha=bc,
+    objective = bound_objective(h, Scenario(4, 3))
+    start = ms.to_vector()[None, :]
+    (res,) = run_search(
+        objective, start, OptimizerConfig(learning_rate=0.02, max_steps=30), init_alpha=bc
     )
     assert res.value >= classical_bound(bc)[0]  # never below the seed
     with pytest.raises(ValueError):
-        maximize_classical_bound(
-            h, Scenario(4, 3), ms, cfg=FAST,
-            init_alpha=BellCoeffs(Scenario(4, 3), np.ones((4, 3))),
+        run_search(
+            objective, start, FAST, init_alpha=BellCoeffs(Scenario(4, 3), np.ones((4, 3)))
         )
 
 
 def test_solve_mode_selection():
     with pytest.raises(ValueError):
-        bound_maximization_task(H_HG, Scenario(4, 3), solve_mode="unique")
+        bound_objective(H_HG, Scenario(4, 3), solve_mode="unique")
     with pytest.raises(ValueError):
-        bound_maximization_task(H_HG, Scenario(3, 3), solve_mode="qr")
+        bound_objective(H_HG, Scenario(3, 3), solve_mode="qr")
 
 
 def test_value_task_matches_direct_call():
     bc = gisin_variant(2.0)
     c = singlet_correlators()
-    task = value_minimization_task(bc, c, cfg=FAST_DOWN)
-    out = restart_harness(task, 2, seed=3)
+    objective = value_objective(bc, c)
+    out = restart_harness(objective, 2, seed=3, cfg=FAST_DOWN)
     rng = np.random.default_rng(np.random.SeedSequence((3, 0)))
-    direct = minimize_quantum_value(bc, c, _random_settings(rng, 4, 3), cfg=FAST_DOWN)
+    (direct,) = run_search(objective, _random_settings(rng, 4, 3).to_vector()[None, :], FAST_DOWN)
     assert out.runs[0].value == direct.value
 
 

@@ -7,7 +7,6 @@ from bellbounce.pauli import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    JacobiConvergenceError,
     bloch_from_angles,
     check_state,
     correlator_vector,
@@ -126,7 +125,3 @@ def test_correlator_vector_bounded():
         rho /= np.trace(rho).real
         c = correlator_vector(rho)
         assert np.all(np.abs(c) <= 1 + 1e-12)
-
-
-def test_jacobi_error_type():
-    assert issubclass(JacobiConvergenceError, RuntimeError)

@@ -92,7 +92,20 @@ def _sign_patterns(m: int) -> np.ndarray:
     # All +-1 tuples of length m in lexicographic order with -1 < +1.
     k = np.arange(2**m)
     bits = (k[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    return (2 * bits - 1).astype(np.int64)
+    return (2 * bits - 1).astype(float)
+
+
+def _enumerate_side(amats: np.ndarray):
+    # The smaller side's sign patterns for a batch (n, m1, m2), their products
+    # (rows (n, m1, K) or columns (n, K, m2)) and each one's value -sum|products|.
+    _, m1, m2 = amats.shape
+    if m2 <= m1:
+        patterns = _sign_patterns(m2)
+        rows = amats @ patterns.T
+        return patterns, rows, -np.abs(rows).sum(axis=1)
+    patterns = _sign_patterns(m1)
+    cols = patterns @ amats
+    return patterns, cols, -np.abs(cols).sum(axis=2)
 
 
 def _signs_from_rows(rows: np.ndarray) -> np.ndarray:
@@ -118,26 +131,20 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
         raise ValueError(
             f"scenario too large to enumerate: min({m1}, {m2}) > {ENUMERATION_MAX_SIDE}"
         )
+    patterns, (products,), (values,) = _enumerate_side(alpha[None])
     if m2 <= m1:
-        patterns = _sign_patterns(m2)
-        rows = alpha @ patterns.T  # (m1, 2^m2)
-        values = -np.abs(rows).sum(axis=0)
         k = int(np.argmin(values))  # first minimum = lexicographically smallest b
         b = patterns[k]
-        a = _signs_from_rows(rows[:, k])
-        witness = DeterministicStrategy(a=a, b=b)
+        a = _signs_from_rows(products[:, k])
     else:
-        patterns = _sign_patterns(m1)
-        cols = patterns @ alpha  # (2^m1, m2)
-        values = -np.abs(cols).sum(axis=1)
         # Every optimal pair's b is the induced sign pattern of some optimal a,
         # so the lexicographically smallest optimal b is found among those.
         winners = np.flatnonzero(values == values.min())
-        induced = _signs_from_rows(cols[winners])
+        induced = _signs_from_rows(products[winners])
         order = np.lexsort(induced.T[::-1])
         b = induced[order[0]]
         a = _signs_from_rows(alpha @ b)
-        witness = DeterministicStrategy(a=a, b=b)
+    witness = DeterministicStrategy(a=a, b=b)
     # Report the witness's own evaluation so the bound and its certificate
     # agree bit-for-bit.
     return bell_value(bc, witness.correlators()), witness
@@ -153,8 +160,8 @@ def classical_bound_bruteforce(bc: BellCoeffs) -> float:
         raise ValueError(
             f"scenario too large for brute force: {m1}+{m2} > {BRUTEFORCE_MAX_SETTINGS}"
         )
-    b_patterns = _sign_patterns(m2).astype(float)
-    a_patterns = _sign_patterns(m1).astype(float)
+    b_patterns = _sign_patterns(m2)
+    a_patterns = _sign_patterns(m1)
     best = np.inf
     chunk = 4096
     for start in range(0, a_patterns.shape[0], chunk):

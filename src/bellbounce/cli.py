@@ -161,6 +161,8 @@ def _load_correlator_file(path) -> np.ndarray:
     c = np.asarray(data, dtype=float)
     if c.shape != (9,):
         raise ValueError(f"correlator data file must hold 9 numbers, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("correlator data file entries must be finite")
     return c
 
 

@@ -5,6 +5,11 @@ T . alpha = h, where alpha are the correlator coefficients of the inequality
 and h the Pauli coefficients of the Bell operator built from the same
 settings. Rows follow the fixed Pauli-pair order of :mod:`bellbounce.pauli`;
 columns are lexicographic in the setting pair (x1, x2).
+
+T = NA^T (x) NB^T, so T . alpha = h is NA^T alpha NB = H (H = h as 3x3), solved
+on the 3-column factors (pinv(A (x) B) = pinv(A) (x) pinv(B), Van Loan 2000) by
+batch kernels shared with the optimizer. T's singular values are the products of
+the factors', so the rank cutoff applies to those products.
 """
 
 from __future__ import annotations
@@ -94,27 +99,36 @@ class MeasurementSettings:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """The 9 x (m1*m2) matrix linking alpha to Pauli coefficients."""
+    """T = NA^T (x) NB^T, the 9 x (m1*m2) matrix linking alpha to Pauli coefficients,
+    held as its factors: the parties' Bloch vectors na (m1, 3) and nb (m2, 3)."""
 
-    matrix: np.ndarray
-    m1: int
-    m2: int
+    na: np.ndarray
+    nb: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (9, self.m1 * self.m2):
-            raise ValueError(f"transfer matrix shape {m.shape} != (9, {self.m1 * self.m2})")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        for name in ("na", "nb"):
+            v = np.array(getattr(self, name), dtype=float)
+            if v.ndim != 2 or v.shape[1] != 3:
+                raise ValueError(f"{name} must be an (m, 3) Bloch-vector array, got {v.shape}")
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.einsum("ai,bj->ijab", self.na, self.nb).reshape(9, self.m1 * self.m2)
+
+    @property
+    def m1(self) -> int:
+        return self.na.shape[0]
+
+    @property
+    def m2(self) -> int:
+        return self.nb.shape[0]
 
 
 def build_transfer_matrix(ms: MeasurementSettings) -> TransferMatrix:
     """T[3i+j, x1*m2+x2] = nA[x1, i] * nB[x2, j] for the settings' Bloch vectors."""
-    na = ms.bloch_a()
-    nb = ms.bloch_b()
-    t = np.einsum("ai,bj->ijab", na, nb).reshape(9, ms.m1 * ms.m2)
-    return TransferMatrix(t, ms.m1, ms.m2)
+    return TransferMatrix(ms.bloch_a(), ms.bloch_b())
 
 
 def bell_operator(ms: MeasurementSettings, bc: BellCoeffs) -> np.ndarray:
@@ -136,15 +150,46 @@ def bell_operator(ms: MeasurementSettings, bc: BellCoeffs) -> np.ndarray:
     return out
 
 
-def _as_h_vector(h) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.shape != (9,):
-        raise ValueError(f"h must have shape (9,), got {h.shape}")
-    return h
+def _residual_batch(na, nb, alpha, hmat) -> np.ndarray:
+    # ||NA^T alpha NB - H||_F, the same number as ||T vec(alpha) - h||.
+    return np.linalg.norm(na.swapaxes(-1, -2) @ alpha @ nb - hmat, axis=(-2, -1))
+
+
+def _rank_deficient(na, nb) -> np.ndarray:
+    # cond(T) = cond(NA) cond(NB), since T's singular values are the products.
+    return np.linalg.cond(na) * np.linalg.cond(nb) >= 1.0 / RANK_RCOND
+
+
+def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray) -> np.ndarray:
+    """Minimum-norm alpha of NA^T alpha NB = H for batches na (n, m1, 3), nb (n, m2, 3).
+
+    With NA^T = Ua Sa Va^T and NB^T = Ub Sb Vb^T, alpha = Va (W o Ua^T H Ub) Vb^T,
+    where W inverts the products Sa_i Sb_j above the cutoff and zeroes the rest.
+    """
+    ua, sa, vta = np.linalg.svd(na.swapaxes(-1, -2), full_matrices=False)
+    ub, sb, vtb = np.linalg.svd(nb.swapaxes(-1, -2), full_matrices=False)
+    s = sa[:, :, None] * sb[:, None, :]
+    w = np.divide(1.0, s, out=np.zeros_like(s), where=s > RANK_RCOND * s[:, :1, :1])
+    return vta.swapaxes(-1, -2) @ (w * (ua.swapaxes(-1, -2) @ hmat @ ub)) @ vtb
+
+
+def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray) -> np.ndarray:
+    """alpha = NA^-T H NB^-1 plus one refinement step, for batches of 3x3 factors."""
+    try:
+        ia = np.linalg.inv(na).swapaxes(-1, -2)
+        ib = np.linalg.inv(nb)
+    except np.linalg.LinAlgError:
+        # an exactly singular factor: minimum-norm rows, nan where T is rank-deficient
+        alpha = _solve_min_norm_batch(na, nb, hmat)
+        alpha[_rank_deficient(na, nb)] = np.nan
+        return alpha
+    alpha = ia @ hmat @ ib
+    return alpha + ia @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ ib
 
 
 def residual_norm(t: TransferMatrix, alpha_flat: np.ndarray, h: np.ndarray) -> float:
-    return float(np.linalg.norm(t.matrix @ alpha_flat - h))
+    alpha = np.asarray(alpha_flat, dtype=float).reshape(t.m1, t.m2)
+    return float(_residual_batch(t.na, t.nb, alpha, np.asarray(h, dtype=float).reshape(3, 3)))
 
 
 def solve_alpha(t: TransferMatrix, h, mode: str = "min_norm") -> BellCoeffs:
@@ -153,33 +198,31 @@ def solve_alpha(t: TransferMatrix, h, mode: str = "min_norm") -> BellCoeffs:
     Args:
         t: transfer matrix of the settings.
         h: 9-component Pauli coefficient vector.
-        mode: "unique" for the invertible 9-column case (exact solve plus one
-            iterative-refinement step), "min_norm" for the SVD least-squares
-            solution of minimal Euclidean norm (cutoff 1e-10 relative).
+        mode: "unique" for the invertible 3x3 case (exact solve plus one
+            iterative-refinement step), "min_norm" for the least-squares
+            solution of minimal Euclidean norm (cutoff 1e-10 relative on the
+            singular values of T).
 
     Returns:
         BellCoeffs over the transfer matrix's scenario.
 
     Raises:
-        ValueError: on a malformed mode or a unique-mode call without 9 columns.
+        ValueError: on a malformed mode or a unique-mode call outside 3x3.
         LinearSolveError: if T is numerically rank-deficient in unique mode, or
             the residual exceeds 1e-8 * max(1, ||h||) (h not representable).
     """
-    h = _as_h_vector(h)
-    n = t.matrix.shape[1]
+    h = np.asarray(h, dtype=float)
+    if h.shape != (9,):
+        raise ValueError(f"h must have shape (9,), got {h.shape}")
+    na, nb, hmat = t.na[None], t.nb[None], h.reshape(3, 3)
     if mode == "unique":
-        if n != 9:
-            raise ValueError(f"unique mode needs 9 columns, transfer matrix has {n}")
-        s = np.linalg.svd(t.matrix, compute_uv=False)
-        if s[-1] <= RANK_RCOND * s[0]:
+        if (t.m1, t.m2) != (3, 3):
+            raise ValueError(f"unique mode needs a 3x3 scenario, got {t.m1}x{t.m2}")
+        if _rank_deficient(na, nb)[0]:
             raise LinearSolveError("transfer matrix is numerically rank-deficient")
-        alpha = np.linalg.solve(t.matrix, h)
-        alpha += np.linalg.solve(t.matrix, h - t.matrix @ alpha)
+        alpha = _solve_unique_batch(na, nb, hmat)[0]
     elif mode == "min_norm":
-        u, s, vt = np.linalg.svd(t.matrix, full_matrices=False)
-        keep = s > RANK_RCOND * (s[0] if s.size else 0.0)
-        coeffs = np.where(keep, np.divide(u.T @ h, s, where=keep, out=np.zeros_like(s)), 0.0)
-        alpha = vt.T @ coeffs
+        alpha = _solve_min_norm_batch(na, nb, hmat)[0]
     else:
         raise ValueError(f"unknown solve mode {mode!r}")
     res = residual_norm(t, alpha, h)
@@ -187,7 +230,7 @@ def solve_alpha(t: TransferMatrix, h, mode: str = "min_norm") -> BellCoeffs:
         raise LinearSolveError(
             f"inconsistent system: residual {res!r} for these settings"
         )
-    return BellCoeffs(Scenario(t.m1, t.m2), alpha.reshape(t.m1, t.m2))
+    return BellCoeffs(Scenario(t.m1, t.m2), alpha)
 
 
 def null_space_basis(t: TransferMatrix) -> list[np.ndarray]:

@@ -11,6 +11,8 @@ feasible coefficient vector. Angle parameters are unconstrained; wrapping is
 unnecessary by periodicity. Points where T(theta) . alpha = h has no solution
 within tolerance are scored -inf (ascent) so restarts move off them smoothly;
 a finite-difference coordinate with a non-finite side gets gradient 0.
+The bound objective solves NA^T alpha NB = H on the Kronecker factors of T with
+mapping's batch kernels (rank cutoff on products of the factors' singular values).
 
 Restarts run in lockstep: each engine step evaluates all restarts' probe
 points in one batched call. Per-restart random streams are seeded from
@@ -24,12 +26,15 @@ from typing import Callable
 
 import numpy as np
 
-from .bell import BellCoeffs, Scenario, _sign_patterns
+from .bell import BellCoeffs, Scenario, _enumerate_side
 from .mapping import (
-    RANK_RCOND,
     RESIDUAL_RTOL,
     MeasurementSettings,
+    _residual_batch,
+    _solve_min_norm_batch,
+    _solve_unique_batch,
     build_transfer_matrix,
+    residual_norm,
     solve_alpha,
 )
 
@@ -70,8 +75,8 @@ class OptimizerConfig:
     epsilon_stability: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+            raise ValueError("learning rate must be positive and finite")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("moment decay rates must lie in [0, 1)")
         if self.max_steps < 1:
@@ -83,8 +88,8 @@ class FiniteDiffConfig:
     step: float = 1e-4
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("finite-difference step must be positive")
+        if not (self.step > 0 and np.isfinite(self.step)):
+            raise ValueError("finite-difference step must be positive and finite")
 
 
 # Ascent on the classical bound / descent on the quantum value.
@@ -174,84 +179,26 @@ def _bloch_split_batch(thetas: np.ndarray, m1: int, m2: int):
     return blo(a), blo(b)
 
 
-def _transfer_batch(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    n, m1, _ = na.shape
-    m2 = nb.shape[1]
-    return np.einsum("nai,nbj->nijab", na, nb).reshape(n, 9, m1 * m2)
-
-
 def _enumerated_bounds(amats: np.ndarray) -> np.ndarray:
-    # Exact classical bounds of a batch of coefficient matrices, enumerating
-    # the smaller party side.
-    _, m1, m2 = amats.shape
-    if m2 <= m1:
-        rows = np.einsum("nab,kb->nak", amats, _sign_patterns(m2).astype(float))
-        return (-np.abs(rows).sum(axis=1)).min(axis=1)
-    cols = np.einsum("nab,ka->nbk", amats, _sign_patterns(m1).astype(float))
-    return (-np.abs(cols).sum(axis=1)).min(axis=1)
-
-
-def _solve_unique_batch(t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    n = t.shape[0]
-    rhs = np.broadcast_to(h, (n, 9))
-    try:
-        # Trailing singleton keeps batched solve on the matrix signature.
-        alpha = np.linalg.solve(t, rhs[..., None])[..., 0]
-        resid = rhs - np.einsum("nij,nj->ni", t, alpha)
-        alpha = alpha + np.linalg.solve(t, resid[..., None])[..., 0]
-        return alpha
-    except np.linalg.LinAlgError:
-        pass
-    alpha = np.empty((n, 9))
-    for i in range(n):
-        try:
-            ai = np.linalg.solve(t[i], h)
-            ai = ai + np.linalg.solve(t[i], h - t[i] @ ai)
-        except np.linalg.LinAlgError:
-            ai = np.full(9, np.nan)
-        alpha[i] = ai
-    return alpha
-
-
-def _solve_min_norm_batch(t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    n = t.shape[0]
-    try:
-        u, s, vt = np.linalg.svd(t, full_matrices=False)
-    except np.linalg.LinAlgError:
-        out = np.empty((n, t.shape[2]))
-        for i in range(n):
-            try:
-                ui, si, vti = np.linalg.svd(t[i], full_matrices=False)
-                keep = si > RANK_RCOND * si[0]
-                w = np.where(keep, np.divide(ui.T @ h, si, out=np.zeros_like(si), where=keep), 0.0)
-                out[i] = vti.T @ w
-            except np.linalg.LinAlgError:
-                out[i] = np.nan
-        return out
-    proj = np.einsum("nik,ni->nk", u, np.broadcast_to(h, (n, 9)))
-    keep = s > RANK_RCOND * s[:, :1]
-    w = np.where(keep, np.divide(proj, s, out=np.zeros_like(s), where=s > 0), 0.0)
-    return np.einsum("nkm,nk->nm", vt, w)
+    # Exact classical bounds of a batch of coefficient matrices (n, m1, m2).
+    return _enumerate_side(amats)[2].min(axis=1)
 
 
 def _make_bound_objective(h: np.ndarray, m1: int, m2: int, solve_mode: str):
-    h = np.asarray(h, dtype=float)
+    hmat = h.reshape(3, 3)
     gate = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(h)))
 
     def objective(thetas: np.ndarray):
         na, nb = _bloch_split_batch(thetas, m1, m2)
-        t = _transfer_batch(na, nb)
         with np.errstate(all="ignore"):
             if solve_mode == "unique":
-                alpha = _solve_unique_batch(t, h)
+                alpha = _solve_unique_batch(na, nb, hmat)
             else:
-                alpha = _solve_min_norm_batch(t, h)
-            alpha_ok = np.all(np.isfinite(alpha), axis=1)
-            alpha = np.where(alpha_ok[:, None], alpha, 0.0)
-            resid = np.linalg.norm(np.einsum("nij,nj->ni", t, alpha) - h, axis=1)
-            feasible = alpha_ok & (resid <= gate)
-            bounds = _enumerated_bounds(alpha.reshape(-1, m1, m2))
-        return np.where(feasible, bounds, -np.inf), alpha
+                alpha = _solve_min_norm_batch(na, nb, hmat)
+            # a nan or inf alpha (singular 3x3 factor) fails the gate
+            feasible = _residual_batch(na, nb, alpha, hmat) <= gate
+            bounds = _enumerated_bounds(alpha)
+        return np.where(feasible, bounds, -np.inf), alpha.reshape(len(alpha), m1 * m2)
 
     return objective
 
@@ -419,7 +366,7 @@ def run_search(
         if init_alpha.alpha.shape != (sc.m1, sc.m2):
             raise ValueError("init_alpha does not match the scenario")
         t0 = build_transfer_matrix(MeasurementSettings.from_vector(sc.m1, sc.m2, theta0s[0]))
-        res = float(np.linalg.norm(t0.matrix @ init_alpha.alpha.ravel() - objective.h))
+        res = residual_norm(t0, init_alpha.alpha, objective.h)
         if res > RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(objective.h))):
             raise ValueError(f"init_alpha is not feasible at init: residual {res!r}")
         seed_values = _enumerated_bounds(init_alpha.alpha[None, :, :])

@@ -43,10 +43,26 @@ def test_validation_exit_codes(capsys, tmp_path):
                  "--steps", "5", "--out", str(tmp_path)]) == 2
     assert main(["bounce", "--h", "1 0 0 0 1 0 0 0 nan", "--steps", "5",
                  "--out", str(tmp_path)]) == 2
+    for flag in ("--lr", "--fd-step"):
+        assert main(["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5",
+                     flag, "nan", "--out", str(tmp_path)]) == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"classical-bound": {"bogus": 1}}')
     assert main(["classical-bound", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+def test_nonfinite_data_file_rejected_before_search(capsys, tmp_path):
+    data = tmp_path / "nan.json"
+    data.write_text("[NaN,0,0,0,0,0,0,0,0]")
+    for cmd in ("ineq2ham", "bounce"):
+        out = tmp_path / cmd
+        argv = [cmd, "--data-file", str(data), "--steps", "5", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing searched or printed first
+        assert len(captured.err.splitlines()) == 1 and "finite" in captured.err
+        assert not out.exists()
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path):

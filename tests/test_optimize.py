@@ -44,6 +44,11 @@ def test_config_validation():
         OptimizerConfig(learning_rate=0.1, beta1=1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.1, max_steps=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            OptimizerConfig(learning_rate=bad)
+        with pytest.raises(ValueError):
+            FiniteDiffConfig(step=bad)
     with pytest.raises(ValueError):
         FiniteDiffConfig(step=0.0)
 

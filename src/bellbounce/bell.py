@@ -98,13 +98,15 @@ def _sign_patterns(m: int) -> np.ndarray:
 def _enumerate_side(amats: np.ndarray):
     # The smaller side's sign patterns for a batch (n, m1, m2), their products
     # (rows (n, m1, K) or columns (n, K, m2)) and each one's value -sum|products|.
-    _, m1, m2 = amats.shape
+    # The batch is folded into one matrix product.
+    n, m1, m2 = amats.shape
     if m2 <= m1:
         patterns = _sign_patterns(m2)
-        rows = amats @ patterns.T
+        rows = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
         return patterns, rows, -np.abs(rows).sum(axis=1)
     patterns = _sign_patterns(m1)
-    cols = patterns @ amats
+    cols = (patterns @ amats.transpose(1, 0, 2).reshape(m1, -1)).reshape(-1, n, m2)
+    cols = cols.transpose(1, 0, 2)
     return patterns, cols, -np.abs(cols).sum(axis=2)
 
 

@@ -87,7 +87,6 @@ _DEFAULTS = {
         "restarts": 32,
         "steps": 10_000,
         "lr": None,
-        "fd_step": 1e-4,
         "solve_mode": None,
         "seed": 0,
         "out": ".",
@@ -248,9 +247,8 @@ def _cmd_ham2ineq(cfg: dict):
         learning_rate=cfg["lr"] if cfg.get("lr") is not None else 0.02,
         max_steps=int(cfg["steps"]),
     )
-    fd_cfg = FiniteDiffConfig(step=float(cfg["fd_step"]))
     objective = bound_objective(h, scenario, cfg.get("solve_mode"))
-    outcome = restart_harness(objective, int(cfg["restarts"]), int(cfg["seed"]), opt_cfg, fd_cfg)
+    outcome = restart_harness(objective, int(cfg["restarts"]), int(cfg["seed"]), opt_cfg)
     best = outcome.best
     t_best = build_transfer_matrix(best.settings)
     resid = residual_norm(t_best, best.alpha.alpha.ravel(), h)
@@ -316,10 +314,10 @@ def _cmd_ineq2ham(cfg: dict):
     seed = int(cfg["seed"])
     for p, c in sources:
         original = quantum_value_from_data(c, t0, bc)
-        objective = value_objective(bc, c)
-        best = run_search(objective, ms0.to_vector()[None, :], opt_cfg, fd_cfg)[0].value
+        objective = value_objective(bc, c, fd_cfg)
+        best = run_search(objective, ms0.to_vector()[None, :], opt_cfg)[0].value
         if n_restarts > 0:
-            outcome = restart_harness(objective, n_restarts, seed, opt_cfg, fd_cfg)
+            outcome = restart_harness(objective, n_restarts, seed, opt_cfg)
             best = min(best, outcome.best.value)
         rows.append((p, original, best, beta_c))
         label = "data" if p is None else f"p={format_float(p)}"
@@ -529,6 +527,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     defaults = _DEFAULTS[args.command]
+    given = {k for k, v in vars(args).items() if v is not None} - {"command", "config"}
+    unknown = sorted(given - set(defaults))
+    if unknown:
+        flags = ", ".join("--" + k.replace("_", "-") for k in unknown)
+        raise ValueError(f"{args.command} does not take {flags}")
     cfg = dict(defaults)
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:

@@ -9,7 +9,8 @@ columns are lexicographic in the setting pair (x1, x2).
 T = NA^T (x) NB^T, so T . alpha = h is NA^T alpha NB = H (H = h as 3x3), solved
 on the 3-column factors (pinv(A (x) B) = pinv(A) (x) pinv(B), Van Loan 2000) by
 batch kernels shared with the optimizer. T's singular values are the products of
-the factors', so the rank cutoff applies to those products.
+the factors', so the rank cutoff applies to those products. The kernels also
+return the factors' pseudo-inverses, which the optimizer's bound gradient reuses.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "build_transfer_matrix",
     "bell_operator",
     "solve_alpha",
-    "null_space_basis",
     "quantum_value_from_data",
     "RESIDUAL_RTOL",
     "RANK_RCOND",
@@ -156,35 +156,46 @@ def _residual_batch(na, nb, alpha, hmat) -> np.ndarray:
 
 
 def _rank_deficient(na, nb) -> np.ndarray:
-    # cond(T) = cond(NA) cond(NB), since T's singular values are the products.
-    return np.linalg.cond(na) * np.linalg.cond(nb) >= 1.0 / RANK_RCOND
+    # cond(T) = cond(NA) cond(NB), since T's singular values are the products;
+    # a product that overflows to inf is deficient.
+    with np.errstate(over="ignore"):
+        return np.linalg.cond(na) * np.linalg.cond(nb) >= 1.0 / RANK_RCOND
 
 
-def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray) -> np.ndarray:
+def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     """Minimum-norm alpha of NA^T alpha NB = H for batches na (n, m1, 3), nb (n, m2, 3).
 
     With NA^T = Ua Sa Va^T and NB^T = Ub Sb Vb^T, alpha = Va (W o Ua^T H Ub) Vb^T,
     where W inverts the products Sa_i Sb_j above the cutoff and zeroes the rest.
+    Returns (alpha, pa, pbt) with pa = pinv(NA^T) = Va Sa^-1 Ua^T and
+    pbt = pinv(NB^T)^T = Ub Sb^-1 Vb^T, so alpha = pa H pbt when nothing is cut.
     """
     ua, sa, vta = np.linalg.svd(na.swapaxes(-1, -2), full_matrices=False)
     ub, sb, vtb = np.linalg.svd(nb.swapaxes(-1, -2), full_matrices=False)
     s = sa[:, :, None] * sb[:, None, :]
     w = np.divide(1.0, s, out=np.zeros_like(s), where=s > RANK_RCOND * s[:, :1, :1])
-    return vta.swapaxes(-1, -2) @ (w * (ua.swapaxes(-1, -2) @ hmat @ ub)) @ vtb
+    alpha = vta.swapaxes(-1, -2) @ (w * (ua.swapaxes(-1, -2) @ hmat @ ub)) @ vtb
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero singular value gives inf/nan
+        pa = vta.swapaxes(-1, -2) @ (ua.swapaxes(-1, -2) / sa[:, :, None])
+        pbt = (ub / sb[:, None, :]) @ vtb
+    return alpha, pa, pbt
 
 
-def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray) -> np.ndarray:
-    """alpha = NA^-T H NB^-1 plus one refinement step, for batches of 3x3 factors."""
+def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
+    """alpha = NA^-T H NB^-1 plus one refinement step, for batches of 3x3 factors.
+
+    Returns (alpha, NA^-T, NB^-1), the same triple as _solve_min_norm_batch.
+    """
     try:
         ia = np.linalg.inv(na).swapaxes(-1, -2)
         ib = np.linalg.inv(nb)
     except np.linalg.LinAlgError:
         # an exactly singular factor: minimum-norm rows, nan where T is rank-deficient
-        alpha = _solve_min_norm_batch(na, nb, hmat)
+        alpha, pa, pbt = _solve_min_norm_batch(na, nb, hmat)
         alpha[_rank_deficient(na, nb)] = np.nan
-        return alpha
+        return alpha, pa, pbt
     alpha = ia @ hmat @ ib
-    return alpha + ia @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ ib
+    return alpha + ia @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ ib, ia, ib
 
 
 def residual_norm(t: TransferMatrix, alpha_flat: np.ndarray, h: np.ndarray) -> float:
@@ -220,9 +231,9 @@ def solve_alpha(t: TransferMatrix, h, mode: str = "min_norm") -> BellCoeffs:
             raise ValueError(f"unique mode needs a 3x3 scenario, got {t.m1}x{t.m2}")
         if _rank_deficient(na, nb)[0]:
             raise LinearSolveError("transfer matrix is numerically rank-deficient")
-        alpha = _solve_unique_batch(na, nb, hmat)[0]
+        alpha = _solve_unique_batch(na, nb, hmat)[0][0]
     elif mode == "min_norm":
-        alpha = _solve_min_norm_batch(na, nb, hmat)[0]
+        alpha = _solve_min_norm_batch(na, nb, hmat)[0][0]
     else:
         raise ValueError(f"unknown solve mode {mode!r}")
     res = residual_norm(t, alpha, h)
@@ -231,18 +242,6 @@ def solve_alpha(t: TransferMatrix, h, mode: str = "min_norm") -> BellCoeffs:
             f"inconsistent system: residual {res!r} for these settings"
         )
     return BellCoeffs(Scenario(t.m1, t.m2), alpha)
-
-
-def null_space_basis(t: TransferMatrix) -> list[np.ndarray]:
-    """Orthonormal basis of {v : T v = 0}, flattened in column order.
-
-    The basis has m1*m2 - rank(T) vectors; rank uses the same relative
-    singular-value cutoff as :func:`solve_alpha`.
-    """
-    u, s, vt = np.linalg.svd(t.matrix, full_matrices=True)
-    cutoff = RANK_RCOND * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return [vt[k].copy() for k in range(rank, t.matrix.shape[1])]
 
 
 def quantum_value_from_data(c, t: TransferMatrix, bc: BellCoeffs) -> float:

@@ -4,17 +4,22 @@ Both search directions are an Objective run by one engine (run_search):
   maximize beta_C(solve(T(theta), h))   -- Hamiltonian fixed, Adam ascent
   minimize c . T(theta) . alpha         -- inequality fixed, Adam descent
 
-Gradients are central finite differences. The classical bound is only
-piecewise smooth, so correctness rests on best-so-far tracking, not smooth
-convergence: the reported optimum is always an exactly enumerated bound of a
-feasible coefficient vector. Angle parameters are unconstrained; wrapping is
-unnecessary by periodicity. Points where T(theta) . alpha = h has no solution
-within tolerance are scored -inf (ascent) so restarts move off them smoothly;
-a finite-difference coordinate with a non-finite side gets gradient 0.
-The bound objective solves NA^T alpha NB = H on the Kronecker factors of T with
-mapping's batch kernels (rank cutoff on products of the factors' singular values).
+Each objective returns values, payloads and gradients at the engine's points;
+the engine tracks the best and takes Adam steps. The bound objective solves
+NA^T alpha NB = H on the Kronecker factors of T with mapping's batch kernels,
+and its gradient is analytic: the bound is a minimum over strategies, so the
+winning strategy's correlators a* b*^T are its subgradient in alpha, chained
+through the derivative of the factors' pseudo-inverses to the angles. The
+value objective's gradient is a central finite difference.
 
-Restarts run in lockstep: each engine step evaluates all restarts' probe
+The classical bound is only piecewise smooth, so correctness rests on
+best-so-far tracking, not smooth convergence: the reported optimum is always
+an exactly enumerated bound of a feasible coefficient vector. Angle parameters
+are unconstrained; wrapping is unnecessary by periodicity. Points where
+T(theta) . alpha = h has no solution within tolerance are scored -inf (ascent)
+and get gradient 0, as does any non-finite gradient entry.
+
+Restarts run in lockstep: each engine step evaluates all restarts' current
 points in one batched call. Per-restart random streams are seeded from
 (seed, restart_index), so results do not depend on how many restarts run.
 """
@@ -166,22 +171,60 @@ class RestartOutcome:
 # batched objective evaluation
 
 
-def _bloch_split_batch(thetas: np.ndarray, m1: int, m2: int):
-    n = thetas.shape[0]
-    a = thetas[:, : 2 * m1].reshape(n, m1, 2)
-    b = thetas[:, 2 * m1 :].reshape(n, m2, 2)
+def _bloch_batch(angles: np.ndarray, derivatives: bool = False):
+    """Bloch vectors n = (cos t, sin t cos p, sin t sin p) of (..., 2) angle rows (t, p).
 
-    def blo(x):
-        t, p = x[..., 0], x[..., 1]
-        st = np.sin(t)
-        return np.stack([np.cos(t), st * np.cos(p), st * np.sin(p)], axis=-1)
+    With derivatives, also returns dn/d(t, p) with shape (..., 2, 3).
+    """
+    t, p = angles[..., 0], angles[..., 1]
+    ct, st, cp, sp = np.cos(t), np.sin(t), np.cos(p), np.sin(p)
+    n = np.stack([ct, st * cp, st * sp], axis=-1)
+    if not derivatives:
+        return n
+    dn = np.zeros(n.shape[:-1] + (2, 3))
+    dn[..., 0, 0] = -st
+    dn[..., 0, 1] = ct * cp
+    dn[..., 0, 2] = ct * sp
+    dn[..., 1, 1] = -n[..., 2]
+    dn[..., 1, 2] = n[..., 1]
+    return n, dn
 
-    return blo(a), blo(b)
+
+def _enumerated_bounds(amats: np.ndarray):
+    # Exact classical bounds of a batch of coefficient matrices (n, m1, m2), and a
+    # winning strategy's correlators a* b*^T: the bound's gradient in alpha
+    # wherever the winner is unique.
+    patterns, products, values = _enumerate_side(amats)
+    k = values.argmin(axis=1)
+    idx = np.arange(len(amats))
+    if amats.shape[2] <= amats.shape[1]:
+        b = patterns[k]
+        a = -np.sign(products[idx, :, k])
+    else:
+        a = patterns[k]
+        b = -np.sign(products[idx, k, :])
+    return values[idx, k], a[:, :, None] * b[:, None, :]
 
 
-def _enumerated_bounds(amats: np.ndarray) -> np.ndarray:
-    # Exact classical bounds of a batch of coefficient matrices (n, m1, m2).
-    return _enumerate_side(amats)[2].min(axis=1)
+def _factor_gradients(na, nb, alpha, pa, pbt, hmat, g):
+    # Gradients of <G, alpha> in NA and NB, where alpha = A+ H B+^T with A = NA^T,
+    # B = NB^T (pa = A+, pbt = B+^T). From the derivative of the pseudo-inverse of a
+    # full-row-rank factor (Golub & Pereyra 1973):
+    #   d/dNA = -alpha G^T A+ + (I - A+ A) G B+ H^T (A+^T A+)
+    #   d/dNB = -alpha^T G B+ + (I - B+ B) G^T A+ H (B+^T B+)
+    # A projector term vanishes when its party has at most 3 settings. The
+    # formula's third term, for a party with fewer than 3, vanishes at feasible points.
+    pb = pbt.swapaxes(-1, -2)
+    ga = -alpha @ g.swapaxes(-1, -2) @ pa
+    gb = -alpha.swapaxes(-1, -2) @ g @ pb
+    m1, m2 = alpha.shape[1:]
+    if m1 > 3:
+        proj = np.eye(m1) - pa @ na.swapaxes(-1, -2)
+        ga += proj @ (g @ pb @ hmat.T) @ (pa.swapaxes(-1, -2) @ pa)
+    if m2 > 3:
+        proj = np.eye(m2) - pb @ nb.swapaxes(-1, -2)
+        gb += proj @ (g.swapaxes(-1, -2) @ pa @ hmat) @ (pbt @ pb)
+    return ga, gb
 
 
 def _make_bound_objective(h: np.ndarray, m1: int, m2: int, solve_mode: str):
@@ -189,16 +232,21 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int, solve_mode: str):
     gate = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(h)))
 
     def objective(thetas: np.ndarray):
-        na, nb = _bloch_split_batch(thetas, m1, m2)
+        n = thetas.shape[0]
+        bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
+        na, nb = bloch[:, :m1], bloch[:, m1:]
         with np.errstate(all="ignore"):
             if solve_mode == "unique":
-                alpha = _solve_unique_batch(na, nb, hmat)
+                alpha, pa, pbt = _solve_unique_batch(na, nb, hmat)
             else:
-                alpha = _solve_min_norm_batch(na, nb, hmat)
+                alpha, pa, pbt = _solve_min_norm_batch(na, nb, hmat)
             # a nan or inf alpha (singular 3x3 factor) fails the gate
             feasible = _residual_batch(na, nb, alpha, hmat) <= gate
-            bounds = _enumerated_bounds(alpha)
-        return np.where(feasible, bounds, -np.inf), alpha.reshape(len(alpha), m1 * m2)
+            bounds, g = _enumerated_bounds(alpha)
+            ga, gb = _factor_gradients(na, nb, alpha, pa, pbt, hmat, g)
+            grad = (dbloch @ np.concatenate([ga, gb], axis=1)[..., None]).reshape(n, -1)
+        grad[~(feasible[:, None] & np.isfinite(grad))] = 0.0
+        return np.where(feasible, bounds, -np.inf), alpha.reshape(n, m1 * m2), grad
 
     return objective
 
@@ -210,11 +258,34 @@ def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
     def objective(thetas: np.ndarray):
         # Fixed contraction order: per-row results must not depend on the
         # batch size, so the bounce loop's half-step bookkeeping stays exact.
-        na, nb = _bloch_split_batch(thetas, m1, m2)
-        vals = np.einsum("nai,ij,nbj,ab->n", na, cmat, nb, alpha_mat)
-        return vals, None
+        n = thetas.shape[0]
+        na = _bloch_batch(thetas[:, : 2 * m1].reshape(n, m1, 2))
+        nb = _bloch_batch(thetas[:, 2 * m1 :].reshape(n, m2, 2))
+        return np.einsum("nai,ij,nbj,ab->n", na, cmat, nb, alpha_mat)
 
     return objective
+
+
+def _with_fd_gradient(values, dim: int, fd_cfg: FiniteDiffConfig):
+    # (values, None, central-difference gradient) from a batched value function,
+    # evaluated at each point and its 2 * dim probes in one call; a coordinate
+    # with a non-finite side gets gradient 0.
+    offsets = np.concatenate(
+        [np.zeros((1, dim)), np.eye(dim) * fd_cfg.step, -np.eye(dim) * fd_cfg.step]
+    )
+
+    def evaluate(thetas: np.ndarray):
+        n = thetas.shape[0]
+        pts = (thetas[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
+        vals = values(pts).reshape(n, -1)
+        f_up = vals[:, 1 : dim + 1]
+        f_down = vals[:, dim + 1 :]
+        ok = np.isfinite(f_up) & np.isfinite(f_down)
+        # subtract only where both sides are finite; inf - inf would warn
+        diff = np.subtract(f_up, f_down, out=np.zeros_like(f_up), where=ok)
+        return vals[:, 0], None, diff / (2.0 * fd_cfg.step)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +296,11 @@ def _run_lockstep(
     objective: Objective,
     theta0: np.ndarray,
     cfg: OptimizerConfig,
-    fd_cfg: FiniteDiffConfig,
     seed_values: np.ndarray | None = None,
     seed_payload: np.ndarray | None = None,
 ):
     maximize = objective.maximize
-    n_runs, dim = theta0.shape
+    n_runs = theta0.shape[0]
     steps = cfg.max_steps
     worst = -np.inf if maximize else np.inf
     state = adam_init(theta0)
@@ -241,38 +311,20 @@ def _run_lockstep(
         best_value = seed_values.astype(float).copy()
         best_payload = None if seed_payload is None else seed_payload.copy()
     history = np.empty((n_runs, steps + 1))
-    offsets = np.concatenate(
-        [np.zeros((1, dim)), np.eye(dim) * fd_cfg.step, -np.eye(dim) * fd_cfg.step]
-    )
-    n_pts = offsets.shape[0]
     for t in range(steps + 1):
-        if t < steps:
-            pts = (state.theta[:, None, :] + offsets[None, :, :]).reshape(n_runs * n_pts, dim)
-            values, payload = objective.evaluate(pts)
-            values = values.reshape(n_runs, n_pts)
-            center = values[:, 0]
-            center_payload = None if payload is None else payload.reshape(n_runs, n_pts, -1)[:, 0, :]
-        else:
-            center, payload = objective.evaluate(state.theta)
-            center_payload = payload
-        improved = (center > best_value) if maximize else (center < best_value)
-        improved &= np.isfinite(center)
+        values, payload, grad = objective.evaluate(state.theta)
+        improved = (values > best_value) if maximize else (values < best_value)
+        improved &= np.isfinite(values)
         if np.any(improved):
-            best_value = np.where(improved, center, best_value)
+            best_value = np.where(improved, values, best_value)
             best_theta[improved] = state.theta[improved]
-            if center_payload is not None:
+            if payload is not None:
                 if best_payload is None:
-                    best_payload = np.zeros((n_runs, center_payload.shape[-1]))
-                best_payload[improved] = center_payload[improved]
+                    best_payload = np.zeros((n_runs, payload.shape[-1]))
+                best_payload[improved] = payload[improved]
         history[:, t] = best_value
         if t == steps:
             break
-        f_up = values[:, 1 : dim + 1]
-        f_down = values[:, dim + 1 :]
-        ok = np.isfinite(f_up) & np.isfinite(f_down)
-        # subtract only where both sides are finite; inf - inf would warn
-        diff = np.subtract(f_up, f_down, out=np.zeros_like(f_up), where=ok)
-        grad = diff / (2.0 * fd_cfg.step)
         state = adam_step(state, grad, cfg, maximize=maximize)
     return best_value, best_theta, best_payload, history
 
@@ -285,9 +337,10 @@ def _run_lockstep(
 class Objective:
     """One search direction for the engine.
 
-    evaluate maps a batch of angle vectors (n, dim) to (values, payload),
-    where payload is the solved coefficient rows of a bound objective and
-    None for a value objective. h is the operator a bound objective
+    evaluate maps a batch of angle vectors (n, dim) to (values, payload,
+    gradient): payload is the solved coefficient rows of a bound objective
+    and None for a value objective; gradient (n, dim) is 0 where it is not
+    finite or the point is infeasible. h is the operator a bound objective
     reproduces; alpha is the inequality a value objective holds fixed.
     """
 
@@ -323,7 +376,8 @@ def bound_objective(h, scenario: Scenario, solve_mode: str | None = None) -> Obj
     """Ascent of the classical bound at fixed operator coefficients h.
 
     Every scored point solves T(theta) alpha = h within tolerance, and its
-    score is the exact enumerated bound of that alpha.
+    score is the exact enumerated bound of that alpha. The gradient is the
+    analytic subgradient at the enumerated winning strategy.
     """
     h = np.asarray(h, dtype=float)
     mode = _auto_solve_mode(scenario, solve_mode)
@@ -331,20 +385,26 @@ def bound_objective(h, scenario: Scenario, solve_mode: str | None = None) -> Obj
     return Objective(scenario, True, evaluate, h=h)
 
 
-def value_objective(alpha: BellCoeffs, c) -> Objective:
-    """Descent of c . T(theta) . alpha at fixed inequality coefficients."""
+def value_objective(
+    alpha: BellCoeffs, c, fd_cfg: FiniteDiffConfig = DEFAULT_FD
+) -> Objective:
+    """Descent of c . T(theta) . alpha at fixed inequality coefficients.
+
+    Its gradient is a central finite difference with fd_cfg's step.
+    """
     c = np.asarray(c, dtype=float)
     if c.shape != (9,):
         raise ValueError(f"correlator vector must have shape (9,), got {c.shape}")
-    evaluate = _make_qv_objective(alpha.alpha, c, alpha.scenario.m1, alpha.scenario.m2)
-    return Objective(alpha.scenario, False, evaluate, alpha=alpha)
+    sc = alpha.scenario
+    values = _make_qv_objective(alpha.alpha, c, sc.m1, sc.m2)
+    evaluate = _with_fd_gradient(values, 2 * (sc.m1 + sc.m2), fd_cfg)
+    return Objective(sc, False, evaluate, alpha=alpha)
 
 
 def run_search(
     objective: Objective,
     theta0s: np.ndarray,
     cfg: OptimizerConfig | None = None,
-    fd_cfg: FiniteDiffConfig | None = None,
     init_alpha: BellCoeffs | None = None,
 ) -> list[OptimizeResult]:
     """Run the engine from each row of theta0s, one result per row.
@@ -354,7 +414,6 @@ def run_search(
     never falls below its bound.
     """
     cfg = cfg or (DEFAULT_ASCENT if objective.maximize else DEFAULT_DESCENT)
-    fd_cfg = fd_cfg or DEFAULT_FD
     sc = objective.scenario
     theta0s = np.asarray(theta0s, dtype=float)
     if theta0s.ndim != 2 or theta0s.shape[1] != objective.dim:
@@ -369,10 +428,10 @@ def run_search(
         res = residual_norm(t0, init_alpha.alpha, objective.h)
         if res > RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(objective.h))):
             raise ValueError(f"init_alpha is not feasible at init: residual {res!r}")
-        seed_values = _enumerated_bounds(init_alpha.alpha[None, :, :])
+        seed_values = _enumerated_bounds(init_alpha.alpha[None, :, :])[0]
         seed_payload = init_alpha.alpha.ravel()[None, :]
     best_value, best_theta, best_payload, history = _run_lockstep(
-        objective, theta0s, cfg, fd_cfg, seed_values=seed_values, seed_payload=seed_payload
+        objective, theta0s, cfg, seed_values=seed_values, seed_payload=seed_payload
     )
     out = []
     for r in range(theta0s.shape[0]):
@@ -395,7 +454,6 @@ def restart_harness(
     n_restarts: int,
     seed: int,
     cfg: OptimizerConfig | None = None,
-    fd_cfg: FiniteDiffConfig | None = None,
 ) -> RestartOutcome:
     """Run the objective from deterministically seeded random inits; keep the best.
 
@@ -414,7 +472,7 @@ def restart_harness(
     )
     theta0s[:, 0::2] *= np.pi
     theta0s[:, 1::2] *= 2.0 * np.pi
-    runs = run_search(objective, theta0s, cfg, fd_cfg)
+    runs = run_search(objective, theta0s, cfg)
     values = np.array([r.value for r in runs])
     best_index = int(np.argmax(values)) if objective.maximize else int(np.argmin(values))
     best = runs[best_index]
@@ -457,7 +515,7 @@ def bounce_loop(
     *,
     min_cfg: OptimizerConfig | None = None,
     max_cfg: OptimizerConfig | None = None,
-    fd_cfg: FiniteDiffConfig | None = None,
+    fd_cfg: FiniteDiffConfig = DEFAULT_FD,
     solve_mode: str | None = None,
     gap_tol: float = 1e-6,
     max_loops: int = 10,
@@ -470,6 +528,7 @@ def bounce_loop(
             vector (an inequality is first solved for at ms0).
         ms0: initial measurement settings.
         c: measured Pauli correlator vector driving the quantum value.
+        fd_cfg: finite-difference step of the quantum-value descent.
         gap_tol: stop once a full loop improves the gap beta_Q - beta_C by
             less than this.
         max_loops: hard loop budget; must be positive.
@@ -489,11 +548,11 @@ def bounce_loop(
     _check_settings(scenario, ms0)
 
     def qv_at(ms: MeasurementSettings, bc: BellCoeffs) -> float:
-        objective = _make_qv_objective(bc.alpha, c, scenario.m1, scenario.m2)
-        return float(objective(ms.to_vector()[None, :])[0][0])
+        values = _make_qv_objective(bc.alpha, c, scenario.m1, scenario.m2)
+        return float(values(ms.to_vector()[None, :])[0])
 
     ms = ms0
-    beta_c = float(_enumerated_bounds(alpha.alpha[None, :, :])[0])
+    beta_c = float(_enumerated_bounds(alpha.alpha[None, :, :])[0][0])
     beta_q = qv_at(ms, alpha)
     records = [BounceRecord(0, "init", beta_c, beta_q, beta_q - beta_c)]
     gap_prev = records[-1].gap
@@ -502,7 +561,7 @@ def bounce_loop(
     half = 0
     for _ in range(max_loops):
         theta = ms.to_vector()[None, :]
-        (res_min,) = run_search(value_objective(alpha, c), theta, min_cfg, fd_cfg)
+        (res_min,) = run_search(value_objective(alpha, c, fd_cfg), theta, min_cfg)
         ms = res_min.settings
         beta_q = res_min.value
         half += 1
@@ -511,7 +570,7 @@ def bounce_loop(
         h_cur = build_transfer_matrix(ms).matrix @ alpha.alpha.ravel()
         (res_max,) = run_search(
             bound_objective(h_cur, scenario, solve_mode), ms.to_vector()[None, :],
-            max_cfg, fd_cfg, init_alpha=alpha,
+            max_cfg, init_alpha=alpha,
         )
         ms = res_max.settings
         alpha = res_max.alpha

@@ -20,6 +20,8 @@ def format_float(x: float) -> str:
     x = float(x)
     if not np.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
+    if x == 0.0:
+        x = 0.0  # -0.0 renders as 0, not -0
     return FLOAT_FORMAT % x
 
 

@@ -46,6 +46,12 @@ def test_validation_exit_codes(capsys, tmp_path):
     for flag in ("--lr", "--fd-step"):
         assert main(["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5",
                      flag, "nan", "--out", str(tmp_path)]) == 2
+    # a common flag the subcommand does not take is refused, not ignored
+    assert main(["classical-bound", "--gisin-delta", "2", "--lr", "0.1"]) == 2
+    assert main(["lattice", "--steps", "5"]) == 2
+    assert main(["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5",
+                 "--fd-step", "1e-4", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: ham2ineq does not take --fd-step"
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"classical-bound": {"bogus": 1}}')
     assert main(["classical-bound", "--config", str(cfg)]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellbounce.bell import BellCoeffs, Scenario, classical_bound, gisin_variant
+from bellbounce.bell import BellCoeffs, Scenario, _enumerate_side, classical_bound, gisin_variant
 from bellbounce.mapping import MeasurementSettings, build_transfer_matrix, solve_alpha
 from bellbounce.optimize import (
     DEFAULT_FD,
@@ -19,6 +19,7 @@ from bellbounce.optimize import (
     value_objective,
 )
 from bellbounce.presets import (
+    ELEGANT_COEFFS,
     hamiltonian_hg,
     singlet_correlators,
     tetrahedron_axes_settings,
@@ -94,6 +95,42 @@ def test_finite_diff_on_quadratics():
 def test_finite_diff_rejects_nonfinite():
     with pytest.raises(ValueError):
         finite_diff_gradient(lambda x: np.inf, np.zeros(2))
+
+
+def _kink_free(alpha_row, m1, m2, margin=1e-6):
+    # The winning strategy is unique (up to the global flip) by more than margin.
+    values = np.unique(_enumerate_side(alpha_row.reshape(1, m1, m2))[2][0])
+    return values[1] - values[0] > margin
+
+
+@pytest.mark.parametrize("m1, solve_mode", [(3, "unique"), (4, "min_norm")])
+@pytest.mark.parametrize("operator", ["H_G", "elegant", "random"])
+def test_bound_gradient_matches_finite_differences(m1, solve_mode, operator):
+    rng = np.random.default_rng(54)
+    h = {"H_G": H_HG, "elegant": ELEGANT_COEFFS, "random": rng.normal(size=9)}[operator]
+    objective = bound_objective(h, Scenario(m1, 3), solve_mode)
+    fd = FiniteDiffConfig(step=1e-6)
+    checked = 0
+    for _ in range(40):
+        theta = _random_settings(rng, m1, 3).to_vector()
+        values, alpha, grad = objective.evaluate(theta[None])
+        assert np.isfinite(values[0])  # generic settings are feasible
+        if not _kink_free(alpha[0], m1, 3):
+            continue
+        ref = finite_diff_gradient(lambda x: objective.evaluate(x[None])[0][0], theta, fd)
+        assert np.linalg.norm(grad[0] - ref) <= 1e-5 * np.linalg.norm(ref)
+        checked += 1
+    assert checked >= 30
+
+
+def test_bound_gradient_zero_when_infeasible():
+    # a generic target is unreachable in a 2x2 scenario
+    h = np.array([1.0, 0.7, -0.3, 0.2, -1.0, 0.4, 0.9, -0.6, 0.5])
+    objective = bound_objective(h, Scenario(2, 2))
+    theta = _random_settings(np.random.default_rng(55), 2, 2).to_vector()
+    values, _, grad = objective.evaluate(theta[None])
+    assert values[0] == -np.inf
+    assert np.array_equal(grad, np.zeros((1, 8)))
 
 
 def test_maximize_bound_consistency():

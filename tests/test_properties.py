@@ -102,7 +102,7 @@ def test_factored_solve_matches_full_solve(mode, data):
     nb = np.stack([t.nb for t, _ in batch])
     hmats = np.stack([h.reshape(3, 3) for _, h in batch])
     with np.errstate(over="ignore", invalid="ignore"):  # singular unique rows blow up
-        alphas = kernel(na, nb, hmats)
+        alphas = kernel(na, nb, hmats)[0]
     assert alphas.shape == (len(batch), t.m1, t.m2)
     for (t, h), alpha in zip(batch, alphas):
         assert_matches_oracle(t.matrix, h, mode, alpha)
@@ -120,7 +120,7 @@ def test_unique_kernel_singular_batch_falls_back():
         np.linalg.inv(na)
     t = build_transfer_matrix(good)
     h = t.matrix @ rng.normal(size=9)
-    alpha = _solve_unique_batch(na, nb, h.reshape(3, 3))
+    alpha = _solve_unique_batch(na, nb, h.reshape(3, 3))[0]
     assert_matches_oracle(t.matrix, h, "unique", alpha[0])
     assert np.all(np.isnan(alpha[1]))
 
@@ -142,7 +142,7 @@ def test_bound_symmetries(case, scale):
     alpha, rng = case
     beta, witness = classical_bound(BellCoeffs.from_matrix(alpha))
     assert witness.correlators().ravel() @ alpha.ravel() == pytest.approx(beta, rel=1e-12, abs=1e-12)
-    assert _enumerated_bounds(alpha[None])[0] == pytest.approx(beta, rel=1e-12, abs=1e-12)
+    assert _enumerated_bounds(alpha[None])[0][0] == pytest.approx(beta, rel=1e-12, abs=1e-12)
     flips = rng.choice([-1.0, 1.0], size=(alpha.shape[0], 1))
     variants = [
         (alpha[rng.permutation(alpha.shape[0])], 1.0),

@@ -15,6 +15,7 @@ def test_format_float():
     assert format_float(-8.0) == "-8"
     assert format_float(1 / 3) == "0.333333333333"
     assert format_float(1e-30) == "1e-30"
+    assert format_float(-0.0) == "0"
     with pytest.raises(ValueError):
         format_float(np.inf)
     with pytest.raises(ValueError):

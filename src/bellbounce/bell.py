@@ -24,8 +24,9 @@ __all__ = [
 
 # Full enumeration is refused beyond this many total settings.
 BRUTEFORCE_MAX_SETTINGS = 24
-# classical_bound enumerates 2^min(m1, m2) sign patterns at once; it is
-# refused beyond this many settings on the smaller side (20 peaks near 0.5 GB).
+# The enumerator holds n * max(m1, m2) * 2^min(m1, m2) products for a batch of n
+# coefficient matrices; it refuses batches beyond those of one 20x20 matrix
+# (20 * 2^20 entries, a 522 MB peak).
 ENUMERATION_MAX_SIDE = 20
 
 
@@ -100,6 +101,11 @@ def _enumerate_side(amats: np.ndarray):
     # (rows (n, m1, K) or columns (n, K, m2)) and each one's value -sum|products|.
     # The batch is folded into one matrix product.
     n, m1, m2 = amats.shape
+    if n * max(m1, m2) * 2 ** min(m1, m2) > ENUMERATION_MAX_SIDE * 2**ENUMERATION_MAX_SIDE:
+        raise ValueError(
+            f"too large to enumerate: {n} x {max(m1, m2)} x 2^{min(m1, m2)} products exceed "
+            f"{ENUMERATION_MAX_SIDE} x 2^{ENUMERATION_MAX_SIDE}"
+        )
     if m2 <= m1:
         patterns = _sign_patterns(m2)
         rows = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
@@ -125,14 +131,11 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
     smallest b, then a (with -1 ordered before +1).
 
     Raises:
-        ValueError: if min(m1, m2) exceeds ENUMERATION_MAX_SIDE.
+        ValueError: if max(m1, m2) * 2^min(m1, m2) exceeds
+            ENUMERATION_MAX_SIDE * 2^ENUMERATION_MAX_SIDE.
     """
     alpha = bc.alpha
     m1, m2 = alpha.shape
-    if min(m1, m2) > ENUMERATION_MAX_SIDE:
-        raise ValueError(
-            f"scenario too large to enumerate: min({m1}, {m2}) > {ENUMERATION_MAX_SIDE}"
-        )
     patterns, (products,), (values,) = _enumerate_side(alpha[None])
     if m2 <= m1:
         k = int(np.argmin(values))  # first minimum = lexicographically smallest b

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,8 @@ from .noise import (
     prepare_noisy_singlet,
 )
 from .optimize import (
+    DEFAULT_ASCENT,
+    DEFAULT_DESCENT,
     FiniteDiffConfig,
     NoFeasiblePointError,
     OptimizerConfig,
@@ -201,6 +204,16 @@ def _resolve_h(cfg: dict) -> np.ndarray:
     raise ValueError("no operator given: use --preset or --h")
 
 
+def _search_cfg(default: OptimizerConfig, cfg: dict) -> OptimizerConfig:
+    # The direction's default learning rate unless --lr is given, and --steps.
+    lr = cfg.get("lr")
+    return replace(
+        default,
+        learning_rate=default.learning_rate if lr is None else lr,
+        max_steps=int(cfg["steps"]),
+    )
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -243,10 +256,7 @@ def _cmd_classical_bound(cfg: dict):
 def _cmd_ham2ineq(cfg: dict):
     h = _resolve_h(cfg)
     scenario = Scenario(int(cfg["m1"]), int(cfg["m2"]))
-    opt_cfg = OptimizerConfig(
-        learning_rate=cfg["lr"] if cfg.get("lr") is not None else 0.02,
-        max_steps=int(cfg["steps"]),
-    )
+    opt_cfg = _search_cfg(DEFAULT_ASCENT, cfg)
     objective = bound_objective(h, scenario, cfg.get("solve_mode"))
     outcome = restart_harness(objective, int(cfg["restarts"]), int(cfg["seed"]), opt_cfg)
     best = outcome.best
@@ -293,11 +303,11 @@ def _cmd_ineq2ham(cfg: dict):
     ms0 = tetrahedron_axes_settings()
     t0 = build_transfer_matrix(ms0)
     beta_c = classical_bound(bc)[0]
-    opt_cfg = OptimizerConfig(
-        learning_rate=cfg["lr"] if cfg.get("lr") is not None else 0.01,
-        max_steps=int(cfg["steps"]),
-    )
+    opt_cfg = _search_cfg(DEFAULT_DESCENT, cfg)
     fd_cfg = FiniteDiffConfig(step=float(cfg["fd_step"]))
+    n_restarts = int(cfg["restarts"])
+    if n_restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {n_restarts}")
     placement = cfg["noise_placement"]
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown noise placement {placement!r}")
@@ -310,7 +320,6 @@ def _cmd_ineq2ham(cfg: dict):
             for p in grid
         ]
     rows = []
-    n_restarts = int(cfg["restarts"])
     seed = int(cfg["seed"])
     for p, c in sources:
         original = quantum_value_from_data(c, t0, bc)
@@ -355,16 +364,12 @@ def _cmd_bounce(cfg: dict):
         c = _load_correlator_file(cfg["data_file"])
     else:
         c = correlator_vector(prepare_noisy_singlet(NoiseModel(float(cfg["p"]), placement)))
-    steps = int(cfg["steps"])
-    lr = cfg.get("lr")
-    min_cfg = OptimizerConfig(learning_rate=lr if lr is not None else 0.01, max_steps=steps)
-    max_cfg = OptimizerConfig(learning_rate=lr if lr is not None else 0.02, max_steps=steps)
     result = bounce_loop(
         start,
         ms0,
         c,
-        min_cfg=min_cfg,
-        max_cfg=max_cfg,
+        min_cfg=_search_cfg(DEFAULT_DESCENT, cfg),
+        max_cfg=_search_cfg(DEFAULT_ASCENT, cfg),
         fd_cfg=FiniteDiffConfig(step=float(cfg["fd_step"])),
         solve_mode=cfg.get("solve_mode"),
         gap_tol=float(cfg["gap_tol"]),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BellCoeffs, Scenario
-from .pauli import bloch_from_angles, observable_from_bloch
+from .pauli import _bloch_batch, observable_from_bloch
 
 __all__ = [
     "MeasurementSettings",
@@ -78,10 +78,10 @@ class MeasurementSettings:
         return Scenario(self.m1, self.m2)
 
     def bloch_a(self) -> np.ndarray:
-        return np.stack([bloch_from_angles(t, p) for t, p in self.party_a])
+        return _bloch_batch(self.party_a)
 
     def bloch_b(self) -> np.ndarray:
-        return np.stack([bloch_from_angles(t, p) for t, p in self.party_b])
+        return _bloch_batch(self.party_b)
 
     def to_vector(self) -> np.ndarray:
         """Flatten to (theta_A0, phi_A0, ..., gamma_B0, phi'_B0, ...)."""
@@ -153,6 +153,18 @@ def bell_operator(ms: MeasurementSettings, bc: BellCoeffs) -> np.ndarray:
 def _residual_batch(na, nb, alpha, hmat) -> np.ndarray:
     # ||NA^T alpha NB - H||_F, the same number as ||T vec(alpha) - h||.
     return np.linalg.norm(na.swapaxes(-1, -2) @ alpha @ nb - hmat, axis=(-2, -1))
+
+
+def _residual_gate(h) -> float:
+    # Largest residual a solved system may leave: RESIDUAL_RTOL * max(1, ||h||).
+    return RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(h)))
+
+
+def _quantum_values(na, nb, cmat, alpha) -> np.ndarray:
+    # c . T . alpha = sum_ab alpha_ab nA_a^T C nB_b for batches na (n, m1, 3),
+    # nb (n, m2, 3). The contraction order is fixed, so a row's value does not
+    # depend on the batch size; the bounce loop's half-step contracts rely on it.
+    return np.einsum("nai,ij,nbj,ab->n", na, cmat, nb, alpha)
 
 
 def _rank_deficient(na, nb) -> np.ndarray:
@@ -237,7 +249,7 @@ def solve_alpha(t: TransferMatrix, h, mode: str = "min_norm") -> BellCoeffs:
     else:
         raise ValueError(f"unknown solve mode {mode!r}")
     res = residual_norm(t, alpha, h)
-    if not np.isfinite(res) or res > RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(h))):
+    if not np.isfinite(res) or res > _residual_gate(h):
         raise LinearSolveError(
             f"inconsistent system: residual {res!r} for these settings"
         )
@@ -255,4 +267,4 @@ def quantum_value_from_data(c, t: TransferMatrix, bc: BellCoeffs) -> float:
         raise ValueError(
             f"transfer matrix ({t.m1}, {t.m2}) does not match alpha {bc.alpha.shape}"
         )
-    return float(c @ (t.matrix @ bc.alpha.ravel()))
+    return float(_quantum_values(t.na[None], t.nb[None], c.reshape(3, 3), bc.alpha)[0])

@@ -33,15 +33,17 @@ import numpy as np
 
 from .bell import BellCoeffs, Scenario, _enumerate_side
 from .mapping import (
-    RESIDUAL_RTOL,
     MeasurementSettings,
+    _quantum_values,
     _residual_batch,
+    _residual_gate,
     _solve_min_norm_batch,
     _solve_unique_batch,
     build_transfer_matrix,
-    residual_norm,
+    quantum_value_from_data,
     solve_alpha,
 )
+from .pauli import _bloch_batch
 
 __all__ = [
     "OptimizerConfig",
@@ -71,19 +73,20 @@ class NoFeasiblePointError(RuntimeError):
     """No angle configuration could represent the target coefficients."""
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float
     max_steps: int = 10_000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_stability: float = 1e-8
 
     def __post_init__(self):
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError("learning rate must be positive and finite")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("moment decay rates must lie in [0, 1)")
         if self.max_steps < 1:
             raise ValueError("step budget must be positive")
 
@@ -122,11 +125,11 @@ def adam_step(
     """One bias-corrected Adam update; sign of motion set by maximize."""
     g = np.asarray(gradient, dtype=float)
     t = state.step + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    delta = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon_stability)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    delta = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     theta = state.theta + delta if maximize else state.theta - delta
     return AdamState(theta, m, v, t)
 
@@ -171,25 +174,6 @@ class RestartOutcome:
 # batched objective evaluation
 
 
-def _bloch_batch(angles: np.ndarray, derivatives: bool = False):
-    """Bloch vectors n = (cos t, sin t cos p, sin t sin p) of (..., 2) angle rows (t, p).
-
-    With derivatives, also returns dn/d(t, p) with shape (..., 2, 3).
-    """
-    t, p = angles[..., 0], angles[..., 1]
-    ct, st, cp, sp = np.cos(t), np.sin(t), np.cos(p), np.sin(p)
-    n = np.stack([ct, st * cp, st * sp], axis=-1)
-    if not derivatives:
-        return n
-    dn = np.zeros(n.shape[:-1] + (2, 3))
-    dn[..., 0, 0] = -st
-    dn[..., 0, 1] = ct * cp
-    dn[..., 0, 2] = ct * sp
-    dn[..., 1, 1] = -n[..., 2]
-    dn[..., 1, 2] = n[..., 1]
-    return n, dn
-
-
 def _enumerated_bounds(amats: np.ndarray):
     # Exact classical bounds of a batch of coefficient matrices (n, m1, m2), and a
     # winning strategy's correlators a* b*^T: the bound's gradient in alpha
@@ -229,7 +213,7 @@ def _factor_gradients(na, nb, alpha, pa, pbt, hmat, g):
 
 def _make_bound_objective(h: np.ndarray, m1: int, m2: int, solve_mode: str):
     hmat = h.reshape(3, 3)
-    gate = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(h)))
+    gate = _residual_gate(h)
 
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
@@ -256,12 +240,10 @@ def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
     alpha_mat = np.asarray(alpha_mat, dtype=float)
 
     def objective(thetas: np.ndarray):
-        # Fixed contraction order: per-row results must not depend on the
-        # batch size, so the bounce loop's half-step bookkeeping stays exact.
         n = thetas.shape[0]
         na = _bloch_batch(thetas[:, : 2 * m1].reshape(n, m1, 2))
         nb = _bloch_batch(thetas[:, 2 * m1 :].reshape(n, m2, 2))
-        return np.einsum("nai,ij,nbj,ab->n", na, cmat, nb, alpha_mat)
+        return _quantum_values(na, nb, cmat, alpha_mat)
 
     return objective
 
@@ -292,13 +274,7 @@ def _with_fd_gradient(values, dim: int, fd_cfg: FiniteDiffConfig):
 # lockstep engine
 
 
-def _run_lockstep(
-    objective: Objective,
-    theta0: np.ndarray,
-    cfg: OptimizerConfig,
-    seed_values: np.ndarray | None = None,
-    seed_payload: np.ndarray | None = None,
-):
+def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig):
     maximize = objective.maximize
     n_runs = theta0.shape[0]
     steps = cfg.max_steps
@@ -307,9 +283,6 @@ def _run_lockstep(
     best_value = np.full(n_runs, worst)
     best_theta = theta0.copy()
     best_payload = None
-    if seed_values is not None:
-        best_value = seed_values.astype(float).copy()
-        best_payload = None if seed_payload is None else seed_payload.copy()
     history = np.empty((n_runs, steps + 1))
     for t in range(steps + 1):
         values, payload, grad = objective.evaluate(state.theta)
@@ -340,14 +313,13 @@ class Objective:
     evaluate maps a batch of angle vectors (n, dim) to (values, payload,
     gradient): payload is the solved coefficient rows of a bound objective
     and None for a value objective; gradient (n, dim) is 0 where it is not
-    finite or the point is infeasible. h is the operator a bound objective
-    reproduces; alpha is the inequality a value objective holds fixed.
+    finite or the point is infeasible. alpha is the inequality a value
+    objective holds fixed.
     """
 
     scenario: Scenario
     maximize: bool
     evaluate: Callable
-    h: np.ndarray | None = None
     alpha: BellCoeffs | None = None
 
     @property
@@ -365,13 +337,6 @@ def _auto_solve_mode(scenario: Scenario, solve_mode: str | None) -> str:
     return solve_mode
 
 
-def _check_settings(scenario: Scenario, ms: MeasurementSettings):
-    if (ms.m1, ms.m2) != (scenario.m1, scenario.m2):
-        raise ValueError(
-            f"settings ({ms.m1}, {ms.m2}) do not match scenario ({scenario.m1}, {scenario.m2})"
-        )
-
-
 def bound_objective(h, scenario: Scenario, solve_mode: str | None = None) -> Objective:
     """Ascent of the classical bound at fixed operator coefficients h.
 
@@ -382,7 +347,7 @@ def bound_objective(h, scenario: Scenario, solve_mode: str | None = None) -> Obj
     h = np.asarray(h, dtype=float)
     mode = _auto_solve_mode(scenario, solve_mode)
     evaluate = _make_bound_objective(h, scenario.m1, scenario.m2, mode)
-    return Objective(scenario, True, evaluate, h=h)
+    return Objective(scenario, True, evaluate)
 
 
 def value_objective(
@@ -405,38 +370,18 @@ def run_search(
     objective: Objective,
     theta0s: np.ndarray,
     cfg: OptimizerConfig | None = None,
-    init_alpha: BellCoeffs | None = None,
 ) -> list[OptimizeResult]:
-    """Run the engine from each row of theta0s, one result per row.
-
-    If init_alpha is supplied (a known-feasible solution at the single start
-    of a bound objective), the best tracker is seeded with it, so the result
-    never falls below its bound.
-    """
+    """Run the engine from each row of theta0s, one result per row."""
     cfg = cfg or (DEFAULT_ASCENT if objective.maximize else DEFAULT_DESCENT)
     sc = objective.scenario
     theta0s = np.asarray(theta0s, dtype=float)
     if theta0s.ndim != 2 or theta0s.shape[1] != objective.dim:
         raise ValueError(f"starts must have shape (n, {objective.dim}), got {theta0s.shape}")
-    seed_values = seed_payload = None
-    if init_alpha is not None:
-        if objective.h is None or theta0s.shape[0] != 1:
-            raise ValueError("init_alpha seeds a single start of a bound objective")
-        if init_alpha.alpha.shape != (sc.m1, sc.m2):
-            raise ValueError("init_alpha does not match the scenario")
-        t0 = build_transfer_matrix(MeasurementSettings.from_vector(sc.m1, sc.m2, theta0s[0]))
-        res = residual_norm(t0, init_alpha.alpha, objective.h)
-        if res > RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(objective.h))):
-            raise ValueError(f"init_alpha is not feasible at init: residual {res!r}")
-        seed_values = _enumerated_bounds(init_alpha.alpha[None, :, :])[0]
-        seed_payload = init_alpha.alpha.ravel()[None, :]
-    best_value, best_theta, best_payload, history = _run_lockstep(
-        objective, theta0s, cfg, seed_values=seed_values, seed_payload=seed_payload
-    )
+    best_value, best_theta, best_payload, history = _run_lockstep(objective, theta0s, cfg)
     out = []
     for r in range(theta0s.shape[0]):
         alpha = objective.alpha
-        if objective.h is not None and np.isfinite(best_value[r]):
+        if objective.maximize and np.isfinite(best_value[r]):
             alpha = BellCoeffs(sc, best_payload[r].reshape(sc.m1, sc.m2))
         out.append(
             OptimizeResult(
@@ -530,14 +475,21 @@ def bounce_loop(
         c: measured Pauli correlator vector driving the quantum value.
         fd_cfg: finite-difference step of the quantum-value descent.
         gap_tol: stop once a full loop improves the gap beta_Q - beta_C by
-            less than this.
+            less than this; must be finite and non-negative.
         max_loops: hard loop budget; must be positive.
 
     The recorded trajectory keeps the half-step contracts exact: a minimize
-    half-step never raises beta_Q, a maximize half-step never lowers beta_C.
+    half-step never raises beta_Q, and a maximize half-step keeps the current
+    inequality and settings unless the search finds a strictly higher beta_C.
+
+    Raises:
+        ValueError: on a bad budget or tolerance, correlators outside [-1, 1],
+            or settings that do not match the inequality's scenario.
     """
     if max_loops < 1:
         raise ValueError("loop budget must be positive")
+    if not (gap_tol >= 0 and np.isfinite(gap_tol)):
+        raise ValueError("gap tolerance must be non-negative and finite")
     c = np.asarray(c, dtype=float)
     if isinstance(start, BellCoeffs):
         alpha = start
@@ -545,39 +497,33 @@ def bounce_loop(
         mode0 = _auto_solve_mode(ms0.scenario(), None)
         alpha = solve_alpha(build_transfer_matrix(ms0), np.asarray(start, dtype=float), mode0)
     scenario = alpha.scenario
-    _check_settings(scenario, ms0)
-
-    def qv_at(ms: MeasurementSettings, bc: BellCoeffs) -> float:
-        values = _make_qv_objective(bc.alpha, c, scenario.m1, scenario.m2)
-        return float(values(ms.to_vector()[None, :])[0])
 
     ms = ms0
     beta_c = float(_enumerated_bounds(alpha.alpha[None, :, :])[0][0])
-    beta_q = qv_at(ms, alpha)
+    beta_q = quantum_value_from_data(c, build_transfer_matrix(ms), alpha)
     records = [BounceRecord(0, "init", beta_c, beta_q, beta_q - beta_c)]
     gap_prev = records[-1].gap
     loops = 0
     converged = False
-    half = 0
     for _ in range(max_loops):
         theta = ms.to_vector()[None, :]
         (res_min,) = run_search(value_objective(alpha, c, fd_cfg), theta, min_cfg)
         ms = res_min.settings
         beta_q = res_min.value
-        half += 1
-        records.append(BounceRecord(half, "minimize-quantum-value", beta_c, beta_q, beta_q - beta_c))
+        records.append(
+            BounceRecord(len(records), "minimize-quantum-value", beta_c, beta_q, beta_q - beta_c)
+        )
 
         h_cur = build_transfer_matrix(ms).matrix @ alpha.alpha.ravel()
         (res_max,) = run_search(
-            bound_objective(h_cur, scenario, solve_mode), ms.to_vector()[None, :],
-            max_cfg, init_alpha=alpha,
+            bound_objective(h_cur, scenario, solve_mode), ms.to_vector()[None, :], max_cfg
         )
-        ms = res_max.settings
-        alpha = res_max.alpha
-        beta_c = res_max.value
-        beta_q = qv_at(ms, alpha)
-        half += 1
-        records.append(BounceRecord(half, "maximize-classical-bound", beta_c, beta_q, beta_q - beta_c))
+        if res_max.value > beta_c:
+            ms, alpha, beta_c = res_max.settings, res_max.alpha, res_max.value
+        beta_q = quantum_value_from_data(c, build_transfer_matrix(ms), alpha)
+        records.append(
+            BounceRecord(len(records), "maximize-classical-bound", beta_c, beta_q, beta_q - beta_c)
+        )
 
         loops += 1
         gap = records[-1].gap

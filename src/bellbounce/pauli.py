@@ -47,6 +47,25 @@ POSITIVITY_TOL = 1e-10
 CORRELATOR_CONTENT_TOL = 1e-10
 
 
+def _bloch_batch(angles: np.ndarray, derivatives: bool = False):
+    """Bloch vectors n = (cos t, sin t cos p, sin t sin p) of (..., 2) angle rows (t, p).
+
+    With derivatives, also returns dn/d(t, p) with shape (..., 2, 3).
+    """
+    t, p = angles[..., 0], angles[..., 1]
+    ct, st, cp, sp = np.cos(t), np.sin(t), np.cos(p), np.sin(p)
+    n = np.stack([ct, st * cp, st * sp], axis=-1)
+    if not derivatives:
+        return n
+    dn = np.zeros(n.shape[:-1] + (2, 3))
+    dn[..., 0, 0] = -st
+    dn[..., 0, 1] = ct * cp
+    dn[..., 0, 2] = ct * sp
+    dn[..., 1, 1] = -n[..., 2]
+    dn[..., 1, 2] = n[..., 1]
+    return n, dn
+
+
 def bloch_from_angles(theta: float, phi: float) -> np.ndarray:
     """Map spherical angles to the unit Bloch vector (cos t, sin t cos p, sin t sin p).
 
@@ -57,8 +76,7 @@ def bloch_from_angles(theta: float, phi: float) -> np.ndarray:
     Returns:
         Array of shape (3,) with unit Euclidean norm.
     """
-    st = np.sin(theta)
-    return np.array([np.cos(theta), st * np.cos(phi), st * np.sin(phi)])
+    return _bloch_batch(np.array([theta, phi], dtype=float))
 
 
 def observable_from_bloch(n) -> np.ndarray:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bellbounce import bell
 from bellbounce.bell import (
     BRUTEFORCE_MAX_SETTINGS,
     ENUMERATION_MAX_SIDE,
@@ -145,3 +146,19 @@ def test_enumeration_size_guard():
     assert 21 > ENUMERATION_MAX_SIDE
     with pytest.raises(ValueError, match=str(ENUMERATION_MAX_SIDE)):
         classical_bound(big)
+
+
+def test_enumeration_guard_counts_the_whole_batch(monkeypatch):
+    # The guard bounds n * max(m1, m2) * 2^min(m1, m2) products and runs before
+    # any sign pattern is built.
+    def no_patterns(m):
+        raise AssertionError(f"2^{m} patterns built")
+
+    monkeypatch.setattr(bell, "_sign_patterns", no_patterns)
+    long_side = BellCoeffs(Scenario(1000, 20), np.zeros((1000, 20)))  # 8.4 GB of products
+    with pytest.raises(ValueError, match=str(ENUMERATION_MAX_SIDE)):
+        classical_bound(long_side)
+    with pytest.raises(ValueError, match=str(ENUMERATION_MAX_SIDE)):
+        bell._enumerate_side(np.zeros((32, 16, 16)))  # the engine's batch at 16x16
+    with pytest.raises(AssertionError, match="2\\^20"):  # the largest accepted input
+        bell._enumerate_side(np.zeros((1, ENUMERATION_MAX_SIDE, ENUMERATION_MAX_SIDE)))

@@ -43,6 +43,11 @@ def test_validation_exit_codes(capsys, tmp_path):
                  "--steps", "5", "--out", str(tmp_path)]) == 2
     assert main(["bounce", "--h", "1 0 0 0 1 0 0 0 nan", "--steps", "5",
                  "--out", str(tmp_path)]) == 2
+    assert main(["ineq2ham", "--restarts", "-3", "--steps", "5", "--out", str(tmp_path)]) == 2
+    assert main(["bounce", "--gap-tol", "nan", "--steps", "5", "--out", str(tmp_path)]) == 2
+    # the engine's enumeration at 16x16 with 32 restarts is refused, not allocated
+    assert main(["ham2ineq", "--preset", "H_G", "--m1", "16", "--m2", "16", "--restarts", "32",
+                 "--steps", "5", "--out", str(tmp_path)]) == 2
     for flag in ("--lr", "--fd-step"):
         assert main(["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5",
                      flag, "nan", "--out", str(tmp_path)]) == 2
@@ -59,16 +64,20 @@ def test_validation_exit_codes(capsys, tmp_path):
 
 
 def test_nonfinite_data_file_rejected_before_search(capsys, tmp_path):
-    data = tmp_path / "nan.json"
-    data.write_text("[NaN,0,0,0,0,0,0,0,0]")
-    for cmd in ("ineq2ham", "bounce"):
-        out = tmp_path / cmd
-        argv = [cmd, "--data-file", str(data), "--steps", "5", "--out", str(out)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""  # nothing searched or printed first
-        assert len(captured.err.splitlines()) == 1 and "finite" in captured.err
-        assert not out.exists()
+    # a nan entry, and correlators outside [-1, 1] that no state produces
+    bad = {"nan": ("[NaN,0,0,0,0,0,0,0,0]", "finite"),
+           "unphysical": ("[-2,0,0,0,-2,0,0,0,-2]", "[-1, 1]")}
+    for name, (text, message) in bad.items():
+        data = tmp_path / f"{name}.json"
+        data.write_text(text)
+        for cmd in ("ineq2ham", "bounce"):
+            out = tmp_path / f"{name}_{cmd}"
+            argv = [cmd, "--data-file", str(data), "--steps", "5", "--out", str(out)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""  # nothing searched or printed first
+            assert len(captured.err.splitlines()) == 1 and message in captured.err
+            assert not out.exists()
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path):

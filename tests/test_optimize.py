@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellbounce.bell import BellCoeffs, Scenario, _enumerate_side, classical_bound, gisin_variant
+from bellbounce.bell import Scenario, _enumerate_side, classical_bound, gisin_variant
 from bellbounce.mapping import MeasurementSettings, build_transfer_matrix, solve_alpha
 from bellbounce.optimize import (
     DEFAULT_FD,
@@ -42,8 +42,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        OptimizerConfig(learning_rate=0.1, beta1=1.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.1, max_steps=0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
@@ -63,10 +61,10 @@ def test_adam_step_reference():
     v = np.zeros(2)
     for t in range(1, 6):
         g = 2 * state.theta  # gradient of |theta|^2
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g**2
-        expected = state.theta - cfg.learning_rate * (m / (1 - cfg.beta1**t)) / (
-            np.sqrt(v / (1 - cfg.beta2**t)) + cfg.epsilon_stability
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g**2
+        expected = state.theta - cfg.learning_rate * (m / (1 - 0.9**t)) / (
+            np.sqrt(v / (1 - 0.999**t)) + 1e-8
         )
         state = adam_step(state, g, cfg)
         assert state.step == t
@@ -184,22 +182,6 @@ def test_infeasible_target_raises():
         restart_harness(objective, 2, seed=0, cfg=OptimizerConfig(learning_rate=0.02, max_steps=40))
 
 
-def test_init_alpha_seeding():
-    ms = tetrahedron_axes_settings()
-    bc = gisin_variant(2.0)
-    h = build_transfer_matrix(ms).matrix @ bc.alpha.ravel()
-    objective = bound_objective(h, Scenario(4, 3))
-    start = ms.to_vector()[None, :]
-    (res,) = run_search(
-        objective, start, OptimizerConfig(learning_rate=0.02, max_steps=30), init_alpha=bc
-    )
-    assert res.value >= classical_bound(bc)[0]  # never below the seed
-    with pytest.raises(ValueError):
-        run_search(
-            objective, start, FAST, init_alpha=BellCoeffs(Scenario(4, 3), np.ones((4, 3)))
-        )
-
-
 def test_solve_mode_selection():
     with pytest.raises(ValueError):
         bound_objective(H_HG, Scenario(4, 3), solve_mode="unique")
@@ -252,6 +234,19 @@ def test_bounce_budget_validation():
             singlet_correlators(),
             max_loops=0,
         )
+    for bad in (np.nan, np.inf, -1e-6):  # a nan tolerance would never stop the loop
+        with pytest.raises(ValueError, match="gap tolerance"):
+            bounce_loop(
+                gisin_variant(2.0), tetrahedron_axes_settings(), singlet_correlators(), gap_tol=bad
+            )
+
+
+def test_bounce_rejects_bad_inputs():
+    bc, c = gisin_variant(2.0), singlet_correlators()
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):  # unphysical data
+        bounce_loop(bc, tetrahedron_axes_settings(), np.array([-2.0, 0, 0, 0, -2.0, 0, 0, 0, -2.0]))
+    with pytest.raises(ValueError, match="does not match"):
+        bounce_loop(bc, _random_settings(np.random.default_rng(56), 3, 3), c)
 
 
 def test_adam_state_is_immutable():

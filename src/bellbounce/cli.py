@@ -165,6 +165,14 @@ def _load_correlator_file(path) -> np.ndarray:
         raise ValueError(f"correlator data file must hold 9 numbers, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("correlator data file entries must be finite")
+    if np.max(np.abs(c)) > 1.0 + 1e-9:
+        raise ValueError("correlator entries must lie in [-1, 1]")
+    # A two-qubit state's correlation matrix has singular values s1 >= s2 >= s3
+    # that, signed by its determinant, lie in the tetrahedron 1 -+ d1 -+ d2 -+ d3 >= 0
+    # (an even number of signs flipped); its nearest face is s1 + s2 +- s3 <= 1.
+    s = np.linalg.svd(c.reshape(3, 3), compute_uv=False)
+    if s[0] + s[1] + np.copysign(s[2], np.linalg.det(c.reshape(3, 3))) > 1.0 + 1e-9:
+        raise ValueError("no two-qubit state gives these correlators (outside the tetrahedron)")
     return c
 
 

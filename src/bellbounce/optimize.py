@@ -10,7 +10,9 @@ NA^T alpha NB = H on the Kronecker factors of T with mapping's batch kernels,
 and its gradient is analytic: the bound is a minimum over strategies, so the
 winning strategy's correlators a* b*^T are its subgradient in alpha, chained
 through the derivative of the factors' pseudo-inverses to the angles. The
-value objective's gradient is a central finite difference.
+value objective is linear in each Bloch vector, so its gradient is the closed
+form of a central difference at the configured step: sin(h)/h times the
+analytic derivative, one point per restart per step.
 
 The classical bound is only piecewise smooth, so correctness rests on
 best-so-far tracking, not smooth convergence: the reported optimum is always
@@ -235,39 +237,24 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int, solve_mode: str):
     return objective
 
 
-def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
+def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int, fd_step: float):
+    # d beta_Q/d nA_a = C sum_b alpha_ab nB_b and d beta_Q/d nB_b = C^T sum_a alpha_ab nA_a;
+    # chained to the angles and scaled by sin(h)/h, the central difference at step h.
     cmat = np.asarray(c, dtype=float).reshape(3, 3)
     alpha_mat = np.asarray(alpha_mat, dtype=float)
+    scale = np.sin(fd_step) / fd_step
 
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
-        na = _bloch_batch(thetas[:, : 2 * m1].reshape(n, m1, 2))
-        nb = _bloch_batch(thetas[:, 2 * m1 :].reshape(n, m2, 2))
-        return _quantum_values(na, nb, cmat, alpha_mat)
+        bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
+        # contiguous, as quantum_value_from_data's, so each row's value has the same bits
+        na, nb = np.ascontiguousarray(bloch[:, :m1]), np.ascontiguousarray(bloch[:, m1:])
+        g = np.concatenate([alpha_mat @ nb @ cmat.T, alpha_mat.T @ na @ cmat], axis=1)
+        grad = scale * (dbloch @ g[..., None]).reshape(n, -1)
+        grad[~np.isfinite(grad)] = 0.0
+        return _quantum_values(na, nb, cmat, alpha_mat), None, grad
 
     return objective
-
-
-def _with_fd_gradient(values, dim: int, fd_cfg: FiniteDiffConfig):
-    # (values, None, central-difference gradient) from a batched value function,
-    # evaluated at each point and its 2 * dim probes in one call; a coordinate
-    # with a non-finite side gets gradient 0.
-    offsets = np.concatenate(
-        [np.zeros((1, dim)), np.eye(dim) * fd_cfg.step, -np.eye(dim) * fd_cfg.step]
-    )
-
-    def evaluate(thetas: np.ndarray):
-        n = thetas.shape[0]
-        pts = (thetas[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
-        vals = values(pts).reshape(n, -1)
-        f_up = vals[:, 1 : dim + 1]
-        f_down = vals[:, dim + 1 :]
-        ok = np.isfinite(f_up) & np.isfinite(f_down)
-        # subtract only where both sides are finite; inf - inf would warn
-        diff = np.subtract(f_up, f_down, out=np.zeros_like(f_up), where=ok)
-        return vals[:, 0], None, diff / (2.0 * fd_cfg.step)
-
-    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +342,15 @@ def value_objective(
 ) -> Objective:
     """Descent of c . T(theta) . alpha at fixed inequality coefficients.
 
-    Its gradient is a central finite difference with fd_cfg's step.
+    Its gradient is the closed form of the central difference at fd_cfg's
+    step h: sin(h)/h times the analytic derivative, since the value is linear
+    in each Bloch vector.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (9,):
         raise ValueError(f"correlator vector must have shape (9,), got {c.shape}")
     sc = alpha.scenario
-    values = _make_qv_objective(alpha.alpha, c, sc.m1, sc.m2)
-    evaluate = _with_fd_gradient(values, 2 * (sc.m1 + sc.m2), fd_cfg)
+    evaluate = _make_qv_objective(alpha.alpha, c, sc.m1, sc.m2, fd_cfg.step)
     return Objective(sc, False, evaluate, alpha=alpha)
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bellbounce.cli import main
+from bellbounce.noise import NoiseModel, prepare_noisy_singlet
+from bellbounce.pauli import correlator_vector
 
 CERT_SHA = "402455be3535bd7f61760cb7e0ccf0679b0cd281b97936dde814e90d1f348443"
 
@@ -78,6 +80,32 @@ def test_nonfinite_data_file_rejected_before_search(capsys, tmp_path):
             assert captured.out == ""  # nothing searched or printed first
             assert len(captured.err.splitlines()) == 1 and message in captured.err
             assert not out.exists()
+
+
+def test_unphysical_data_file_rejected_before_search(capsys, tmp_path):
+    # entries inside [-1, 1] whose signed singular values leave the tetrahedron
+    # of two-qubit states: <XX> = <YY> = <ZZ> = 1 is impossible, as XX YY = -ZZ
+    for i, c in enumerate(([1, 0, 0, 0, 1, 0, 0, 0, 1], [-1, 0, 0, 0, -1, 0, 0, 0, 1])):
+        data = tmp_path / f"bad{i}.json"
+        data.write_text(json.dumps(c))
+        for cmd in ("ineq2ham", "bounce"):
+            out = tmp_path / f"bad{i}_{cmd}"
+            argv = [cmd, "--data-file", str(data), "--steps", "5", "--out", str(out)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1 and "tetrahedron" in captured.err
+            assert not out.exists()
+    # the p = 0 singlet is a vertex of the tetrahedron; all-zero data is its centre
+    singlet = correlator_vector(prepare_noisy_singlet(NoiseModel(0.0)))
+    for i, c in enumerate((singlet.tolist(), [0] * 9)):
+        data = tmp_path / f"good{i}.json"
+        data.write_text(json.dumps(c))
+        for cmd, extra in (("ineq2ham", []), ("bounce", ["--max-loops", "1"])):
+            argv = [cmd, "--data-file", str(data), "--steps", "5", *extra,
+                    "--out", str(tmp_path / f"good{i}_{cmd}")]
+            assert main(argv) == 0
+            capsys.readouterr()
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path):

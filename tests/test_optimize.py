@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from bellbounce.bell import Scenario, _enumerate_side, classical_bound, gisin_variant
-from bellbounce.mapping import MeasurementSettings, build_transfer_matrix, solve_alpha
+from bellbounce import optimize
+from bellbounce.bell import BellCoeffs, Scenario, _enumerate_side, classical_bound, gisin_variant
+from bellbounce.mapping import (
+    MeasurementSettings,
+    build_transfer_matrix,
+    quantum_value_from_data,
+    solve_alpha,
+)
 from bellbounce.optimize import (
     DEFAULT_FD,
     AdamState,
@@ -187,6 +193,39 @@ def test_solve_mode_selection():
         bound_objective(H_HG, Scenario(4, 3), solve_mode="unique")
     with pytest.raises(ValueError):
         bound_objective(H_HG, Scenario(3, 3), solve_mode="qr")
+
+
+@pytest.mark.parametrize("m1, m2", [(4, 3), (2, 5)])
+def test_value_rows_match_single_point_and_data_value(m1, m2):
+    # The bounce half-step contracts compare engine values with
+    # quantum_value_from_data, so a row's value must not depend on the batch.
+    rng = np.random.default_rng(57)
+    bc = BellCoeffs.from_matrix(rng.normal(size=(m1, m2)))
+    c = rng.uniform(-1, 1, 9)
+    evaluate = value_objective(bc, c).evaluate
+    thetas = np.stack([_random_settings(rng, m1, m2).to_vector() for _ in range(6)])
+    values = evaluate(thetas)[0]
+    for i, theta in enumerate(thetas):
+        assert values[i] == evaluate(thetas[i : i + 1])[0][0]
+        t = build_transfer_matrix(MeasurementSettings.from_vector(m1, m2, theta))
+        assert values[i] == quantum_value_from_data(c, t, bc)
+
+
+def test_value_objective_evaluates_the_factory_closure(monkeypatch):
+    # Tracing wraps what optimize._make_qv_objective returns, so value_objective
+    # must look the factory up on the module and hand its closure to the engine.
+    make, made = optimize._make_qv_objective, []
+
+    def factory(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(optimize, "_make_qv_objective", factory)
+    objective = value_objective(gisin_variant(2.0), singlet_correlators())
+    assert len(made) == 1 and objective.evaluate is made[0]
+    thetas = np.stack([_random_settings(np.random.default_rng(58), 4, 3).to_vector()] * 5)
+    values, payload, grad = objective.evaluate(thetas)
+    assert values.shape == (5,) and payload is None and grad.shape == (5, objective.dim)
 
 
 def test_value_task_matches_direct_call():

@@ -1,4 +1,5 @@
 """Property tests: the factored solve against the full transfer-matrix solve,
+the value objective's closed-form gradient against probed central differences,
 and the symmetries of the classical bound."""
 
 import numpy as np
@@ -16,7 +17,7 @@ from bellbounce.mapping import (
     build_transfer_matrix,
     solve_alpha,
 )
-from bellbounce.optimize import _enumerated_bounds
+from bellbounce.optimize import FiniteDiffConfig, _enumerated_bounds, value_objective
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -153,3 +154,42 @@ def test_bound_symmetries(case, scale):
     for variant, factor in variants:
         got = classical_bound(BellCoeffs.from_matrix(variant))[0]
         assert got == pytest.approx(factor * beta, rel=1e-12, abs=1e-12)
+
+
+def oracle_central_difference(values, thetas: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference gradient of a batched value function at each row of thetas.
+
+    Evaluates every point and its 2 * dim probes in one call; a coordinate with a
+    non-finite side gets 0. This is the probe layout the closed form replaced,
+    kept as the reference it must match.
+    """
+    n, dim = thetas.shape
+    offsets = np.concatenate([np.zeros((1, dim)), np.eye(dim) * step, -np.eye(dim) * step])
+    vals = values((thetas[:, None, :] + offsets[None, :, :]).reshape(-1, dim)).reshape(n, -1)
+    f_up, f_down = vals[:, 1 : dim + 1], vals[:, dim + 1 :]
+    ok = np.isfinite(f_up) & np.isfinite(f_down)
+    diff = np.subtract(f_up, f_down, out=np.zeros_like(f_up), where=ok)
+    return diff / (2.0 * step)
+
+
+@st.composite
+def value_cases(draw):
+    # An inequality, correlators and a batch of 1-3 angle vectors of one scenario.
+    m1, m2 = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = rng.uniform(-np.pi, 2 * np.pi, size=(draw(st.integers(1, 3)), 2 * (m1 + m2)))
+    return BellCoeffs.from_matrix(rng.normal(size=(m1, m2))), rng.uniform(-1, 1, 9), thetas
+
+
+@pytest.mark.parametrize("step", [1e-4, 1e-2])
+@PROPERTY
+@given(case=value_cases())
+def test_value_gradient_matches_central_difference(step, case):
+    # At step 1e-2 the sin(h)/h factor moves the gradient by about 1.7e-5, far
+    # above the tolerance, so the closed form must carry it.
+    alpha, c, thetas = case
+    objective = value_objective(alpha, c, FiniteDiffConfig(step=step))
+    grad = objective.evaluate(thetas)[2]
+    ref = oracle_central_difference(lambda x: objective.evaluate(x)[0], thetas, step)
+    assert grad.shape == thetas.shape
+    assert np.linalg.norm(grad - ref) <= 1e-8 * np.linalg.norm(ref)

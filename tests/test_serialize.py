@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellbounce.serialize import (
+    FLOAT_FORMAT,
     dumps_stable,
     format_float,
     write_csv,
@@ -20,6 +23,36 @@ def test_format_float():
         format_float(np.inf)
     with pytest.raises(ValueError):
         format_float(np.nan)
+
+
+# '%.12g' keeps 12 significant digits, so a written float reads back within half
+# a unit in its 12th digit: a relative 5e-12.
+ROUND_TRIP_RTOL = 5e-12
+
+
+def _assert_round_trips(x: float):
+    back = float(format_float(x))
+    assert abs(back - x) <= ROUND_TRIP_RTOL * abs(x)
+    assert format_float(back) == format_float(x)  # a second pass is stable
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False))
+def test_format_float_round_trip(x):
+    _assert_round_trips(x)
+
+
+def test_format_float_round_trip_near_exponent_switch():
+    # '%g' switches to exponent notation below 1e-4 and from 1e12 on
+    assert FLOAT_FORMAT == "%.12g"
+    assert float(format_float(-0.0)) == 0.0
+    for edge in (1e-4, 1e-5, 1e11, 1e12):
+        for x in (edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf),
+                  edge * (1 - 4e-13), edge * (1 + 4e-13), edge * (1 - 6e-13)):
+            _assert_round_trips(x)
+            _assert_round_trips(-x)
+    assert format_float(999999999999.5) == "1e+12"
+    assert format_float(0.0001) == "0.0001" and format_float(0.0000999999999999) == "9.99999999999e-05"
 
 
 def test_dumps_stable():

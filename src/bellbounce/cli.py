@@ -3,7 +3,10 @@
 Subcommands mirror the library's pipelines: exact classical bounds, the
 Hamiltonian-to-inequality search, the inequality-to-settings search over
 noisy data, the alternating bounce loop, and lattice-scale bounds. A config
-file may hold one JSON object per subcommand; explicit flags override it.
+file may hold one JSON object per subcommand, keyed by option name. Each value
+is converted as the same flag's text would be (it must be a string or a
+number, or a list of them for a multi-value option), a null means not given,
+and explicit flags override it.
 
 Exit status: 0 on success, 2 on validation errors, 3 on numerical failures.
 All floating-point output goes through one fixed 12-digit format so repeated
@@ -13,6 +16,7 @@ runs with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -72,67 +76,63 @@ from .serialize import format_float, write_csv, write_json, write_json_lines
 
 __all__ = ["main"]
 
-_DEFAULTS = {
-    "classical-bound": {
-        "gisin_delta": None,
-        "alpha": None,
-        "alpha_file": None,
-        "m1": None,
-        "m2": None,
-        "seed": 0,
-        "out": None,
-    },
-    "ham2ineq": {
-        "preset": None,
-        "h": None,
-        "m1": 3,
-        "m2": 3,
-        "restarts": 32,
-        "steps": 10_000,
-        "lr": None,
-        "solve_mode": None,
-        "seed": 0,
-        "out": ".",
-    },
-    "ineq2ham": {
-        "gisin_delta": None,
-        "alpha_file": None,
-        "p_grid": "0:0.014:0.001",
-        "data_file": None,
-        "noise_placement": PLACEMENT_AFTER_EACH_GATE,
-        "restarts": 4,
-        "steps": 2_000,
-        "lr": None,
-        "fd_step": 1e-4,
-        "seed": 0,
-        "out": ".",
-    },
-    "bounce": {
-        "gisin_delta": None,
-        "alpha_file": None,
-        "preset": None,
-        "h": None,
-        "p": 0.010,
-        "data_file": None,
-        "noise_placement": PLACEMENT_AFTER_EACH_GATE,
-        "max_loops": 10,
-        "gap_tol": 1e-6,
-        "steps": 10_000,
-        "lr": None,
-        "fd_step": 1e-4,
-        "solve_mode": None,
-        "seed": 0,
-        "out": ".",
-    },
-    "lattice": {
-        "file": None,
-        "epsilon": None,
-        "gisin_delta": None,
-        "alpha_file": None,
-        "improved_bound": None,
-        "seed": 0,
-        "out": None,
-    },
+# Every option, declared once: its type and its argparse extras. A flag's text
+# and a config value read as that same text both go through _convert.
+_OPTIONS = {
+    "seed": (int, {}),
+    "out": (str, {"help": "output directory"}),
+    "restarts": (int, {}),
+    "steps": (int, {}),
+    "lr": (float, {}),
+    "fd_step": (float, {}),
+    "noise_placement": (str, {"choices": PLACEMENTS}),
+    "gisin_delta": (float, {}),
+    "alpha": (str, {"help": "inline coefficients"}),
+    "alpha_file": (str, {"help": "JSON coefficient matrix"}),
+    "m1": (int, {}),
+    "m2": (int, {}),
+    "preset": (str, {"choices": OPERATOR_PRESETS}),
+    "h": (str, {"help": "9 inline Pauli coefficients"}),
+    "p_grid": (str, {"help": "start:stop:step"}),
+    "data_file": (str, {"help": "JSON file of 9 correlators"}),
+    "p": (float, {"help": "depolarizing strength"}),
+    "max_loops": (int, {}),
+    "gap_tol": (float, {}),
+    "file": (str, {"help": "lattice file (default: bundled)"}),
+    "epsilon": (float, {"help": "recouple colored edges"}),
+    "improved_bound": (float, {"nargs": "*"}),
+}
+
+# Each subcommand's help and the options it takes, with their defaults
+# (None: not given).
+_COMMANDS = {
+    "classical-bound": (
+        "exact deterministic bound",
+        {"gisin_delta": None, "alpha": None, "alpha_file": None, "m1": None, "m2": None,
+         "seed": 0, "out": None},
+    ),
+    "ham2ineq": (
+        "operator to maximal-bound inequality",
+        {"preset": None, "h": None, "m1": 3, "m2": 3, "restarts": 32, "steps": 10_000,
+         "lr": None, "seed": 0, "out": "."},
+    ),
+    "ineq2ham": (
+        "inequality to minimal quantum value",
+        {"gisin_delta": None, "alpha_file": None, "p_grid": "0:0.014:0.001", "data_file": None,
+         "noise_placement": PLACEMENT_AFTER_EACH_GATE, "restarts": 4, "steps": 2_000,
+         "lr": None, "fd_step": 1e-4, "seed": 0, "out": "."},
+    ),
+    "bounce": (
+        "alternate the two optimizations",
+        {"gisin_delta": None, "alpha_file": None, "preset": None, "h": None, "p": 0.010,
+         "data_file": None, "noise_placement": PLACEMENT_AFTER_EACH_GATE, "max_loops": 10,
+         "gap_tol": 1e-6, "steps": 10_000, "lr": None, "fd_step": 1e-4, "seed": 0, "out": "."},
+    ),
+    "lattice": (
+        "lattice-scale bounds",
+        {"file": None, "epsilon": None, "gisin_delta": None, "alpha_file": None,
+         "improved_bound": (), "seed": 0, "out": None},
+    ),
 }
 
 
@@ -181,7 +181,7 @@ def _resolve_alpha(cfg: dict, *, default_delta: float | None = None) -> BellCoef
     if len(given) > 1:
         raise ValueError(f"choose one coefficient source, got {given}")
     if cfg.get("gisin_delta") is not None:
-        return gisin_variant(float(cfg["gisin_delta"]))
+        return gisin_variant(cfg["gisin_delta"])
     if cfg.get("alpha") is not None:
         flat = _parse_numbers(cfg["alpha"])
         m1, m2 = cfg.get("m1"), cfg.get("m2")
@@ -189,7 +189,7 @@ def _resolve_alpha(cfg: dict, *, default_delta: float | None = None) -> BellCoef
             raise ValueError("inline alpha needs --m1 and --m2")
         if flat.size != m1 * m2:
             raise ValueError(f"alpha has {flat.size} entries, expected {m1 * m2}")
-        return BellCoeffs(Scenario(int(m1), int(m2)), flat.reshape(int(m1), int(m2)))
+        return BellCoeffs(Scenario(m1, m2), flat.reshape(m1, m2))
     if cfg.get("alpha_file") is not None:
         return _load_alpha_file(cfg["alpha_file"])
     if default_delta is not None:
@@ -214,11 +214,11 @@ def _resolve_h(cfg: dict) -> np.ndarray:
 
 def _search_cfg(default: OptimizerConfig, cfg: dict) -> OptimizerConfig:
     # The direction's default learning rate unless --lr is given, and --steps.
-    lr = cfg.get("lr")
+    lr = cfg["lr"]
     return replace(
         default,
         learning_rate=default.learning_rate if lr is None else lr,
-        max_steps=int(cfg["steps"]),
+        max_steps=cfg["steps"],
     )
 
 
@@ -251,22 +251,21 @@ def _cmd_classical_bound(cfg: dict):
         "witness_a": witness.a.tolist(),
         "witness_b": witness.b.tolist(),
     }
-    if cfg.get("gisin_delta") is not None:
-        closed = gisin_bound_closed_form(float(cfg["gisin_delta"]))
+    if cfg["gisin_delta"] is not None:
+        closed = gisin_bound_closed_form(cfg["gisin_delta"])
         _print_kv("closed form", closed)
         _print_kv("difference", beta - closed)
         summary["closed_form"] = closed
         summary["difference"] = beta - closed
-    if cfg.get("out") is not None:
+    if cfg["out"] is not None:
         write_json(_out_dir(cfg) / "classical_bound_summary.json", summary)
 
 
 def _cmd_ham2ineq(cfg: dict):
     h = _resolve_h(cfg)
-    scenario = Scenario(int(cfg["m1"]), int(cfg["m2"]))
+    scenario = Scenario(cfg["m1"], cfg["m2"])
     opt_cfg = _search_cfg(DEFAULT_ASCENT, cfg)
-    objective = bound_objective(h, scenario, cfg.get("solve_mode"))
-    outcome = restart_harness(objective, int(cfg["restarts"]), int(cfg["seed"]), opt_cfg)
+    outcome = restart_harness(bound_objective(h, scenario), cfg["restarts"], cfg["seed"], opt_cfg)
     best = outcome.best
     t_best = build_transfer_matrix(best.settings)
     resid = residual_norm(t_best, best.alpha.alpha.ravel(), h)
@@ -282,8 +281,8 @@ def _cmd_ham2ineq(cfg: dict):
             "provenance": _provenance(cfg),
             "h": h.tolist(),
             "scenario": [scenario.m1, scenario.m2],
-            "restarts": int(cfg["restarts"]),
-            "steps": int(cfg["steps"]),
+            "restarts": cfg["restarts"],
+            "steps": cfg["steps"],
             "best_beta_c": best.value,
             "winning_restart": outcome.best_index,
             "settings": best.settings.to_vector().tolist(),
@@ -294,10 +293,12 @@ def _cmd_ham2ineq(cfg: dict):
 
 
 def _parse_p_grid(text: str) -> np.ndarray:
-    parts = [float(tok) for tok in str(text).split(":")]
+    parts = [float(tok) for tok in text.split(":")]
     if len(parts) != 3:
         raise ValueError(f"p grid must be start:stop:step, got {text!r}")
     start, stop, step = parts
+    if not np.all(np.isfinite(parts)):
+        raise ValueError(f"p grid entries must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"bad p grid {text!r}")
     n = int(round((stop - start) / step))
@@ -312,29 +313,26 @@ def _cmd_ineq2ham(cfg: dict):
     t0 = build_transfer_matrix(ms0)
     beta_c = classical_bound(bc)[0]
     opt_cfg = _search_cfg(DEFAULT_DESCENT, cfg)
-    fd_cfg = FiniteDiffConfig(step=float(cfg["fd_step"]))
-    n_restarts = int(cfg["restarts"])
+    fd_cfg = FiniteDiffConfig(step=cfg["fd_step"])
+    n_restarts = cfg["restarts"]
     if n_restarts < 0:
         raise ValueError(f"restarts must be non-negative, got {n_restarts}")
-    placement = cfg["noise_placement"]
-    if placement not in PLACEMENTS:
-        raise ValueError(f"unknown noise placement {placement!r}")
-    if cfg.get("data_file") is not None:
+    if cfg["data_file"] is not None:
         sources = [(None, _load_correlator_file(cfg["data_file"]))]
     else:
         grid = _parse_p_grid(cfg["p_grid"])
+        placement = cfg["noise_placement"]
         sources = [
             (float(p), correlator_vector(prepare_noisy_singlet(NoiseModel(float(p), placement))))
             for p in grid
         ]
     rows = []
-    seed = int(cfg["seed"])
     for p, c in sources:
         original = quantum_value_from_data(c, t0, bc)
         objective = value_objective(bc, c, fd_cfg)
         best = run_search(objective, ms0.to_vector()[None, :], opt_cfg)[0].value
         if n_restarts > 0:
-            outcome = restart_harness(objective, n_restarts, seed, opt_cfg)
+            outcome = restart_harness(objective, n_restarts, cfg["seed"], opt_cfg)
             best = min(best, outcome.best.value)
         rows.append((p, original, best, beta_c))
         label = "data" if p is None else f"p={format_float(p)}"
@@ -352,7 +350,7 @@ def _cmd_ineq2ham(cfg: dict):
             "alpha": bc.alpha.tolist(),
             "beta_c": beta_c,
             "restarts": n_restarts,
-            "steps": int(cfg["steps"]),
+            "steps": cfg["steps"],
             "rows": [list(r) for r in rows],
         },
     )
@@ -365,23 +363,19 @@ def _cmd_bounce(cfg: dict):
         raise ValueError("start from an inequality or an operator, not both")
     start = _resolve_h(cfg) if op_given else _resolve_alpha(cfg, default_delta=2.0)
     ms0 = tetrahedron_axes_settings()
-    placement = cfg["noise_placement"]
-    if placement not in PLACEMENTS:
-        raise ValueError(f"unknown noise placement {placement!r}")
-    if cfg.get("data_file") is not None:
+    if cfg["data_file"] is not None:
         c = _load_correlator_file(cfg["data_file"])
     else:
-        c = correlator_vector(prepare_noisy_singlet(NoiseModel(float(cfg["p"]), placement)))
+        c = correlator_vector(prepare_noisy_singlet(NoiseModel(cfg["p"], cfg["noise_placement"])))
     result = bounce_loop(
         start,
         ms0,
         c,
         min_cfg=_search_cfg(DEFAULT_DESCENT, cfg),
         max_cfg=_search_cfg(DEFAULT_ASCENT, cfg),
-        fd_cfg=FiniteDiffConfig(step=float(cfg["fd_step"])),
-        solve_mode=cfg.get("solve_mode"),
-        gap_tol=float(cfg["gap_tol"]),
-        max_loops=int(cfg["max_loops"]),
+        fd_cfg=FiniteDiffConfig(step=cfg["fd_step"]),
+        gap_tol=cfg["gap_tol"],
+        max_loops=cfg["max_loops"],
     )
     _print_kv("loops", result.loops)
     _print_kv("converged", result.converged)
@@ -424,10 +418,10 @@ def _certificate_digest(certificate: dict) -> str:
 
 
 def _cmd_lattice(cfg: dict):
-    path = cfg["file"] if cfg.get("file") is not None else bundled_lattice_path()
+    path = cfg["file"] if cfg["file"] is not None else bundled_lattice_path()
     ls = load_lattice(path)
-    if cfg.get("epsilon") is not None:
-        params = HoneycombParams(float(cfg["epsilon"]))
+    if cfg["epsilon"] is not None:
+        params = HoneycombParams(cfg["epsilon"])
         ls = LatticeSpec(
             ls.vertices,
             tuple(
@@ -448,11 +442,11 @@ def _cmd_lattice(cfg: dict):
     _print_kv("certificate sha256", digest)
     _print_kv("quantum floor", floor)
     improved = []
-    for new_local in cfg.get("improved_bound") or []:
-        scaled = improved_bound_scaling(beta, beta_local, float(new_local))
-        improved.append((float(new_local), scaled))
-        _print_kv(f"improved bound (local {format_float(float(new_local))})", scaled)
-    if cfg.get("out") is not None:
+    for new_local in cfg["improved_bound"]:
+        scaled = improved_bound_scaling(beta, beta_local, new_local)
+        improved.append((new_local, scaled))
+        _print_kv(f"improved bound (local {format_float(new_local)})", scaled)
+    if cfg["out"] is not None:
         write_json(
             _out_dir(cfg) / "lattice_summary.json",
             {
@@ -479,72 +473,52 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="JSON config file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--restarts", type=int, default=None)
-    common.add_argument("--steps", type=int, default=None)
-    common.add_argument("--lr", type=float, default=None)
-    common.add_argument("--fd-step", type=float, default=None)
-    common.add_argument("--noise-placement", type=str, default=None, choices=PLACEMENTS)
+def _convert(key: str, value, where: str):
+    # A flag's text, or a config value read as that text: a string or a number,
+    # or a list of them for a multi-value option. Every float must be finite.
+    kind, extras = _OPTIONS[key]
+    many = "nargs" in extras
+    items = value if many and isinstance(value, list) else [value]
+    if isinstance(value, list) != many or not all(
+        isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items
+    ):
+        form = "a list of values" if many else "one string or number"
+        raise ValueError(f"{where} takes {form}, got {value!r}")
+    out = []
+    for text in map(str, items):
+        try:
+            v = kind(text)
+        except ValueError:
+            raise ValueError(f"{where}: invalid {kind.__name__} value {text!r}") from None
+        if kind is float and not np.isfinite(v):
+            raise ValueError(f"{where} must be finite, got {text!r}")
+        choices = extras.get("choices")
+        if choices is not None and v not in choices:
+            raise ValueError(f"{where} must be one of {choices}, got {text!r}")
+        out.append(v)
+    return out if many else out[0]
 
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parsing leaves it unchanged. No argparse types:
+    # _merge_config converts flags and config values alike.
     parser = argparse.ArgumentParser(
         prog="bellbounce",
         description="Bell inequality / Bell operator optimization toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classical-bound", parents=[common], help="exact deterministic bound")
-    p.add_argument("--gisin-delta", type=float, default=None)
-    p.add_argument("--alpha", type=str, default=None, help="inline coefficients")
-    p.add_argument("--alpha-file", type=str, default=None, help="JSON coefficient matrix")
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-
-    p = sub.add_parser("ham2ineq", parents=[common], help="operator to maximal-bound inequality")
-    p.add_argument("--preset", type=str, default=None, choices=OPERATOR_PRESETS)
-    p.add_argument("--h", type=str, default=None, help="9 inline Pauli coefficients")
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--solve-mode", type=str, default=None, choices=("unique", "min_norm"))
-
-    p = sub.add_parser("ineq2ham", parents=[common], help="inequality to minimal quantum value")
-    p.add_argument("--gisin-delta", type=float, default=None)
-    p.add_argument("--alpha-file", type=str, default=None)
-    p.add_argument("--p-grid", type=str, default=None, help="start:stop:step")
-    p.add_argument("--data-file", type=str, default=None, help="JSON file of 9 correlators")
-
-    p = sub.add_parser("bounce", parents=[common], help="alternate the two optimizations")
-    p.add_argument("--gisin-delta", type=float, default=None)
-    p.add_argument("--alpha-file", type=str, default=None)
-    p.add_argument("--preset", type=str, default=None, choices=OPERATOR_PRESETS)
-    p.add_argument("--h", type=str, default=None)
-    p.add_argument("--p", type=float, default=None, help="depolarizing strength")
-    p.add_argument("--data-file", type=str, default=None)
-    p.add_argument("--max-loops", type=int, default=None)
-    p.add_argument("--gap-tol", type=float, default=None)
-    p.add_argument("--solve-mode", type=str, default=None, choices=("unique", "min_norm"))
-
-    p = sub.add_parser("lattice", parents=[common], help="lattice-scale bounds")
-    p.add_argument("--file", type=str, default=None, help="lattice file (default: bundled)")
-    p.add_argument("--epsilon", type=float, default=None, help="recouple colored edges")
-    p.add_argument("--gisin-delta", type=float, default=None)
-    p.add_argument("--alpha-file", type=str, default=None)
-    p.add_argument("--improved-bound", type=float, nargs="*", default=None)
-
+    for command, (help_text, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file")
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key][1])
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    defaults = _DEFAULTS[args.command]
-    given = {k for k, v in vars(args).items() if v is not None} - {"command", "config"}
-    unknown = sorted(given - set(defaults))
-    if unknown:
-        flags = ", ".join("--" + k.replace("_", "-") for k in unknown)
-        raise ValueError(f"{args.command} does not take {flags}")
+    defaults = _COMMANDS[args.command][1]
     cfg = dict(defaults)
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
@@ -557,18 +531,23 @@ def _merge_config(args: argparse.Namespace) -> dict:
         unknown = sorted(set(section) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {unknown}")
-        cfg.update(section)
+        for key, value in section.items():
+            if value is not None:
+                cfg[key] = _convert(key, value, f"config key {key!r}")
     for key in defaults:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
-            cfg[key] = value
+            cfg[key] = _convert(key, value, "--" + key.replace("_", "-"))
     return cfg
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
     # LinAlgError subclasses ValueError, so the numerical clause comes first.
     try:
+        if extra:
+            flags = [tok.split("=")[0] for tok in extra if tok.startswith("--")]
+            raise ValueError(f"{args.command} does not take {', '.join(flags or extra)}")
         cfg = _merge_config(args)
         _HANDLERS[args.command](cfg)
     except (LinearSolveError, np.linalg.LinAlgError, NoFeasiblePointError) as exc:

@@ -187,7 +187,8 @@ def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     s = sa[:, :, None] * sb[:, None, :]
     w = np.divide(1.0, s, out=np.zeros_like(s), where=s > RANK_RCOND * s[:, :1, :1])
     alpha = vta.swapaxes(-1, -2) @ (w * (ua.swapaxes(-1, -2) @ hmat @ ub)) @ vtb
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero singular value gives inf/nan
+    # a zero or subnormal singular value gives inf/nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pa = vta.swapaxes(-1, -2) @ (ua.swapaxes(-1, -2) / sa[:, :, None])
         pbt = (ub / sb[:, None, :]) @ vtb
     return alpha, pa, pbt
@@ -215,39 +216,42 @@ def residual_norm(t: TransferMatrix, alpha_flat: np.ndarray, h: np.ndarray) -> f
     return float(_residual_batch(t.na, t.nb, alpha, np.asarray(h, dtype=float).reshape(3, 3)))
 
 
-def solve_alpha(t: TransferMatrix, h, mode: str = "min_norm") -> BellCoeffs:
+def _inverts_factors(m1: int, m2: int) -> bool:
+    # The one solve-kernel choice, by shape: at 3x3 both factors are square and
+    # _solve_unique_batch inverts them; otherwise _solve_min_norm_batch.
+    return m1 == m2 == 3
+
+
+def solve_alpha(t: TransferMatrix, h) -> BellCoeffs:
     """Solve T . alpha = h for the inequality coefficients.
+
+    The kernel follows the shape, as in the optimizer: at 3x3 the factors are
+    inverted (exact solve plus one iterative-refinement step); otherwise
+    alpha is the least-squares solution of minimal Euclidean norm (cutoff
+    1e-10 relative on the singular values of T).
 
     Args:
         t: transfer matrix of the settings.
         h: 9-component Pauli coefficient vector.
-        mode: "unique" for the invertible 3x3 case (exact solve plus one
-            iterative-refinement step), "min_norm" for the least-squares
-            solution of minimal Euclidean norm (cutoff 1e-10 relative on the
-            singular values of T).
 
     Returns:
         BellCoeffs over the transfer matrix's scenario.
 
     Raises:
-        ValueError: on a malformed mode or a unique-mode call outside 3x3.
-        LinearSolveError: if T is numerically rank-deficient in unique mode, or
-            the residual exceeds 1e-8 * max(1, ||h||) (h not representable).
+        ValueError: if h does not have shape (9,).
+        LinearSolveError: if a 3x3 T is numerically rank-deficient, or the
+            residual exceeds 1e-8 * max(1, ||h||) (h not representable).
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (9,):
         raise ValueError(f"h must have shape (9,), got {h.shape}")
     na, nb, hmat = t.na[None], t.nb[None], h.reshape(3, 3)
-    if mode == "unique":
-        if (t.m1, t.m2) != (3, 3):
-            raise ValueError(f"unique mode needs a 3x3 scenario, got {t.m1}x{t.m2}")
+    if _inverts_factors(t.m1, t.m2):
         if _rank_deficient(na, nb)[0]:
             raise LinearSolveError("transfer matrix is numerically rank-deficient")
         alpha = _solve_unique_batch(na, nb, hmat)[0][0]
-    elif mode == "min_norm":
-        alpha = _solve_min_norm_batch(na, nb, hmat)[0][0]
     else:
-        raise ValueError(f"unknown solve mode {mode!r}")
+        alpha = _solve_min_norm_batch(na, nb, hmat)[0][0]
     res = residual_norm(t, alpha, h)
     if not np.isfinite(res) or res > _residual_gate(h):
         raise LinearSolveError(

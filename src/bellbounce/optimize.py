@@ -36,6 +36,7 @@ import numpy as np
 from .bell import BellCoeffs, Scenario, _enumerate_side
 from .mapping import (
     MeasurementSettings,
+    _inverts_factors,
     _quantum_values,
     _residual_batch,
     _residual_gate,
@@ -213,16 +214,17 @@ def _factor_gradients(na, nb, alpha, pa, pbt, hmat, g):
     return ga, gb
 
 
-def _make_bound_objective(h: np.ndarray, m1: int, m2: int, solve_mode: str):
+def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
     hmat = h.reshape(3, 3)
     gate = _residual_gate(h)
+    inverts = _inverts_factors(m1, m2)
 
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
         bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
         na, nb = bloch[:, :m1], bloch[:, m1:]
         with np.errstate(all="ignore"):
-            if solve_mode == "unique":
+            if inverts:
                 alpha, pa, pbt = _solve_unique_batch(na, nb, hmat)
             else:
                 alpha, pa, pbt = _solve_min_norm_batch(na, nb, hmat)
@@ -314,27 +316,17 @@ class Objective:
         return 2 * (self.scenario.m1 + self.scenario.m2)
 
 
-def _auto_solve_mode(scenario: Scenario, solve_mode: str | None) -> str:
-    if solve_mode is None:
-        return "unique" if scenario.m1 * scenario.m2 == 9 else "min_norm"
-    if solve_mode not in ("unique", "min_norm"):
-        raise ValueError(f"unknown solve mode {solve_mode!r}")
-    if solve_mode == "unique" and scenario.m1 * scenario.m2 != 9:
-        raise ValueError("unique mode needs m1 * m2 == 9")
-    return solve_mode
-
-
-def bound_objective(h, scenario: Scenario, solve_mode: str | None = None) -> Objective:
+def bound_objective(h, scenario: Scenario) -> Objective:
     """Ascent of the classical bound at fixed operator coefficients h.
 
-    Every scored point solves T(theta) alpha = h within tolerance, and its
-    score is the exact enumerated bound of that alpha. The gradient is the
-    analytic subgradient at the enumerated winning strategy.
+    Every scored point solves T(theta) alpha = h within tolerance, with the
+    kernel solve_alpha uses for the scenario's shape (the factors' inverses at
+    3x3, their SVDs otherwise), and its score is the exact enumerated bound of
+    that alpha. The gradient is the analytic subgradient at the enumerated
+    winning strategy.
     """
     h = np.asarray(h, dtype=float)
-    mode = _auto_solve_mode(scenario, solve_mode)
-    evaluate = _make_bound_objective(h, scenario.m1, scenario.m2, mode)
-    return Objective(scenario, True, evaluate)
+    return Objective(scenario, True, _make_bound_objective(h, scenario.m1, scenario.m2))
 
 
 def value_objective(
@@ -449,7 +441,6 @@ def bounce_loop(
     min_cfg: OptimizerConfig | None = None,
     max_cfg: OptimizerConfig | None = None,
     fd_cfg: FiniteDiffConfig = DEFAULT_FD,
-    solve_mode: str | None = None,
     gap_tol: float = 1e-6,
     max_loops: int = 10,
 ) -> BounceResult:
@@ -458,7 +449,7 @@ def bounce_loop(
     Args:
         start: either BellCoeffs (loop begins by minimizing the quantum
             value at fixed inequality) or a 9-component operator coefficient
-            vector (an inequality is first solved for at ms0).
+            vector (an inequality is first solved for at ms0 by solve_alpha).
         ms0: initial measurement settings.
         c: measured Pauli correlator vector driving the quantum value.
         fd_cfg: finite-difference step of the quantum-value descent.
@@ -469,6 +460,8 @@ def bounce_loop(
     The recorded trajectory keeps the half-step contracts exact: a minimize
     half-step never raises beta_Q, and a maximize half-step keeps the current
     inequality and settings unless the search finds a strictly higher beta_C.
+    Every solve, at the start and in each bound ascent, takes the kernel of
+    the inequality's shape (see bound_objective).
 
     Raises:
         ValueError: on a bad budget or tolerance, correlators outside [-1, 1],
@@ -482,8 +475,7 @@ def bounce_loop(
     if isinstance(start, BellCoeffs):
         alpha = start
     else:
-        mode0 = _auto_solve_mode(ms0.scenario(), None)
-        alpha = solve_alpha(build_transfer_matrix(ms0), np.asarray(start, dtype=float), mode0)
+        alpha = solve_alpha(build_transfer_matrix(ms0), np.asarray(start, dtype=float))
     scenario = alpha.scenario
 
     ms = ms0
@@ -504,7 +496,7 @@ def bounce_loop(
 
         h_cur = build_transfer_matrix(ms).matrix @ alpha.alpha.ravel()
         (res_max,) = run_search(
-            bound_objective(h_cur, scenario, solve_mode), ms.to_vector()[None, :], max_cfg
+            bound_objective(h_cur, scenario), ms.to_vector()[None, :], max_cfg
         )
         if res_max.value > beta_c:
             ms, alpha, beta_c = res_max.settings, res_max.alpha, res_max.value

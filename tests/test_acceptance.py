@@ -133,13 +133,13 @@ def test_criterion_03_mapping_roundtrip():
     worst_resid = 0.0
     worst_twopath = 0.0
     for i in range(1000):
-        m1, m2, mode = (3, 3, "unique") if i < 500 else (4, 3, "min_norm")
+        m1, m2 = (3, 3) if i < 500 else (4, 3)
         ms = MeasurementSettings.from_vector(
             m1, m2, rng.uniform(0.0, 2.0 * np.pi, size=2 * (m1 + m2))
         )
         t = build_transfer_matrix(ms)
         h = t.matrix @ rng.normal(size=m1 * m2)
-        bc = solve_alpha(t, h, mode)
+        bc = solve_alpha(t, h)
         worst_resid = max(worst_resid, residual_norm(t, bc.alpha.ravel(), h))
         if i % 10 == 0:
             h_two = pauli_coeffs_from_operator(bell_operator(ms, bc))

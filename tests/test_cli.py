@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ def test_validation_exit_codes(capsys, tmp_path):
     assert main(["classical-bound", "--gisin-delta", "1", "--alpha-file", "x"]) == 2
     assert main(["bounce", "--max-loops", "0", "--steps", "5", "--out", str(tmp_path)]) == 2
     assert main(["ineq2ham", "--p-grid", "bad", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    for grid in ("0:inf:0.001", "0:0.002:inf", "nan:0.002:0.001"):
+        assert main(["ineq2ham", "--p-grid", grid, "--steps", "5", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: p grid entries must be finite, got {grid!r}\n"
+    # the kernel follows the shape; there is no flag to choose it
     assert main(["ham2ineq", "--preset", "H_G", "--m1", "4", "--m2", "4",
                  "--solve-mode", "unique", "--out", str(tmp_path)]) == 2
     assert main(["ham2ineq", "--h", "nan 0 0 0 1 0 0 0 1", "--restarts", "1",
@@ -220,6 +227,68 @@ def test_lattice_epsilon_recoupling(capsys):
     assert main(["lattice", "--epsilon", "1"]) == 0
     out = capsys.readouterr().out
     assert "total coupling: 66.02" in out
+
+
+def test_nonfinite_improved_bound_rejected_before_output(capsys, tmp_path):
+    for value in ("nan", "inf"):
+        out = tmp_path / value
+        assert main(["lattice", "--improved-bound", "-7.39", value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "finite" in captured.err
+        assert not out.exists()
+
+
+def test_config_values_parse_like_flags(capsys, tmp_path):
+    bad = [
+        {"ham2ineq": {"preset": "H_G", "lr": "abc"}},
+        {"ham2ineq": {"preset": "H_G", "m1": [3]}},
+        {"ham2ineq": {"preset": "H_G", "steps": 2.7}},
+        {"ham2ineq": {"preset": "H_G", "restarts": True}},
+        {"lattice": {"improved_bound": -7.39}},
+        {"lattice": {"improved_bound": [-7.39, "nan"]}},
+        {"ineq2ham": {"noise_placement": "bogus"}},
+        {"ham2ineq": {"solve_mode": "unique"}},
+    ]
+    for i, section in enumerate(bad):
+        cfg, out = tmp_path / f"bad{i}.json", tmp_path / f"bad{i}"
+        cfg.write_text(json.dumps(section))
+        (cmd,) = section
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2, section
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert not out.exists()
+    # a config gives the same files as the same options given as flags; null is not given
+    options = {"preset": "H_G", "m1": 3, "m2": 3, "restarts": 2, "steps": 30, "lr": None}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ham2ineq": options}))
+    assert main(["ham2ineq", "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+    argv = ["ham2ineq", "--preset", "H_G", "--m1", "3", "--m2", "3", "--restarts", "2",
+            "--steps", "30", "--out", str(tmp_path / "flags")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name in ("ham2ineq_summary.json", "ham2ineq_curve.csv"):
+        assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+
+def test_help_lists_each_subcommands_options(capsys):
+    expected = {
+        "classical-bound": {"--gisin-delta", "--alpha", "--alpha-file", "--m1", "--m2"},
+        "ham2ineq": {"--preset", "--h", "--m1", "--m2", "--restarts", "--steps", "--lr"},
+        "ineq2ham": {"--gisin-delta", "--alpha-file", "--p-grid", "--data-file",
+                     "--noise-placement", "--restarts", "--steps", "--lr", "--fd-step"},
+        "bounce": {"--gisin-delta", "--alpha-file", "--preset", "--h", "--p", "--data-file",
+                   "--noise-placement", "--max-loops", "--gap-tol", "--steps", "--lr",
+                   "--fd-step"},
+        "lattice": {"--file", "--epsilon", "--gisin-delta", "--alpha-file", "--improved-bound"},
+    }
+    for cmd, own in expected.items():
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE))
+        assert listed == own | {"--config", "--seed", "--out"}, cmd
 
 
 def test_config_file_merge(capsys, tmp_path):

@@ -51,7 +51,7 @@ def test_solve_unique_roundtrip():
         ms = _random_settings(rng, 3, 3)
         t = build_transfer_matrix(ms)
         h = t.matrix @ rng.normal(size=9)
-        bc = solve_alpha(t, h, mode="unique")
+        bc = solve_alpha(t, h)  # 3x3: inverse factors
         assert residual_norm(t, bc.alpha.ravel(), h) <= 1e-9
 
 
@@ -61,7 +61,7 @@ def test_solve_min_norm_properties():
         ms = _random_settings(rng, 4, 3)
         t = build_transfer_matrix(ms)
         h = t.matrix @ rng.normal(size=12)
-        bc = solve_alpha(t, h)  # min_norm default
+        bc = solve_alpha(t, h)  # 4x3: minimum norm
         assert residual_norm(t, bc.alpha.ravel(), h) <= 1e-9
         # minimal norm: orthogonal to the null space and no longer than lstsq
         basis = np.linalg.svd(t.matrix)[2][9:]  # generic 4x3 settings: T has rank 9
@@ -82,26 +82,22 @@ def test_two_path_agreement():
 
 
 def test_inconsistent_system_rejected():
-    # identical settings for every measurement collapse the column space
-    a = np.tile([[0.3, 0.4]], (3, 1))
-    b = np.tile([[1.0, 2.0]], (3, 1))
-    t = build_transfer_matrix(MeasurementSettings(party_a=a, party_b=b))
+    # identical settings for every measurement collapse the column space; one
+    # system per kernel: inverse factors at 3x3, minimum norm at 4x3
     h = np.zeros(9)
     h[0] = 1.0
     h[4] = -1.0  # not proportional to the single reachable direction
-    with pytest.raises(LinearSolveError):
-        solve_alpha(t, h)
-    with pytest.raises(LinearSolveError):
-        solve_alpha(t, h, mode="unique")
+    for m1 in (3, 4):
+        a = np.tile([[0.3, 0.4]], (m1, 1))
+        b = np.tile([[1.0, 2.0]], (3, 1))
+        t = build_transfer_matrix(MeasurementSettings(party_a=a, party_b=b))
+        with pytest.raises(LinearSolveError):
+            solve_alpha(t, h)
 
 
 def test_solve_mode_validation():
     rng = np.random.default_rng(26)
     t43 = build_transfer_matrix(_random_settings(rng, 4, 3))
-    with pytest.raises(ValueError):
-        solve_alpha(t43, np.zeros(9), mode="unique")
-    with pytest.raises(ValueError):
-        solve_alpha(t43, np.zeros(9), mode="pinv")
     with pytest.raises(ValueError):
         solve_alpha(t43, np.zeros(5))
 

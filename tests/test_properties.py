@@ -92,12 +92,13 @@ def solve_cases(draw, mode: str):
 def test_factored_solve_matches_full_solve(mode, data):
     batch = data.draw(solve_cases(mode))
     t, h = batch[0]
+    shape_mode = "unique" if (t.m1, t.m2) == (3, 3) else "min_norm"  # solve_alpha's kernel
     if solve_tolerance(t.matrix) is not None:
-        if oracle_solve(t.matrix, h, mode) is None:
+        if oracle_solve(t.matrix, h, shape_mode) is None:
             with pytest.raises(LinearSolveError):
-                solve_alpha(t, h, mode)
+                solve_alpha(t, h)
         else:
-            assert_matches_oracle(t.matrix, h, mode, solve_alpha(t, h, mode).alpha)
+            assert_matches_oracle(t.matrix, h, shape_mode, solve_alpha(t, h).alpha)
     kernel = _solve_unique_batch if mode == "unique" else _solve_min_norm_batch
     na = np.stack([t.na for t, _ in batch])
     nb = np.stack([t.nb for t, _ in batch])

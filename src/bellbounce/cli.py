@@ -66,7 +66,7 @@ from .optimize import (
     OptimizerConfig,
     bounce_loop,
     bound_objective,
-    restart_harness,
+    random_starts,
     run_search,
     value_objective,
 )
@@ -75,6 +75,10 @@ from .presets import OPERATOR_PRESETS, operator_preset, tetrahedron_axes_setting
 from .serialize import format_float, write_csv, write_json, write_json_lines
 
 __all__ = ["main"]
+
+# Each grid point runs a noisy-singlet simulation and a full search; 10,000
+# points is far above the paper's 15-point grid and still a bounded run.
+MAX_P_GRID_POINTS = 10_000
 
 # Every option, declared once: its type and its argparse extras. A flag's text
 # and a config value read as that same text both go through _convert.
@@ -265,7 +269,9 @@ def _cmd_ham2ineq(cfg: dict):
     h = _resolve_h(cfg)
     scenario = Scenario(cfg["m1"], cfg["m2"])
     opt_cfg = _search_cfg(DEFAULT_ASCENT, cfg)
-    outcome = restart_harness(bound_objective(h, scenario), cfg["restarts"], cfg["seed"], opt_cfg)
+    objective = bound_objective(h, scenario)
+    starts = random_starts(objective.dim, cfg["restarts"], cfg["seed"])
+    outcome = run_search(objective, starts, opt_cfg)
     best = outcome.best
     t_best = build_transfer_matrix(best.settings)
     resid = residual_norm(t_best, best.alpha.alpha.ravel(), h)
@@ -301,7 +307,10 @@ def _parse_p_grid(text: str) -> np.ndarray:
         raise ValueError(f"p grid entries must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"bad p grid {text!r}")
-    n = int(round((stop - start) / step))
+    # clamped first: the quotient is inf for a tiny enough step
+    n = round(min((stop - start) / step, MAX_P_GRID_POINTS))
+    if n + 1 > MAX_P_GRID_POINTS:
+        raise ValueError(f"p grid {text!r} has more than {MAX_P_GRID_POINTS} points")
     return start + step * np.arange(n + 1)
 
 
@@ -314,9 +323,9 @@ def _cmd_ineq2ham(cfg: dict):
     beta_c = classical_bound(bc)[0]
     opt_cfg = _search_cfg(DEFAULT_DESCENT, cfg)
     fd_cfg = FiniteDiffConfig(step=cfg["fd_step"])
-    n_restarts = cfg["restarts"]
-    if n_restarts < 0:
-        raise ValueError(f"restarts must be non-negative, got {n_restarts}")
+    theta0 = ms0.to_vector()
+    # one batch; the canonical start is row 0, so it wins ties
+    starts = np.vstack([theta0, random_starts(theta0.size, cfg["restarts"], cfg["seed"])])
     if cfg["data_file"] is not None:
         sources = [(None, _load_correlator_file(cfg["data_file"]))]
     else:
@@ -329,11 +338,7 @@ def _cmd_ineq2ham(cfg: dict):
     rows = []
     for p, c in sources:
         original = quantum_value_from_data(c, t0, bc)
-        objective = value_objective(bc, c, fd_cfg)
-        best = run_search(objective, ms0.to_vector()[None, :], opt_cfg)[0].value
-        if n_restarts > 0:
-            outcome = restart_harness(objective, n_restarts, cfg["seed"], opt_cfg)
-            best = min(best, outcome.best.value)
+        best = run_search(value_objective(bc, c, fd_cfg), starts, opt_cfg).best.value
         rows.append((p, original, best, beta_c))
         label = "data" if p is None else f"p={format_float(p)}"
         print(
@@ -349,7 +354,7 @@ def _cmd_ineq2ham(cfg: dict):
             "provenance": _provenance(cfg),
             "alpha": bc.alpha.tolist(),
             "beta_c": beta_c,
-            "restarts": n_restarts,
+            "restarts": cfg["restarts"],
             "steps": cfg["steps"],
             "rows": [list(r) for r in rows],
         },
@@ -475,7 +480,8 @@ _HANDLERS = {
 
 def _convert(key: str, value, where: str):
     # A flag's text, or a config value read as that text: a string or a number,
-    # or a list of them for a multi-value option. Every float must be finite.
+    # or a list of them for a multi-value option, without surrounding spaces.
+    # Every float must be finite.
     kind, extras = _OPTIONS[key]
     many = "nargs" in extras
     items = value if many and isinstance(value, list) else [value]
@@ -485,7 +491,7 @@ def _convert(key: str, value, where: str):
         form = "a list of values" if many else "one string or number"
         raise ValueError(f"{where} takes {form}, got {value!r}")
     out = []
-    for text in map(str, items):
+    for text in (str(v).strip() for v in items):
         try:
             v = kind(text)
         except ValueError:
@@ -541,7 +547,19 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
+    # argparse reads a token that starts with "-" and is not a plain decimal, such as
+    # -inf or -1e-3, as an option; with a leading space it reads it as a value.
+    argv = sys.argv[1:] if argv is None else argv
+    argv = [" " + tok if tok.startswith("-") and _is_number(tok) else tok for tok in argv]
     args, extra = _build_parser().parse_known_args(argv)
     # LinAlgError subclasses ValueError, so the numerical clause comes first.
     try:

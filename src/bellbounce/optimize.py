@@ -21,9 +21,10 @@ are unconstrained; wrapping is unnecessary by periodicity. Points where
 T(theta) . alpha = h has no solution within tolerance are scored -inf (ascent)
 and get gradient 0, as does any non-finite gradient entry.
 
-Restarts run in lockstep: each engine step evaluates all restarts' current
-points in one batched call. Per-restart random streams are seeded from
-(seed, restart_index), so results do not depend on how many restarts run.
+run_search runs all its starts in one lockstep batch: each engine step
+evaluates every start's current point in one call, and a row's result does
+not depend on the rest of the batch. random_starts draws start i of seed s
+from a stream seeded by (s, i), so it does not depend on how many are drawn.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ __all__ = [
     "adam_step",
     "bound_objective",
     "value_objective",
+    "random_starts",
     "run_search",
-    "restart_harness",
     "bounce_loop",
     "DEFAULT_ASCENT",
     "DEFAULT_DESCENT",
@@ -80,6 +81,13 @@ class NoFeasiblePointError(RuntimeError):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+# run_search keeps each start's best-so-far value at every step, n * (steps + 1)
+# floats; it refuses batches beyond 2^25 of them (256 MiB), about 100x the
+# paper's largest search (32 restarts x 10,001 steps). random_starts draws at
+# most 2^16 starts, 2,048x the paper's 32, so the per-start arrays stay small.
+MAX_HISTORY_ENTRIES = 2**25
+MAX_RANDOM_STARTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -346,24 +354,56 @@ def value_objective(
     return Objective(sc, False, evaluate, alpha=alpha)
 
 
+def random_starts(dim: int, n: int, seed: int) -> np.ndarray:
+    """n random angle vectors (n, dim), row i drawn from a stream seeded by (seed, i).
+
+    Polar angles are uniform on [0, pi], azimuths on [0, 2 pi).
+    """
+    if not 0 <= n <= MAX_RANDOM_STARTS:
+        raise ValueError(f"restarts must be in [0, {MAX_RANDOM_STARTS}], got {n}")
+    starts = np.empty((n, dim))
+    for i in range(n):
+        starts[i] = np.random.default_rng(np.random.SeedSequence((seed, i))).random(dim)
+    starts[:, 0::2] *= np.pi
+    starts[:, 1::2] *= 2.0 * np.pi
+    return starts
+
+
 def run_search(
     objective: Objective,
     theta0s: np.ndarray,
     cfg: OptimizerConfig | None = None,
-) -> list[OptimizeResult]:
-    """Run the engine from each row of theta0s, one result per row."""
+) -> RestartOutcome:
+    """Run the engine from every row of theta0s in one lockstep batch; keep the best.
+
+    A row's result does not depend on the rest of the batch; ties go to the
+    lowest row. Raises ValueError on an empty batch or one whose history would
+    exceed MAX_HISTORY_ENTRIES, and NoFeasiblePointError if a maximizing
+    search finds no feasible point.
+    """
     cfg = cfg or (DEFAULT_ASCENT if objective.maximize else DEFAULT_DESCENT)
     sc = objective.scenario
     theta0s = np.asarray(theta0s, dtype=float)
     if theta0s.ndim != 2 or theta0s.shape[1] != objective.dim:
         raise ValueError(f"starts must have shape (n, {objective.dim}), got {theta0s.shape}")
+    n = len(theta0s)
+    if n == 0:
+        raise ValueError("need at least one start")
+    if n * (cfg.max_steps + 1) > MAX_HISTORY_ENTRIES:
+        raise ValueError(
+            f"search history too large: {n} starts x {cfg.max_steps + 1} entries exceed "
+            f"{MAX_HISTORY_ENTRIES}"
+        )
     best_value, best_theta, best_payload, history = _run_lockstep(objective, theta0s, cfg)
-    out = []
-    for r in range(theta0s.shape[0]):
+    best_index = int(np.argmax(best_value) if objective.maximize else np.argmin(best_value))
+    if objective.maximize and not np.isfinite(best_value[best_index]):
+        raise NoFeasiblePointError("no start found a feasible point")
+    runs = []
+    for r in range(n):
         alpha = objective.alpha
         if objective.maximize and np.isfinite(best_value[r]):
             alpha = BellCoeffs(sc, best_payload[r].reshape(sc.m1, sc.m2))
-        out.append(
+        runs.append(
             OptimizeResult(
                 settings=MeasurementSettings.from_vector(sc.m1, sc.m2, best_theta[r]),
                 value=float(best_value[r]),
@@ -371,39 +411,7 @@ def run_search(
                 history=history[r],
             )
         )
-    return out
-
-
-def restart_harness(
-    objective: Objective,
-    n_restarts: int,
-    seed: int,
-    cfg: OptimizerConfig | None = None,
-) -> RestartOutcome:
-    """Run the objective from deterministically seeded random inits; keep the best.
-
-    Restart i draws its init from a stream seeded by (seed, i), so a single
-    restart reproduces exactly the first member of a larger batch. Polar
-    angles are uniform on [0, pi], azimuths on [0, 2 pi). Ties go to the
-    lowest restart index.
-    """
-    if n_restarts < 1:
-        raise ValueError("need at least one restart")
-    theta0s = np.stack(
-        [
-            np.random.default_rng(np.random.SeedSequence((seed, i))).random(objective.dim)
-            for i in range(n_restarts)
-        ]
-    )
-    theta0s[:, 0::2] *= np.pi
-    theta0s[:, 1::2] *= 2.0 * np.pi
-    runs = run_search(objective, theta0s, cfg)
-    values = np.array([r.value for r in runs])
-    best_index = int(np.argmax(values)) if objective.maximize else int(np.argmin(values))
-    best = runs[best_index]
-    if objective.maximize and not np.isfinite(best.value):
-        raise NoFeasiblePointError("no restart found a feasible point")
-    return RestartOutcome(best=best, runs=tuple(runs), best_index=best_index)
+    return RestartOutcome(best=runs[best_index], runs=tuple(runs), best_index=best_index)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +495,7 @@ def bounce_loop(
     converged = False
     for _ in range(max_loops):
         theta = ms.to_vector()[None, :]
-        (res_min,) = run_search(value_objective(alpha, c, fd_cfg), theta, min_cfg)
+        res_min = run_search(value_objective(alpha, c, fd_cfg), theta, min_cfg).best
         ms = res_min.settings
         beta_q = res_min.value
         records.append(
@@ -495,9 +503,8 @@ def bounce_loop(
         )
 
         h_cur = build_transfer_matrix(ms).matrix @ alpha.alpha.ravel()
-        (res_max,) = run_search(
-            bound_objective(h_cur, scenario), ms.to_vector()[None, :], max_cfg
-        )
+        theta = ms.to_vector()[None, :]
+        res_max = run_search(bound_objective(h_cur, scenario), theta, max_cfg).best
         if res_max.value > beta_c:
             ms, alpha, beta_c = res_max.settings, res_max.alpha, res_max.value
         beta_q = quantum_value_from_data(c, build_transfer_matrix(ms), alpha)

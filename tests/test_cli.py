@@ -57,6 +57,19 @@ def test_validation_exit_codes(capsys, tmp_path):
     # the engine's enumeration at 16x16 with 32 restarts is refused, not allocated
     assert main(["ham2ineq", "--preset", "H_G", "--m1", "16", "--m2", "16", "--restarts", "32",
                  "--steps", "5", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    # a search whose per-step history would take terabytes, 1e9 random starts and a
+    # 3e11-point noise grid are refused before any allocation, row or output dir
+    for i, argv in enumerate((
+        ["ham2ineq", "--preset", "H_G", "--steps", "10000000000"],
+        ["ham2ineq", "--preset", "H_G", "--restarts", "1000000000", "--steps", "1"],
+        ["ineq2ham", "--p-grid", "0:0.3:1e-12", "--steps", "5"],
+    )):
+        out = tmp_path / f"guard{i}"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert not out.exists()
     for flag in ("--lr", "--fd-step"):
         assert main(["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5",
                      flag, "nan", "--out", str(tmp_path)]) == 2
@@ -230,12 +243,15 @@ def test_lattice_epsilon_recoupling(capsys):
 
 
 def test_nonfinite_improved_bound_rejected_before_output(capsys, tmp_path):
-    for value in ("nan", "inf"):
-        out = tmp_path / value
-        assert main(["lattice", "--improved-bound", "-7.39", value, "--out", str(out)]) == 2
+    # argparse would read -inf as an option, not as a value
+    runs = [["lattice", "--improved-bound", "-7.39", value] for value in ("nan", "inf", "-inf")]
+    runs.append(["ham2ineq", "--preset", "H_G", "--lr", "-inf"])
+    for i, argv in enumerate(runs):
+        out = tmp_path / str(i)
+        assert main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1 and "finite" in captured.err
+        assert len(captured.err.splitlines()) == 1 and "must be finite" in captured.err
         assert not out.exists()
 
 

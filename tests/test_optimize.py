@@ -20,7 +20,7 @@ from bellbounce.optimize import (
     bounce_loop,
     bound_objective,
     finite_diff_gradient,
-    restart_harness,
+    random_starts,
     run_search,
     value_objective,
 )
@@ -141,7 +141,7 @@ def test_bound_gradient_zero_when_infeasible():
 def test_maximize_bound_consistency():
     rng = np.random.default_rng(52)
     start = _random_settings(rng, 3, 3).to_vector()[None, :]
-    (res,) = run_search(bound_objective(H_HG, Scenario(3, 3)), start, FAST)
+    res = run_search(bound_objective(H_HG, Scenario(3, 3)), start, FAST).best
     # reported alpha reproduces h at the reported settings
     t = build_transfer_matrix(res.settings)
     assert np.linalg.norm(t.matrix @ res.alpha.alpha.ravel() - H_HG) <= 1e-8 * np.linalg.norm(H_HG)
@@ -157,26 +157,47 @@ def test_minimize_value_descends():
     bc = gisin_variant(2.0)
     c = singlet_correlators()
     init = _random_settings(rng, 4, 3)
-    (res,) = run_search(value_objective(bc, c), init.to_vector()[None, :], FAST_DOWN)
+    res = run_search(value_objective(bc, c), init.to_vector()[None, :], FAST_DOWN).best
     assert res.value <= res.history[0]
     assert np.all(np.diff(res.history) <= 0)
     assert len(res.history) == FAST_DOWN.max_steps + 1
     assert res.value >= -4 * np.sqrt(6) - 1e-9  # optimum over settings for ideal data
 
 
-def test_harness_determinism_and_seeding():
-    objective = bound_objective(H_HG, Scenario(3, 3))
-    out1 = restart_harness(objective, 3, seed=9, cfg=FAST)
-    out2 = restart_harness(objective, 3, seed=9, cfg=FAST)
+AXES = tetrahedron_axes_settings().party_b  # x, y and z
+
+
+@pytest.mark.parametrize(
+    "objective, canonical, cfg",
+    [
+        (bound_objective(H_HG, Scenario(3, 3)), MeasurementSettings(AXES, AXES), FAST),
+        (value_objective(gisin_variant(2.0), singlet_correlators() * 0.92),
+         tetrahedron_axes_settings(), FAST_DOWN),
+    ],
+    ids=["bound", "value"],
+)
+def test_harness_determinism_and_seeding(objective, canonical, cfg):
+    # ineq2ham stacks its canonical start on the random ones and runs them as one batch
+    starts = np.vstack([canonical.to_vector(), random_starts(objective.dim, 3, seed=9)])
+    out1 = run_search(objective, starts, cfg)
+    out2 = run_search(objective, starts, cfg)
     assert [r.value for r in out1.runs] == [r.value for r in out2.runs]
     assert np.array_equal(out1.best.settings.to_vector(), out2.best.settings.to_vector())
-    # restart i depends only on (seed, i), not on how many restarts run
-    solo = restart_harness(objective, 1, seed=9, cfg=FAST)
-    assert solo.runs[0].value == out1.runs[0].value
-    different = restart_harness(objective, 1, seed=10, cfg=FAST)
-    assert different.runs[0].value != solo.runs[0].value
+    # each row gets, bit for bit, what it gets when it runs alone
+    for row, run in zip(starts, out1.runs):
+        solo = run_search(objective, row[None, :], cfg).best
+        assert solo.value == run.value
+        assert np.array_equal(solo.settings.to_vector(), run.settings.to_vector())
+    # random start i depends only on (seed, i), not on how many are drawn
+    assert np.array_equal(random_starts(objective.dim, 1, seed=9), starts[1:2])
+    different = run_search(objective, random_starts(objective.dim, 1, seed=10), cfg).best
+    assert different.value != out1.runs[1].value
+    assert run_search(objective, np.vstack([starts[1], starts[1]]), cfg).best_index == 0
+    assert random_starts(objective.dim, 0, seed=1).shape == (0, objective.dim)
     with pytest.raises(ValueError):
-        restart_harness(objective, 0, seed=1, cfg=FAST)
+        random_starts(objective.dim, -1, seed=1)
+    with pytest.raises(ValueError):
+        run_search(objective, random_starts(objective.dim, 0, seed=1), cfg)
 
 
 def test_infeasible_target_raises():
@@ -186,7 +207,11 @@ def test_infeasible_target_raises():
         np.array([1.0, 0.7, -0.3, 0.2, -1.0, 0.4, 0.9, -0.6, 0.5]), Scenario(2, 2)
     )
     with pytest.raises(NoFeasiblePointError):
-        restart_harness(objective, 2, seed=0, cfg=OptimizerConfig(learning_rate=0.02, max_steps=40))
+        run_search(
+            objective,
+            random_starts(objective.dim, 2, seed=0),
+            OptimizerConfig(learning_rate=0.02, max_steps=40),
+        )
 
 
 @pytest.mark.parametrize("m1, m2", [(4, 3), (2, 5)])
@@ -226,9 +251,9 @@ def test_value_task_matches_direct_call():
     bc = gisin_variant(2.0)
     c = singlet_correlators()
     objective = value_objective(bc, c)
-    out = restart_harness(objective, 2, seed=3, cfg=FAST_DOWN)
+    out = run_search(objective, random_starts(objective.dim, 2, seed=3), FAST_DOWN)
     rng = np.random.default_rng(np.random.SeedSequence((3, 0)))
-    (direct,) = run_search(objective, _random_settings(rng, 4, 3).to_vector()[None, :], FAST_DOWN)
+    direct = run_search(objective, _random_settings(rng, 4, 3).to_vector()[None, :], FAST_DOWN).best
     assert out.runs[0].value == direct.value
 
 

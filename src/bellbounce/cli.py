@@ -68,7 +68,7 @@ from .optimize import (
     bound_objective,
     random_starts,
     run_search,
-    value_objective,
+    sweep_minima,
 )
 from .pauli import correlator_vector
 from .presets import OPERATOR_PRESETS, operator_preset, tetrahedron_axes_settings
@@ -76,8 +76,9 @@ from .serialize import format_float, write_csv, write_json, write_json_lines
 
 __all__ = ["main"]
 
-# Each grid point runs a noisy-singlet simulation and a full search; 10,000
-# points is far above the paper's 15-point grid and still a bounded run.
+# Each grid point runs a noisy-singlet simulation and adds its starts' rows to
+# the sweep's shared search; 10,000 points is far above the paper's 15-point
+# grid and still a bounded run.
 MAX_P_GRID_POINTS = 10_000
 
 # Every option, declared once: its type and its argparse extras. A flag's text
@@ -324,7 +325,7 @@ def _cmd_ineq2ham(cfg: dict):
     opt_cfg = _search_cfg(DEFAULT_DESCENT, cfg)
     fd_cfg = FiniteDiffConfig(step=cfg["fd_step"])
     theta0 = ms0.to_vector()
-    # one batch; the canonical start is row 0, so it wins ties
+    # every point runs these starts; the canonical start is row 0, so it wins ties
     starts = np.vstack([theta0, random_starts(theta0.size, cfg["restarts"], cfg["seed"])])
     if cfg["data_file"] is not None:
         sources = [(None, _load_correlator_file(cfg["data_file"]))]
@@ -335,10 +336,10 @@ def _cmd_ineq2ham(cfg: dict):
             (float(p), correlator_vector(prepare_noisy_singlet(NoiseModel(float(p), placement))))
             for p in grid
         ]
+    minima = sweep_minima(bc, [c for _, c in sources], starts, opt_cfg, fd_cfg)
     rows = []
-    for p, c in sources:
+    for (p, c), best in zip(sources, minima.tolist()):
         original = quantum_value_from_data(c, t0, bc)
-        best = run_search(value_objective(bc, c, fd_cfg), starts, opt_cfg).best.value
         rows.append((p, original, best, beta_c))
         label = "data" if p is None else f"p={format_float(p)}"
         print(
@@ -481,7 +482,7 @@ _HANDLERS = {
 def _convert(key: str, value, where: str):
     # A flag's text, or a config value read as that text: a string or a number,
     # or a list of them for a multi-value option, without surrounding spaces.
-    # Every float must be finite.
+    # Every float must be finite, and the seed non-negative.
     kind, extras = _OPTIONS[key]
     many = "nargs" in extras
     items = value if many and isinstance(value, list) else [value]
@@ -498,6 +499,8 @@ def _convert(key: str, value, where: str):
             raise ValueError(f"{where}: invalid {kind.__name__} value {text!r}") from None
         if kind is float and not np.isfinite(v):
             raise ValueError(f"{where} must be finite, got {text!r}")
+        if key == "seed" and v < 0:  # a seed sequence takes no negative entropy
+            raise ValueError(f"{where} must be non-negative, got {text!r}")
         choices = extras.get("choices")
         if choices is not None and v not in choices:
             raise ValueError(f"{where} must be one of {choices}, got {text!r}")

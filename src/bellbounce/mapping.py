@@ -160,11 +160,13 @@ def _residual_gate(h) -> float:
     return RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(h)))
 
 
-def _quantum_values(na, nb, cmat, alpha) -> np.ndarray:
+def _quantum_values(na, nb, cmats, alpha) -> np.ndarray:
     # c . T . alpha = sum_ab alpha_ab nA_a^T C nB_b for batches na (n, m1, 3),
-    # nb (n, m2, 3). The contraction order is fixed, so a row's value does not
-    # depend on the batch size; the bounce loop's half-step contracts rely on it.
-    return np.einsum("nai,ij,nbj,ab->n", na, cmat, nb, alpha)
+    # nb (n, m2, 3) and cmats (n, 3, 3), or (1, 3, 3) for a C every row shares.
+    # The contraction order is fixed, so a row's value depends neither on the
+    # batch size nor on the other rows' C; the bounce loop's half-step
+    # contracts rely on it.
+    return np.einsum("nai,nij,nbj,ab->n", na, cmats, nb, alpha)
 
 
 def _rank_deficient(na, nb) -> np.ndarray:
@@ -271,4 +273,4 @@ def quantum_value_from_data(c, t: TransferMatrix, bc: BellCoeffs) -> float:
         raise ValueError(
             f"transfer matrix ({t.m1}, {t.m2}) does not match alpha {bc.alpha.shape}"
         )
-    return float(_quantum_values(t.na[None], t.nb[None], c.reshape(3, 3), bc.alpha)[0])
+    return float(_quantum_values(t.na[None], t.nb[None], c.reshape(1, 3, 3), bc.alpha)[0])

@@ -12,7 +12,8 @@ winning strategy's correlators a* b*^T are its subgradient in alpha, chained
 through the derivative of the factors' pseudo-inverses to the angles. The
 value objective is linear in each Bloch vector, so its gradient is the closed
 form of a central difference at the configured step: sin(h)/h times the
-analytic derivative, one point per restart per step.
+analytic derivative, one point per restart per step. It takes one correlator
+vector c for the whole batch or one per row.
 
 The classical bound is only piecewise smooth, so correctness rests on
 best-so-far tracking, not smooth convergence: the reported optimum is always
@@ -23,8 +24,10 @@ and get gradient 0, as does any non-finite gradient entry.
 
 run_search runs all its starts in one lockstep batch: each engine step
 evaluates every start's current point in one call, and a row's result does
-not depend on the rest of the batch. random_starts draws start i of seed s
-from a stream seeded by (s, i), so it does not depend on how many are drawn.
+not depend on the rest of the batch, nor on the other rows' correlators.
+sweep_minima relies on that to run a whole noise sweep, every point's starts
+with that point's c, as one batch. random_starts draws start i of seed s from
+a stream seeded by (s, i), so it does not depend on how many are drawn.
 """
 
 from __future__ import annotations
@@ -59,13 +62,13 @@ __all__ = [
     "BounceRecord",
     "BounceResult",
     "NoFeasiblePointError",
-    "finite_diff_gradient",
     "adam_init",
     "adam_step",
     "bound_objective",
     "value_objective",
     "random_starts",
     "run_search",
+    "sweep_minima",
     "bounce_loop",
     "DEFAULT_ASCENT",
     "DEFAULT_DESCENT",
@@ -82,9 +85,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-# run_search keeps each start's best-so-far value at every step, n * (steps + 1)
+# run_search keeps each row's best-so-far value at every step, n * (steps + 1)
 # floats; it refuses batches beyond 2^25 of them (256 MiB), about 100x the
-# paper's largest search (32 restarts x 10,001 steps). random_starts draws at
+# paper's largest search (32 restarts x 10,001 steps), and sweep_minima chunks
+# its points x starts rows to stay under it. random_starts draws at
 # most 2^16 starts, 2,048x the paper's 32, so the per-start arrays stay small.
 MAX_HISTORY_ENTRIES = 2**25
 MAX_RANDOM_STARTS = 2**16
@@ -143,27 +147,6 @@ def adam_step(
     delta = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     theta = state.theta + delta if maximize else state.theta - delta
     return AdamState(theta, m, v, t)
-
-
-def finite_diff_gradient(f, theta, cfg: FiniteDiffConfig = DEFAULT_FD) -> np.ndarray:
-    """Central-difference gradient of a scalar objective over angles.
-
-    Raises:
-        ValueError: if the objective returns a non-finite value at any
-            probe point.
-    """
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for k in range(theta.size):
-        probe = theta.copy()
-        probe[k] = theta[k] + cfg.step
-        up = float(f(probe))
-        probe[k] = theta[k] - cfg.step
-        down = float(f(probe))
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise ValueError(f"objective non-finite near coordinate {k}")
-        grad[k] = (up - down) / (2.0 * cfg.step)
-    return grad
 
 
 @dataclass(frozen=True)
@@ -250,19 +233,23 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
 def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int, fd_step: float):
     # d beta_Q/d nA_a = C sum_b alpha_ab nB_b and d beta_Q/d nB_b = C^T sum_a alpha_ab nA_a;
     # chained to the angles and scaled by sin(h)/h, the central difference at step h.
-    cmat = np.asarray(c, dtype=float).reshape(3, 3)
+    # c holds one correlator row per batch row, or one row that every row shares.
+    cmats = np.asarray(c, dtype=float).reshape(-1, 3, 3)
+    cmats_t = cmats.swapaxes(-1, -2)
     alpha_mat = np.asarray(alpha_mat, dtype=float)
     scale = np.sin(fd_step) / fd_step
 
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
+        if len(cmats) not in (1, n):
+            raise ValueError(f"{len(cmats)} correlator rows for a batch of {n}")
         bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
         # contiguous, as quantum_value_from_data's, so each row's value has the same bits
         na, nb = np.ascontiguousarray(bloch[:, :m1]), np.ascontiguousarray(bloch[:, m1:])
-        g = np.concatenate([alpha_mat @ nb @ cmat.T, alpha_mat.T @ na @ cmat], axis=1)
+        g = np.concatenate([alpha_mat @ nb @ cmats_t, alpha_mat.T @ na @ cmats], axis=1)
         grad = scale * (dbloch @ g[..., None]).reshape(n, -1)
         grad[~np.isfinite(grad)] = 0.0
-        return _quantum_values(na, nb, cmat, alpha_mat), None, grad
+        return _quantum_values(na, nb, cmats, alpha_mat), None, grad
 
     return objective
 
@@ -342,13 +329,15 @@ def value_objective(
 ) -> Objective:
     """Descent of c . T(theta) . alpha at fixed inequality coefficients.
 
-    Its gradient is the closed form of the central difference at fd_cfg's
-    step h: sin(h)/h times the analytic derivative, since the value is linear
-    in each Bloch vector.
+    c is one correlator vector (9,) that every batch row uses, or a stack
+    (k, 9) with one vector per row of a k-row batch; a row's result depends
+    only on its own vector. The gradient is the closed form of the central
+    difference at fd_cfg's step h: sin(h)/h times the analytic derivative,
+    since the value is linear in each Bloch vector.
     """
     c = np.asarray(c, dtype=float)
-    if c.shape != (9,):
-        raise ValueError(f"correlator vector must have shape (9,), got {c.shape}")
+    if not (c.shape == (9,) or (c.ndim == 2 and c.shape[1] == 9)):
+        raise ValueError(f"correlators must have shape (9,) or (k, 9), got {c.shape}")
     sc = alpha.scenario
     evaluate = _make_qv_objective(alpha.alpha, c, sc.m1, sc.m2, fd_cfg.step)
     return Objective(sc, False, evaluate, alpha=alpha)
@@ -412,6 +401,36 @@ def run_search(
             )
         )
     return RestartOutcome(best=runs[best_index], runs=tuple(runs), best_index=best_index)
+
+
+def sweep_minima(
+    alpha: BellCoeffs,
+    cs,
+    starts: np.ndarray,
+    cfg: OptimizerConfig | None = None,
+    fd_cfg: FiniteDiffConfig = DEFAULT_FD,
+) -> np.ndarray:
+    """Lowest quantum value of alpha for each correlator vector in cs (p, 9).
+
+    Every point runs every row of starts. The points' starts are stacked into
+    one lockstep batch, each row with its point's correlators, and a point's
+    optimum is the least of its own rows' values: what run_search finds for
+    that point alone. The sweep runs in chunks of consecutive points whose
+    history stays within MAX_HISTORY_ENTRIES; a single point beyond it is
+    refused as run_search refuses it.
+    """
+    cs = np.asarray(cs, dtype=float)
+    starts = np.asarray(starts, dtype=float)
+    cfg = cfg or DEFAULT_DESCENT
+    k = len(starts)
+    chunk = max(1, MAX_HISTORY_ENTRIES // (max(k, 1) * (cfg.max_steps + 1)))
+    minima = np.empty(len(cs))
+    for i in range(0, len(cs), chunk):
+        part = cs[i : i + chunk]
+        objective = value_objective(alpha, np.repeat(part, k, axis=0), fd_cfg)
+        runs = run_search(objective, np.tile(starts, (len(part), 1)), cfg).runs
+        minima[i : i + len(part)] = np.reshape([r.value for r in runs], (len(part), k)).min(axis=1)
+    return minima
 
 
 # ---------------------------------------------------------------------------

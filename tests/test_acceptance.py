@@ -54,10 +54,9 @@ from bellbounce.optimize import (
     OptimizerConfig,
     bounce_loop,
     bound_objective,
-    finite_diff_gradient,
     random_starts,
     run_search,
-    value_objective,
+    sweep_minima,
 )
 from bellbounce.pauli import (
     check_state,
@@ -73,6 +72,7 @@ from bellbounce.presets import (
     two_chsh_coeffs,
     two_chsh_settings,
 )
+from finite_diff import finite_diff_gradient
 
 RESTARTS = 32
 SEED = 0
@@ -206,11 +206,8 @@ def test_criterion_09_noise_sweep():
     cfg = OptimizerConfig(learning_rate=0.01, max_steps=2000)
     theta0 = ms0.to_vector()
     starts = np.vstack([theta0, random_starts(theta0.size, 4, 1)])
-    optimized = []
-    for p in grid:
-        c = correlator_vector(prepare_noisy_singlet(NoiseModel(float(p))))
-        optimized.append(run_search(value_objective(bc, c), starts, cfg).best.value)
-    optimized = np.array(optimized)
+    cs = [correlator_vector(prepare_noisy_singlet(NoiseModel(float(p)))) for p in grid]
+    optimized = sweep_minima(bc, cs, starts, cfg)
     assert np.all(np.diff(original) >= 0.0)
     assert np.all(np.diff(optimized) >= -1e-9)
     assert np.all(optimized <= original + 1e-9)

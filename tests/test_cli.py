@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from bellbounce import optimize
 from bellbounce.cli import main
 from bellbounce.noise import NoiseModel, prepare_noisy_singlet
+from bellbounce.optimize import run_search
 from bellbounce.pauli import correlator_vector
 
 CERT_SHA = "402455be3535bd7f61760cb7e0ccf0679b0cd281b97936dde814e90d1f348443"
@@ -69,6 +71,24 @@ def test_validation_exit_codes(capsys, tmp_path):
         assert main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert not out.exists()
+    # a negative seed is refused at the option, by every subcommand that takes one,
+    # even where no random start is drawn
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"bounce": {"seed": -1}}')
+    for i, argv in enumerate((
+        ["classical-bound", "--gisin-delta", "2", "--seed", "-1"],
+        ["ham2ineq", "--preset", "H_G", "--steps", "5", "--seed", "-1"],
+        ["ineq2ham", "--restarts", "0", "--steps", "5", "--seed", "-1"],
+        ["bounce", "--steps", "5", "--seed", "-1"],
+        ["lattice", "--seed", "-1"],
+        ["bounce", "--steps", "5", "--config", str(cfg)],
+    )):
+        out = tmp_path / f"seed{i}"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert ("--seed" if "--seed" in argv else "'seed'") in captured.err
         assert not out.exists()
     for flag in ("--lr", "--fd-step"):
         assert main(["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5",
@@ -175,6 +195,32 @@ def test_ineq2ham_zero_data(capsys, tmp_path):
     assert row[0] is None
     assert row[1] == 0 and row[2] == 0  # zero data: original and optimized both 0
     assert row[3] == -8
+
+
+def test_ineq2ham_chunked_sweep_is_byte_identical(capsys, tmp_path, monkeypatch):
+    # 5 points x 3 starts x 31 entries: a guard of 2 points' history splits the
+    # sweep into 3 searches, and a guard below one point's history refuses it
+    argv = ["ineq2ham", "--p-grid", "0:0.004:0.001", "--restarts", "2", "--steps", "30"]
+    assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
+    whole = capsys.readouterr()
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(len(args[1]))
+        return run_search(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "run_search", counted)
+    monkeypatch.setattr(optimize, "MAX_HISTORY_ENTRIES", 2 * 3 * 31)
+    assert main([*argv, "--out", str(tmp_path / "chunked")]) == 0
+    assert searches == [6, 6, 3]
+    assert capsys.readouterr() == whole
+    for name in ("ineq2ham_rows.csv", "ineq2ham_summary.json"):
+        assert (tmp_path / "chunked" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    monkeypatch.setattr(optimize, "MAX_HISTORY_ENTRIES", 3 * 31 - 1)
+    assert main([*argv, "--out", str(tmp_path / "refused")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: search history too large")
+    assert len(captured.err.splitlines()) == 1 and not (tmp_path / "refused").exists()
 
 
 def test_ineq2ham_small_grid(capsys, tmp_path):

@@ -19,7 +19,6 @@ from bellbounce.optimize import (
     adam_step,
     bounce_loop,
     bound_objective,
-    finite_diff_gradient,
     random_starts,
     run_search,
     value_objective,
@@ -31,6 +30,7 @@ from bellbounce.presets import (
     tetrahedron_axes_settings,
 )
 from bellbounce.pauli import pauli_coeffs_from_operator
+from finite_diff import finite_diff_gradient
 
 H_HG = pauli_coeffs_from_operator(hamiltonian_hg())
 FAST = OptimizerConfig(learning_rate=0.02, max_steps=120)
@@ -188,6 +188,14 @@ def test_harness_determinism_and_seeding(objective, canonical, cfg):
         solo = run_search(objective, row[None, :], cfg).best
         assert solo.value == run.value
         assert np.array_equal(solo.settings.to_vector(), run.settings.to_vector())
+    if not objective.maximize:
+        # so does a row with its own correlators in a batch whose rows' differ
+        cs = singlet_correlators() * np.linspace(0.7, 1.0, len(starts))[:, None]
+        stacked = run_search(value_objective(objective.alpha, cs), starts, cfg)
+        for row, c, run in zip(starts, cs, stacked.runs):
+            solo = run_search(value_objective(objective.alpha, c), row[None, :], cfg).best
+            assert solo.value == run.value
+            assert np.array_equal(solo.settings.to_vector(), run.settings.to_vector())
     # random start i depends only on (seed, i), not on how many are drawn
     assert np.array_equal(random_starts(objective.dim, 1, seed=9), starts[1:2])
     different = run_search(objective, random_starts(objective.dim, 1, seed=10), cfg).best
@@ -228,6 +236,21 @@ def test_value_rows_match_single_point_and_data_value(m1, m2):
         assert values[i] == evaluate(thetas[i : i + 1])[0][0]
         t = build_transfer_matrix(MeasurementSettings.from_vector(m1, m2, theta))
         assert values[i] == quantum_value_from_data(c, t, bc)
+
+
+def test_value_objective_correlator_shapes():
+    bc, c = gisin_variant(2.0), singlet_correlators()
+    thetas = np.stack([_random_settings(np.random.default_rng(59), 4, 3).to_vector()] * 3)
+    shared = value_objective(bc, c).evaluate(thetas)
+    # one row that every batch row shares, or one row per batch row
+    for stack in (c[None, :], np.stack([c] * 3)):
+        got = value_objective(bc, stack).evaluate(thetas)
+        assert np.array_equal(got[0], shared[0]) and np.array_equal(got[2], shared[2])
+    for bad in (c.reshape(3, 3), c[:8], np.zeros((2, 3, 9))):
+        with pytest.raises(ValueError, match="shape"):
+            value_objective(bc, bad)
+    with pytest.raises(ValueError, match="2 correlator rows for a batch of 3"):
+        value_objective(bc, np.stack([c, c])).evaluate(thetas)
 
 
 def test_value_objective_evaluates_the_factory_closure(monkeypatch):

@@ -96,16 +96,23 @@ def _sign_patterns(m: int) -> np.ndarray:
     return (2 * bits - 1).astype(float)
 
 
+def _check_batch_budget(n: int, per_matrix: int, what: str, *args):
+    # Refuses n matrices' worth of per_matrix entries, described by what.format(*args)
+    # (formatted only then), beyond the entries of one ENUMERATION_MAX_SIDE-square enumeration.
+    if n * per_matrix > ENUMERATION_MAX_SIDE * 2**ENUMERATION_MAX_SIDE:
+        raise ValueError(
+            f"too large to enumerate: {n} x {what.format(*args)} exceed "
+            f"{ENUMERATION_MAX_SIDE} x 2^{ENUMERATION_MAX_SIDE}"
+        )
+
+
 def _enumerate_side(amats: np.ndarray):
     # The smaller side's sign patterns for a batch (n, m1, m2), their products
     # (rows (n, m1, K) or columns (n, K, m2)) and each one's value -sum|products|.
     # The batch is folded into one matrix product.
     n, m1, m2 = amats.shape
-    if n * max(m1, m2) * 2 ** min(m1, m2) > ENUMERATION_MAX_SIDE * 2**ENUMERATION_MAX_SIDE:
-        raise ValueError(
-            f"too large to enumerate: {n} x {max(m1, m2)} x 2^{min(m1, m2)} products exceed "
-            f"{ENUMERATION_MAX_SIDE} x 2^{ENUMERATION_MAX_SIDE}"
-        )
+    big, small = max(m1, m2), min(m1, m2)
+    _check_batch_budget(n, big * 2**small, "{} x 2^{} products", big, small)
     if m2 <= m1:
         patterns = _sign_patterns(m2)
         rows = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)

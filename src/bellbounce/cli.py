@@ -61,9 +61,9 @@ from .noise import (
 from .optimize import (
     DEFAULT_ASCENT,
     DEFAULT_DESCENT,
-    FiniteDiffConfig,
     NoFeasiblePointError,
     OptimizerConfig,
+    _check_bound_batch,
     bounce_loop,
     bound_objective,
     random_starts,
@@ -89,7 +89,6 @@ _OPTIONS = {
     "restarts": (int, {}),
     "steps": (int, {}),
     "lr": (float, {}),
-    "fd_step": (float, {}),
     "noise_placement": (str, {"choices": PLACEMENTS}),
     "gisin_delta": (float, {}),
     "alpha": (str, {"help": "inline coefficients"}),
@@ -114,7 +113,7 @@ _COMMANDS = {
     "classical-bound": (
         "exact deterministic bound",
         {"gisin_delta": None, "alpha": None, "alpha_file": None, "m1": None, "m2": None,
-         "seed": 0, "out": None},
+         "out": None},
     ),
     "ham2ineq": (
         "operator to maximal-bound inequality",
@@ -125,18 +124,18 @@ _COMMANDS = {
         "inequality to minimal quantum value",
         {"gisin_delta": None, "alpha_file": None, "p_grid": "0:0.014:0.001", "data_file": None,
          "noise_placement": PLACEMENT_AFTER_EACH_GATE, "restarts": 4, "steps": 2_000,
-         "lr": None, "fd_step": 1e-4, "seed": 0, "out": "."},
+         "lr": None, "seed": 0, "out": "."},
     ),
     "bounce": (
         "alternate the two optimizations",
         {"gisin_delta": None, "alpha_file": None, "preset": None, "h": None, "p": 0.010,
          "data_file": None, "noise_placement": PLACEMENT_AFTER_EACH_GATE, "max_loops": 10,
-         "gap_tol": 1e-6, "steps": 10_000, "lr": None, "fd_step": 1e-4, "seed": 0, "out": "."},
+         "gap_tol": 1e-6, "steps": 10_000, "lr": None, "seed": 0, "out": "."},
     ),
     "lattice": (
         "lattice-scale bounds",
         {"file": None, "epsilon": None, "gisin_delta": None, "alpha_file": None,
-         "improved_bound": (), "seed": 0, "out": None},
+         "improved_bound": (), "out": None},
     ),
 }
 
@@ -148,7 +147,6 @@ def _provenance(cfg: dict) -> dict:
         "noise_placement": cfg.get("noise_placement"),
         "residual_rtol": RESIDUAL_RTOL,
         "rank_rcond": RANK_RCOND,
-        "fd_step": cfg.get("fd_step"),
     }
 
 
@@ -271,6 +269,7 @@ def _cmd_ham2ineq(cfg: dict):
     scenario = Scenario(cfg["m1"], cfg["m2"])
     opt_cfg = _search_cfg(DEFAULT_ASCENT, cfg)
     objective = bound_objective(h, scenario)
+    _check_bound_batch(cfg["restarts"], scenario.m1, scenario.m2)
     starts = random_starts(objective.dim, cfg["restarts"], cfg["seed"])
     outcome = run_search(objective, starts, opt_cfg)
     best = outcome.best
@@ -308,8 +307,9 @@ def _parse_p_grid(text: str) -> np.ndarray:
         raise ValueError(f"p grid entries must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"bad p grid {text!r}")
-    # clamped first: the quotient is inf for a tiny enough step
-    n = round(min((stop - start) / step, MAX_P_GRID_POINTS))
+    # clamped first: the quotient is inf for a tiny enough step; the tolerance keeps
+    # a stop the steps reach up to rounding (14 steps for 0:0.014:0.001)
+    n = int(np.floor(min((stop - start) / step, MAX_P_GRID_POINTS) + 1e-9))
     if n + 1 > MAX_P_GRID_POINTS:
         raise ValueError(f"p grid {text!r} has more than {MAX_P_GRID_POINTS} points")
     return start + step * np.arange(n + 1)
@@ -323,7 +323,6 @@ def _cmd_ineq2ham(cfg: dict):
     t0 = build_transfer_matrix(ms0)
     beta_c = classical_bound(bc)[0]
     opt_cfg = _search_cfg(DEFAULT_DESCENT, cfg)
-    fd_cfg = FiniteDiffConfig(step=cfg["fd_step"])
     theta0 = ms0.to_vector()
     # every point runs these starts; the canonical start is row 0, so it wins ties
     starts = np.vstack([theta0, random_starts(theta0.size, cfg["restarts"], cfg["seed"])])
@@ -336,7 +335,7 @@ def _cmd_ineq2ham(cfg: dict):
             (float(p), correlator_vector(prepare_noisy_singlet(NoiseModel(float(p), placement))))
             for p in grid
         ]
-    minima = sweep_minima(bc, [c for _, c in sources], starts, opt_cfg, fd_cfg)
+    minima = sweep_minima(bc, [c for _, c in sources], starts, opt_cfg)
     rows = []
     for (p, c), best in zip(sources, minima.tolist()):
         original = quantum_value_from_data(c, t0, bc)
@@ -379,7 +378,6 @@ def _cmd_bounce(cfg: dict):
         c,
         min_cfg=_search_cfg(DEFAULT_DESCENT, cfg),
         max_cfg=_search_cfg(DEFAULT_ASCENT, cfg),
-        fd_cfg=FiniteDiffConfig(step=cfg["fd_step"]),
         gap_tol=cfg["gap_tol"],
         max_loops=cfg["max_loops"],
     )

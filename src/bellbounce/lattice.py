@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 EDGE_COLORS = ("red", "green", "blue", "other")
+# A lattice run holds about 320 B of Python lists per vertex (2^20 peaked at 348 MB); a
+# short header may declare any count, so it is capped at 228x the largest benchmark patch.
+MAX_LATTICE_VERTICES = 2**20
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,8 @@ class LatticeSpec:
     edges: tuple[tuple[int, int, float, str], ...]
 
     def __post_init__(self):
-        if self.vertices < 1:
-            raise ValueError("lattice needs at least one vertex")
+        if not 1 <= self.vertices <= MAX_LATTICE_VERTICES:
+            raise ValueError(f"vertex count {self.vertices} outside [1, {MAX_LATTICE_VERTICES}]")
         edges = []
         for e in self.edges:
             u, v, coupling, color = int(e[0]), int(e[1]), float(e[2]), str(e[3])

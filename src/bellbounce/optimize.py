@@ -10,10 +10,9 @@ NA^T alpha NB = H on the Kronecker factors of T with mapping's batch kernels,
 and its gradient is analytic: the bound is a minimum over strategies, so the
 winning strategy's correlators a* b*^T are its subgradient in alpha, chained
 through the derivative of the factors' pseudo-inverses to the angles. The
-value objective is linear in each Bloch vector, so its gradient is the closed
-form of a central difference at the configured step: sin(h)/h times the
-analytic derivative, one point per restart per step. It takes one correlator
-vector c for the whole batch or one per row.
+value objective is linear in each Bloch vector, so its gradient is exact and
+analytic, one point per restart per step. It takes one correlator vector c for
+the whole batch or one per row.
 
 The classical bound is only piecewise smooth, so correctness rests on
 best-so-far tracking, not smooth convergence: the reported optimum is always
@@ -37,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bell import BellCoeffs, Scenario, _enumerate_side
+from .bell import BellCoeffs, Scenario, _check_batch_budget, _enumerate_side
 from .mapping import (
     MeasurementSettings,
     _inverts_factors,
@@ -54,7 +53,6 @@ from .pauli import _bloch_batch
 
 __all__ = [
     "OptimizerConfig",
-    "FiniteDiffConfig",
     "AdamState",
     "Objective",
     "OptimizeResult",
@@ -72,7 +70,6 @@ __all__ = [
     "bounce_loop",
     "DEFAULT_ASCENT",
     "DEFAULT_DESCENT",
-    "DEFAULT_FD",
 ]
 
 
@@ -89,7 +86,8 @@ ADAM_EPSILON = 1e-8
 # floats; it refuses batches beyond 2^25 of them (256 MiB), about 100x the
 # paper's largest search (32 restarts x 10,001 steps), and sweep_minima chunks
 # its points x starts rows to stay under it. random_starts draws at
-# most 2^16 starts, 2,048x the paper's 32, so the per-start arrays stay small.
+# most 2^16 starts, 2,048x the paper's 32, and sweep_minima runs at most that many
+# rows per chunk (about 2 KB of step temporaries each), so the per-row arrays stay small.
 MAX_HISTORY_ENTRIES = 2**25
 MAX_RANDOM_STARTS = 2**16
 
@@ -106,19 +104,9 @@ class OptimizerConfig:
             raise ValueError("step budget must be positive")
 
 
-@dataclass(frozen=True)
-class FiniteDiffConfig:
-    step: float = 1e-4
-
-    def __post_init__(self):
-        if not (self.step > 0 and np.isfinite(self.step)):
-            raise ValueError("finite-difference step must be positive and finite")
-
-
 # Ascent on the classical bound / descent on the quantum value.
 DEFAULT_ASCENT = OptimizerConfig(learning_rate=0.02)
 DEFAULT_DESCENT = OptimizerConfig(learning_rate=0.01)
-DEFAULT_FD = FiniteDiffConfig()
 
 
 @dataclass(frozen=True)
@@ -205,6 +193,14 @@ def _factor_gradients(na, nb, alpha, pa, pbt, hmat, g):
     return ga, gb
 
 
+def _check_bound_batch(n: int, m1: int, m2: int):
+    # A bound-objective step over n rows enumerates n * m * 2^min(m1, m2) products and forms
+    # n (m, m) gradient temporaries (alpha G^T), m = max(m1, m2): both within one budget.
+    m, k = max(m1, m2), min(m1, m2)
+    _check_batch_budget(n, m * 2**k, "{} x 2^{} products", m, k)
+    _check_batch_budget(n, m * m, "{} x {} gradient entries", m, m)
+
+
 def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
     hmat = h.reshape(3, 3)
     gate = _residual_gate(h)
@@ -212,6 +208,7 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
 
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
+        _check_bound_batch(n, m1, m2)
         bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
         na, nb = bloch[:, :m1], bloch[:, m1:]
         with np.errstate(all="ignore"):
@@ -230,14 +227,13 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
     return objective
 
 
-def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int, fd_step: float):
-    # d beta_Q/d nA_a = C sum_b alpha_ab nB_b and d beta_Q/d nB_b = C^T sum_a alpha_ab nA_a;
-    # chained to the angles and scaled by sin(h)/h, the central difference at step h.
+def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
+    # d beta_Q/d nA_a = C sum_b alpha_ab nB_b and d beta_Q/d nB_b = C^T sum_a alpha_ab nA_a,
+    # chained to the angles.
     # c holds one correlator row per batch row, or one row that every row shares.
     cmats = np.asarray(c, dtype=float).reshape(-1, 3, 3)
     cmats_t = cmats.swapaxes(-1, -2)
     alpha_mat = np.asarray(alpha_mat, dtype=float)
-    scale = np.sin(fd_step) / fd_step
 
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
@@ -247,7 +243,7 @@ def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int, f
         # contiguous, as quantum_value_from_data's, so each row's value has the same bits
         na, nb = np.ascontiguousarray(bloch[:, :m1]), np.ascontiguousarray(bloch[:, m1:])
         g = np.concatenate([alpha_mat @ nb @ cmats_t, alpha_mat.T @ na @ cmats], axis=1)
-        grad = scale * (dbloch @ g[..., None]).reshape(n, -1)
+        grad = (dbloch @ g[..., None]).reshape(n, -1)
         grad[~np.isfinite(grad)] = 0.0
         return _quantum_values(na, nb, cmats, alpha_mat), None, grad
 
@@ -324,22 +320,18 @@ def bound_objective(h, scenario: Scenario) -> Objective:
     return Objective(scenario, True, _make_bound_objective(h, scenario.m1, scenario.m2))
 
 
-def value_objective(
-    alpha: BellCoeffs, c, fd_cfg: FiniteDiffConfig = DEFAULT_FD
-) -> Objective:
+def value_objective(alpha: BellCoeffs, c) -> Objective:
     """Descent of c . T(theta) . alpha at fixed inequality coefficients.
 
     c is one correlator vector (9,) that every batch row uses, or a stack
     (k, 9) with one vector per row of a k-row batch; a row's result depends
-    only on its own vector. The gradient is the closed form of the central
-    difference at fd_cfg's step h: sin(h)/h times the analytic derivative,
-    since the value is linear in each Bloch vector.
+    only on its own vector. The gradient is the exact analytic derivative.
     """
     c = np.asarray(c, dtype=float)
     if not (c.shape == (9,) or (c.ndim == 2 and c.shape[1] == 9)):
         raise ValueError(f"correlators must have shape (9,) or (k, 9), got {c.shape}")
     sc = alpha.scenario
-    evaluate = _make_qv_objective(alpha.alpha, c, sc.m1, sc.m2, fd_cfg.step)
+    evaluate = _make_qv_objective(alpha.alpha, c, sc.m1, sc.m2)
     return Objective(sc, False, evaluate, alpha=alpha)
 
 
@@ -408,7 +400,6 @@ def sweep_minima(
     cs,
     starts: np.ndarray,
     cfg: OptimizerConfig | None = None,
-    fd_cfg: FiniteDiffConfig = DEFAULT_FD,
 ) -> np.ndarray:
     """Lowest quantum value of alpha for each correlator vector in cs (p, 9).
 
@@ -416,18 +407,19 @@ def sweep_minima(
     one lockstep batch, each row with its point's correlators, and a point's
     optimum is the least of its own rows' values: what run_search finds for
     that point alone. The sweep runs in chunks of consecutive points whose
-    history stays within MAX_HISTORY_ENTRIES; a single point beyond it is
-    refused as run_search refuses it.
+    history stays within MAX_HISTORY_ENTRIES and whose rows number at most
+    MAX_RANDOM_STARTS, or one point's; a single point beyond the history
+    bound is refused as run_search refuses it.
     """
     cs = np.asarray(cs, dtype=float)
     starts = np.asarray(starts, dtype=float)
     cfg = cfg or DEFAULT_DESCENT
     k = len(starts)
-    chunk = max(1, MAX_HISTORY_ENTRIES // (max(k, 1) * (cfg.max_steps + 1)))
+    chunk = max(1, min(MAX_HISTORY_ENTRIES // (cfg.max_steps + 1), MAX_RANDOM_STARTS) // max(k, 1))
     minima = np.empty(len(cs))
     for i in range(0, len(cs), chunk):
         part = cs[i : i + chunk]
-        objective = value_objective(alpha, np.repeat(part, k, axis=0), fd_cfg)
+        objective = value_objective(alpha, np.repeat(part, k, axis=0))
         runs = run_search(objective, np.tile(starts, (len(part), 1)), cfg).runs
         minima[i : i + len(part)] = np.reshape([r.value for r in runs], (len(part), k)).min(axis=1)
     return minima
@@ -467,7 +459,6 @@ def bounce_loop(
     *,
     min_cfg: OptimizerConfig | None = None,
     max_cfg: OptimizerConfig | None = None,
-    fd_cfg: FiniteDiffConfig = DEFAULT_FD,
     gap_tol: float = 1e-6,
     max_loops: int = 10,
 ) -> BounceResult:
@@ -479,7 +470,6 @@ def bounce_loop(
             vector (an inequality is first solved for at ms0 by solve_alpha).
         ms0: initial measurement settings.
         c: measured Pauli correlator vector driving the quantum value.
-        fd_cfg: finite-difference step of the quantum-value descent.
         gap_tol: stop once a full loop improves the gap beta_Q - beta_C by
             less than this; must be finite and non-negative.
         max_loops: hard loop budget; must be positive.
@@ -514,7 +504,7 @@ def bounce_loop(
     converged = False
     for _ in range(max_loops):
         theta = ms.to_vector()[None, :]
-        res_min = run_search(value_objective(alpha, c, fd_cfg), theta, min_cfg).best
+        res_min = run_search(value_objective(alpha, c), theta, min_cfg).best
         ms = res_min.settings
         beta_q = res_min.value
         records.append(

@@ -2,10 +2,8 @@
 
 import numpy as np
 
-from bellbounce.optimize import DEFAULT_FD, FiniteDiffConfig
 
-
-def finite_diff_gradient(f, theta, cfg: FiniteDiffConfig = DEFAULT_FD) -> np.ndarray:
+def finite_diff_gradient(f, theta, step: float = 1e-4) -> np.ndarray:
     """Central-difference gradient of a scalar objective over angles.
 
     Raises:
@@ -16,11 +14,11 @@ def finite_diff_gradient(f, theta, cfg: FiniteDiffConfig = DEFAULT_FD) -> np.nda
     grad = np.empty_like(theta)
     for k in range(theta.size):
         probe = theta.copy()
-        probe[k] = theta[k] + cfg.step
+        probe[k] = theta[k] + step
         up = float(f(probe))
-        probe[k] = theta[k] - cfg.step
+        probe[k] = theta[k] - step
         down = float(f(probe))
         if not (np.isfinite(up) and np.isfinite(down)):
             raise ValueError(f"objective non-finite near coordinate {k}")
-        grad[k] = (up - down) / (2.0 * cfg.step)
+        grad[k] = (up - down) / (2.0 * step)
     return grad

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from bellbounce import optimize
+from bellbounce import cli, optimize
 from bellbounce.cli import main
 from bellbounce.noise import NoiseModel, prepare_noisy_singlet
 from bellbounce.optimize import run_search
@@ -47,6 +47,14 @@ def test_validation_exit_codes(capsys, tmp_path):
         assert main(["ineq2ham", "--p-grid", grid, "--steps", "5", "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: p grid entries must be finite, got {grid!r}\n"
+    # a 20-byte lattice header may declare more vertices than a run can hold
+    huge = tmp_path / "huge.lattice"
+    huge.write_text("vertices 1000000000\n0 1 1.0 red\n")
+    assert main(["lattice", "--file", str(huge), "--out", str(tmp_path / "lat")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex count 1000000000 outside [1, 1048576]\n"
+    assert not (tmp_path / "lat").exists()
     # the kernel follows the shape; there is no flag to choose it
     assert main(["ham2ineq", "--preset", "H_G", "--m1", "4", "--m2", "4",
                  "--solve-mode", "unique", "--out", str(tmp_path)]) == 2
@@ -72,8 +80,8 @@ def test_validation_exit_codes(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert not out.exists()
-    # a negative seed is refused at the option, by every subcommand that takes one,
-    # even where no random start is drawn
+    # a negative seed is refused at the option by every subcommand that takes one;
+    # classical-bound and lattice draw nothing at random and refuse the flag itself
     cfg = tmp_path / "seed.json"
     cfg.write_text('{"bounce": {"seed": -1}}')
     for i, argv in enumerate((
@@ -90,15 +98,28 @@ def test_validation_exit_codes(capsys, tmp_path):
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert ("--seed" if "--seed" in argv else "'seed'") in captured.err
         assert not out.exists()
-    for flag in ("--lr", "--fd-step"):
-        assert main(["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5",
-                     flag, "nan", "--out", str(tmp_path)]) == 2
+    assert main(["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5",
+                 "--lr", "nan", "--out", str(tmp_path)]) == 2
     # a common flag the subcommand does not take is refused, not ignored
     assert main(["classical-bound", "--gisin-delta", "2", "--lr", "0.1"]) == 2
     assert main(["lattice", "--steps", "5"]) == 2
-    assert main(["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5",
-                 "--fd-step", "1e-4", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == "error: ham2ineq does not take --fd-step"
+    capsys.readouterr()
+    for argv in (
+        ["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "5", "--fd-step", "1e-4"],
+        ["ineq2ham", "--restarts", "0", "--steps", "5", "--fd-step", "1e-4"],
+        ["bounce", "--steps", "5", "--fd-step", "1e-4"],
+        ["classical-bound", "--gisin-delta", "2", "--seed", "0"],
+        ["lattice", "--seed", "0"],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "taken")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[0]} does not take {argv[-2]}\n"
+        assert not (tmp_path / "taken").exists()
+    cfg = tmp_path / "fd.json"
+    cfg.write_text('{"ineq2ham": {"fd_step": 1e-4}}')
+    assert main(["ineq2ham", "--config", str(cfg), "--steps", "5"]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys for ineq2ham: ['fd_step']\n"
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"classical-bound": {"bogus": 1}}')
     assert main(["classical-bound", "--config", str(cfg)]) == 2
@@ -198,8 +219,9 @@ def test_ineq2ham_zero_data(capsys, tmp_path):
 
 
 def test_ineq2ham_chunked_sweep_is_byte_identical(capsys, tmp_path, monkeypatch):
-    # 5 points x 3 starts x 31 entries: a guard of 2 points' history splits the
-    # sweep into 3 searches, and a guard below one point's history refuses it
+    # 5 points x 3 starts x 31 entries: a guard of 2 points' history, or a cap of
+    # 7 rows, splits the sweep into 3 searches; a cap below one point's 3 rows runs
+    # each point alone, and a guard below one point's history refuses it
     argv = ["ineq2ham", "--p-grid", "0:0.004:0.001", "--restarts", "2", "--steps", "30"]
     assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
     whole = capsys.readouterr()
@@ -210,17 +232,49 @@ def test_ineq2ham_chunked_sweep_is_byte_identical(capsys, tmp_path, monkeypatch)
         return run_search(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "run_search", counted)
-    monkeypatch.setattr(optimize, "MAX_HISTORY_ENTRIES", 2 * 3 * 31)
-    assert main([*argv, "--out", str(tmp_path / "chunked")]) == 0
-    assert searches == [6, 6, 3]
-    assert capsys.readouterr() == whole
-    for name in ("ineq2ham_rows.csv", "ineq2ham_summary.json"):
-        assert (tmp_path / "chunked" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    for key, value, batches in (("MAX_HISTORY_ENTRIES", 2 * 3 * 31, [6, 6, 3]),
+                                ("MAX_RANDOM_STARTS", 7, [6, 6, 3]),
+                                ("MAX_RANDOM_STARTS", 2, [3] * 5)):
+        with monkeypatch.context() as patched:
+            patched.setattr(optimize, key, value)
+            searches.clear()
+            assert main([*argv, "--out", str(tmp_path / "chunked")]) == 0
+        assert searches == batches
+        assert capsys.readouterr() == whole
+        for name in ("ineq2ham_rows.csv", "ineq2ham_summary.json"):
+            chunked = (tmp_path / "chunked" / name).read_bytes()
+            assert chunked == (tmp_path / "whole" / name).read_bytes()
     monkeypatch.setattr(optimize, "MAX_HISTORY_ENTRIES", 3 * 31 - 1)
     assert main([*argv, "--out", str(tmp_path / "refused")]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: search history too large")
     assert len(captured.err.splitlines()) == 1 and not (tmp_path / "refused").exists()
+
+
+def test_p_grid_stays_inside_its_stop():
+    # a step that overshoots stop ends before it; a stop the steps reach up to
+    # rounding is kept, as in the paper's 15-point grid
+    assert cli._parse_p_grid("0:0.014:0.004").tolist() == [0.0, 0.004, 0.008, 0.012]
+    assert cli._parse_p_grid("0:0.012:0.004").tolist() == [0.0, 0.004, 0.008, 0.012]
+    assert cli._parse_p_grid("0:0.014:0.001").tolist() == (0.001 * np.arange(15)).tolist()
+    assert cli._parse_p_grid("0.01:0.01:0.001").tolist() == [0.01]
+
+
+def test_bound_search_beyond_budget_refused_before_any_start(capsys, tmp_path, monkeypatch):
+    # 32 starts at 25000x3 pass the enumeration budget (6.4e6 products) but would
+    # form 2e10 gradient entries; at 100000x3 the products exceed it too
+    def no_starts(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(cli, "random_starts", no_starts)
+    for m1, what in ((25000, "25000 x 25000 gradient entries"), (100000, "100000 x 2^3 products")):
+        out = tmp_path / str(m1)
+        argv = ["ham2ineq", "--preset", "H_G", "--m1", str(m1), "--m2", "3", "--steps", "1"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: too large to enumerate: 32 x {what} exceed 20 x 2^20\n"
+        assert not out.exists()
 
 
 def test_ineq2ham_small_grid(capsys, tmp_path):
@@ -337,12 +391,13 @@ def test_config_values_parse_like_flags(capsys, tmp_path):
 def test_help_lists_each_subcommands_options(capsys):
     expected = {
         "classical-bound": {"--gisin-delta", "--alpha", "--alpha-file", "--m1", "--m2"},
-        "ham2ineq": {"--preset", "--h", "--m1", "--m2", "--restarts", "--steps", "--lr"},
+        "ham2ineq": {"--preset", "--h", "--m1", "--m2", "--restarts", "--steps", "--lr",
+                     "--seed"},
         "ineq2ham": {"--gisin-delta", "--alpha-file", "--p-grid", "--data-file",
-                     "--noise-placement", "--restarts", "--steps", "--lr", "--fd-step"},
+                     "--noise-placement", "--restarts", "--steps", "--lr", "--seed"},
         "bounce": {"--gisin-delta", "--alpha-file", "--preset", "--h", "--p", "--data-file",
                    "--noise-placement", "--max-loops", "--gap-tol", "--steps", "--lr",
-                   "--fd-step"},
+                   "--seed"},
         "lattice": {"--file", "--epsilon", "--gisin-delta", "--alpha-file", "--improved-bound"},
     }
     for cmd, own in expected.items():
@@ -350,7 +405,7 @@ def test_help_lists_each_subcommands_options(capsys):
             main([cmd, "--help"])
         assert exc.value.code == 0
         listed = set(re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE))
-        assert listed == own | {"--config", "--seed", "--out"}, cmd
+        assert listed == own | {"--config", "--out"}, cmd
 
 
 def test_config_file_merge(capsys, tmp_path):

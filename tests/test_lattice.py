@@ -5,6 +5,7 @@ import pytest
 
 from bellbounce.bell import BellCoeffs, classical_bound, gisin_variant
 from bellbounce.lattice import (
+    MAX_LATTICE_VERTICES,
     HoneycombParams,
     LatticeSpec,
     bundled_lattice_path,
@@ -67,6 +68,11 @@ def test_parse_lattice_errors():
         parse_lattice("vertices 2\n0 1 1.0 purple\n")
     with pytest.raises(ValueError):
         parse_lattice("vertices 2\n1 1 1.0 red\n")  # self-loop
+    # a short header may declare more vertices than the bipartite check can hold
+    assert LatticeSpec(MAX_LATTICE_VERTICES, ()).vertices == 2**20
+    for count in (MAX_LATTICE_VERTICES + 1, 10**9):
+        with pytest.raises(ValueError, match=rf"count {count} outside \[1, 1048576\]"):
+            parse_lattice(f"vertices {count}\n0 1 1.0 red\n")
 
 
 def test_bipartite_check():

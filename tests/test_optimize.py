@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellbounce import optimize
+from bellbounce import bell, optimize
 from bellbounce.bell import BellCoeffs, Scenario, _enumerate_side, classical_bound, gisin_variant
 from bellbounce.mapping import (
     MeasurementSettings,
@@ -10,9 +10,7 @@ from bellbounce.mapping import (
     solve_alpha,
 )
 from bellbounce.optimize import (
-    DEFAULT_FD,
     AdamState,
-    FiniteDiffConfig,
     NoFeasiblePointError,
     OptimizerConfig,
     adam_init,
@@ -52,10 +50,6 @@ def test_config_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=bad)
-        with pytest.raises(ValueError):
-            FiniteDiffConfig(step=bad)
-    with pytest.raises(ValueError):
-        FiniteDiffConfig(step=0.0)
 
 
 def test_adam_step_reference():
@@ -92,7 +86,7 @@ def test_finite_diff_on_quadratics():
         a = rng.normal(size=(5, 5))
         a = a + a.T
         x0 = rng.normal(size=5)
-        grad = finite_diff_gradient(lambda x: x @ a @ x, x0, DEFAULT_FD)
+        grad = finite_diff_gradient(lambda x: x @ a @ x, x0)
         assert np.allclose(grad, 2 * a @ x0, atol=1e-5)
 
 
@@ -114,7 +108,6 @@ def test_bound_gradient_matches_finite_differences(m1, operator):
     rng = np.random.default_rng(54)
     h = {"H_G": H_HG, "elegant": ELEGANT_COEFFS, "random": rng.normal(size=9)}[operator]
     objective = bound_objective(h, Scenario(m1, 3))
-    fd = FiniteDiffConfig(step=1e-6)
     checked = 0
     for _ in range(40):
         theta = _random_settings(rng, m1, 3).to_vector()
@@ -122,7 +115,7 @@ def test_bound_gradient_matches_finite_differences(m1, operator):
         assert np.isfinite(values[0])  # generic settings are feasible
         if not _kink_free(alpha[0], m1, 3):
             continue
-        ref = finite_diff_gradient(lambda x: objective.evaluate(x[None])[0][0], theta, fd)
+        ref = finite_diff_gradient(lambda x: objective.evaluate(x[None])[0][0], theta, 1e-6)
         assert np.linalg.norm(grad[0] - ref) <= 1e-5 * np.linalg.norm(ref)
         checked += 1
     assert checked >= 30
@@ -269,6 +262,15 @@ def test_value_objective_evaluates_the_factory_closure(monkeypatch):
     values, payload, grad = objective.evaluate(thetas)
     assert values.shape == (5,) and payload is None and grad.shape == (5, objective.dim)
 
+
+
+def test_bound_objective_refuses_gradient_beyond_budget(monkeypatch):
+    # under a budget of 4 x 2^4 = 64 entries, a 9x2 row enumerates 9 x 2^2 = 36
+    # products but would form 9 x 9 = 81 gradient entries
+    monkeypatch.setattr(bell, "ENUMERATION_MAX_SIDE", 4)
+    objective = bound_objective(H_HG, Scenario(9, 2))
+    with pytest.raises(ValueError, match=r"1 x 9 x 9 gradient entries exceed 4 x 2\^4"):
+        objective.evaluate(np.zeros((1, objective.dim)))
 
 def test_value_task_matches_direct_call():
     bc = gisin_variant(2.0)

@@ -154,16 +154,26 @@ def _parse_numbers(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.replace(",", " ").split()])
 
 
-def _load_alpha_file(path) -> BellCoeffs:
+def _is_number_list(data) -> bool:
+    # A JSON list whose entries are numbers (not booleans or strings) or such lists.
+    return isinstance(data, list) and all(
+        _is_number_list(v) if isinstance(v, list) else type(v) in (int, float) for v in data
+    )
+
+
+def _load_number_file(path, what: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return BellCoeffs.from_matrix(np.asarray(data, dtype=float))
+        try:
+            data = json.load(fh)
+            if _is_number_list(data):
+                return np.asarray(data, dtype=float)
+        except (ValueError, OverflowError, RecursionError):
+            pass  # not JSON, nested too deep, ragged, or an integer beyond float range
+    raise ValueError(f"{what} {path} is not a rectangular JSON list of numbers")
 
 
 def _load_correlator_file(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    c = np.asarray(data, dtype=float)
+    c = _load_number_file(path, "correlator data file")
     if c.shape != (9,):
         raise ValueError(f"correlator data file must hold 9 numbers, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
@@ -194,7 +204,7 @@ def _resolve_alpha(cfg: dict, *, default_delta: float | None = None) -> BellCoef
             raise ValueError(f"alpha has {flat.size} entries, expected {m1 * m2}")
         return BellCoeffs(Scenario(m1, m2), flat.reshape(m1, m2))
     if cfg.get("alpha_file") is not None:
-        return _load_alpha_file(cfg["alpha_file"])
+        return BellCoeffs.from_matrix(_load_number_file(cfg["alpha_file"], "alpha file"))
     if default_delta is not None:
         return gisin_variant(default_delta)
     raise ValueError("no coefficients given: use --gisin-delta, --alpha, or --alpha-file")
@@ -271,12 +281,11 @@ def _cmd_ham2ineq(cfg: dict):
     objective = bound_objective(h, scenario)
     _check_bound_batch(cfg["restarts"], scenario.m1, scenario.m2)
     starts = random_starts(objective.dim, cfg["restarts"], cfg["seed"])
-    outcome = run_search(objective, starts, opt_cfg)
-    best = outcome.best
+    best = run_search(objective, starts, opt_cfg)
     t_best = build_transfer_matrix(best.settings)
     resid = residual_norm(t_best, best.alpha.alpha.ravel(), h)
     _print_kv("best classical bound", best.value)
-    _print_kv("winning restart", outcome.best_index)
+    _print_kv("winning restart", best.best_index)
     out = _out_dir(cfg)
     curve = [(step, v) for step, v in enumerate(best.history) if np.isfinite(v)]
     write_csv(out / "ham2ineq_curve.csv", ("step", "value"), curve)
@@ -290,7 +299,7 @@ def _cmd_ham2ineq(cfg: dict):
             "restarts": cfg["restarts"],
             "steps": cfg["steps"],
             "best_beta_c": best.value,
-            "winning_restart": outcome.best_index,
+            "winning_restart": best.best_index,
             "settings": best.settings.to_vector().tolist(),
             "alpha": best.alpha.alpha.tolist(),
             "residual": resid,

@@ -200,12 +200,17 @@ def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     """alpha = NA^-T H NB^-1 plus one refinement step, for batches of 3x3 factors.
 
     Returns (alpha, NA^-T, NB^-1), the same triple as _solve_min_norm_batch.
+    hmat is (3, 3) or (n, 3, 3); a row gets the same bits alone as in any batch.
     """
     try:
         ia = np.linalg.inv(na).swapaxes(-1, -2)
         ib = np.linalg.inv(nb)
     except np.linalg.LinAlgError:
-        # an exactly singular factor: minimum-norm rows, nan where T is rank-deficient
+        if len(na) > 1:  # an exactly singular factor: solve each row alone
+            hs = np.broadcast_to(hmat, (len(na), 3, 3))
+            rows = [_solve_unique_batch(a, b, h) for a, b, h in zip(na[:, None], nb[:, None], hs)]
+            return tuple(np.concatenate(parts) for parts in zip(*rows))
+        # an exactly singular factor: minimum-norm values, nan where T is rank-deficient
         alpha, pa, pbt = _solve_min_norm_batch(na, nb, hmat)
         alpha[_rank_deficient(na, nb)] = np.nan
         return alpha, pa, pbt

@@ -56,7 +56,6 @@ __all__ = [
     "AdamState",
     "Objective",
     "OptimizeResult",
-    "RestartOutcome",
     "BounceRecord",
     "BounceResult",
     "NoFeasiblePointError",
@@ -139,17 +138,16 @@ def adam_step(
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The winning row best_index (its solved alpha in a bound search, else None),
+    and every row's best value (n,) and angles (n, dim)."""
+
     settings: MeasurementSettings
     value: float
     alpha: BellCoeffs | None
     history: np.ndarray  # best-so-far objective, indexed by step
-
-
-@dataclass(frozen=True)
-class RestartOutcome:
-    best: OptimizeResult
-    runs: tuple[OptimizeResult, ...]
     best_index: int
+    values: np.ndarray
+    thetas: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +291,12 @@ class Objective:
     evaluate maps a batch of angle vectors (n, dim) to (values, payload,
     gradient): payload is the solved coefficient rows of a bound objective
     and None for a value objective; gradient (n, dim) is 0 where it is not
-    finite or the point is infeasible. alpha is the inequality a value
-    objective holds fixed.
+    finite or the point is infeasible.
     """
 
     scenario: Scenario
     maximize: bool
     evaluate: Callable
-    alpha: BellCoeffs | None = None
 
     @property
     def dim(self) -> int:
@@ -332,7 +328,7 @@ def value_objective(alpha: BellCoeffs, c) -> Objective:
         raise ValueError(f"correlators must have shape (9,) or (k, 9), got {c.shape}")
     sc = alpha.scenario
     evaluate = _make_qv_objective(alpha.alpha, c, sc.m1, sc.m2)
-    return Objective(sc, False, evaluate, alpha=alpha)
+    return Objective(sc, False, evaluate)
 
 
 def random_starts(dim: int, n: int, seed: int) -> np.ndarray:
@@ -354,7 +350,7 @@ def run_search(
     objective: Objective,
     theta0s: np.ndarray,
     cfg: OptimizerConfig | None = None,
-) -> RestartOutcome:
+) -> OptimizeResult:
     """Run the engine from every row of theta0s in one lockstep batch; keep the best.
 
     A row's result does not depend on the rest of the batch; ties go to the
@@ -375,24 +371,13 @@ def run_search(
             f"search history too large: {n} starts x {cfg.max_steps + 1} entries exceed "
             f"{MAX_HISTORY_ENTRIES}"
         )
-    best_value, best_theta, best_payload, history = _run_lockstep(objective, theta0s, cfg)
-    best_index = int(np.argmax(best_value) if objective.maximize else np.argmin(best_value))
-    if objective.maximize and not np.isfinite(best_value[best_index]):
+    values, thetas, payload, history = _run_lockstep(objective, theta0s, cfg)
+    i = int(np.argmax(values) if objective.maximize else np.argmin(values))
+    if objective.maximize and not np.isfinite(values[i]):
         raise NoFeasiblePointError("no start found a feasible point")
-    runs = []
-    for r in range(n):
-        alpha = objective.alpha
-        if objective.maximize and np.isfinite(best_value[r]):
-            alpha = BellCoeffs(sc, best_payload[r].reshape(sc.m1, sc.m2))
-        runs.append(
-            OptimizeResult(
-                settings=MeasurementSettings.from_vector(sc.m1, sc.m2, best_theta[r]),
-                value=float(best_value[r]),
-                alpha=alpha,
-                history=history[r],
-            )
-        )
-    return RestartOutcome(best=runs[best_index], runs=tuple(runs), best_index=best_index)
+    settings = MeasurementSettings.from_vector(sc.m1, sc.m2, thetas[i])
+    alpha = None if payload is None else BellCoeffs(sc, payload[i].reshape(sc.m1, sc.m2))
+    return OptimizeResult(settings, float(values[i]), alpha, history[i], i, values, thetas)
 
 
 def sweep_minima(
@@ -420,8 +405,8 @@ def sweep_minima(
     for i in range(0, len(cs), chunk):
         part = cs[i : i + chunk]
         objective = value_objective(alpha, np.repeat(part, k, axis=0))
-        runs = run_search(objective, np.tile(starts, (len(part), 1)), cfg).runs
-        minima[i : i + len(part)] = np.reshape([r.value for r in runs], (len(part), k)).min(axis=1)
+        values = run_search(objective, np.tile(starts, (len(part), 1)), cfg).values
+        minima[i : i + len(part)] = values.reshape(len(part), k).min(axis=1)
     return minima
 
 
@@ -504,7 +489,7 @@ def bounce_loop(
     converged = False
     for _ in range(max_loops):
         theta = ms.to_vector()[None, :]
-        res_min = run_search(value_objective(alpha, c), theta, min_cfg).best
+        res_min = run_search(value_objective(alpha, c), theta, min_cfg)
         ms = res_min.settings
         beta_q = res_min.value
         records.append(
@@ -513,7 +498,7 @@ def bounce_loop(
 
         h_cur = build_transfer_matrix(ms).matrix @ alpha.alpha.ravel()
         theta = ms.to_vector()[None, :]
-        res_max = run_search(bound_objective(h_cur, scenario), theta, max_cfg).best
+        res_max = run_search(bound_objective(h_cur, scenario), theta, max_cfg)
         if res_max.value > beta_c:
             ms, alpha, beta_c = res_max.settings, res_max.alpha, res_max.value
         beta_q = quantum_value_from_data(c, build_transfer_matrix(ms), alpha)

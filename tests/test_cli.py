@@ -124,6 +124,23 @@ def test_validation_exit_codes(capsys, tmp_path):
     cfg.write_text('{"classical-bound": {"bogus": 1}}')
     assert main(["classical-bound", "--config", str(cfg)]) == 2
     capsys.readouterr()
+    # a data or coefficient file must be a rectangular JSON list of numbers: an object,
+    # strings, booleans, ragged rows and broken JSON are refused before any search or output
+    for i, text in enumerate(('{"a": 1}', '["1", 0, 0, 0, 0, 0, 0, 0, 0]', "true",
+                              "[true, 0, 0, 0, 0, 0, 0, 0, 0]", "[[1, 2], [3]]", "[1, 2")):
+        data = tmp_path / f"malformed{i}.json"
+        data.write_text(text)
+        for argv in (["ineq2ham", "--data-file", str(data), "--steps", "5"],
+                     ["classical-bound", "--alpha-file", str(data)],
+                     ["lattice", "--alpha-file", str(data)],
+                     ["bounce", "--data-file", str(data), "--steps", "5"]):
+            what = "alpha file" if "--alpha-file" in argv else "correlator data file"
+            out = tmp_path / f"malformed{i}_{argv[0]}"
+            assert main([*argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {what} {data} is not a rectangular JSON list of numbers\n"
+            assert not out.exists()
 
 
 def test_nonfinite_data_file_rejected_before_search(capsys, tmp_path):

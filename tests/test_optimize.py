@@ -33,6 +33,7 @@ from finite_diff import finite_diff_gradient
 H_HG = pauli_coeffs_from_operator(hamiltonian_hg())
 FAST = OptimizerConfig(learning_rate=0.02, max_steps=120)
 FAST_DOWN = OptimizerConfig(learning_rate=0.01, max_steps=120)
+GISIN_2 = gisin_variant(2.0)
 
 
 def _random_settings(rng, m1, m2):
@@ -134,7 +135,7 @@ def test_bound_gradient_zero_when_infeasible():
 def test_maximize_bound_consistency():
     rng = np.random.default_rng(52)
     start = _random_settings(rng, 3, 3).to_vector()[None, :]
-    res = run_search(bound_objective(H_HG, Scenario(3, 3)), start, FAST).best
+    res = run_search(bound_objective(H_HG, Scenario(3, 3)), start, FAST)
     # reported alpha reproduces h at the reported settings
     t = build_transfer_matrix(res.settings)
     assert np.linalg.norm(t.matrix @ res.alpha.alpha.ravel() - H_HG) <= 1e-8 * np.linalg.norm(H_HG)
@@ -150,7 +151,7 @@ def test_minimize_value_descends():
     bc = gisin_variant(2.0)
     c = singlet_correlators()
     init = _random_settings(rng, 4, 3)
-    res = run_search(value_objective(bc, c), init.to_vector()[None, :], FAST_DOWN).best
+    res = run_search(value_objective(bc, c), init.to_vector()[None, :], FAST_DOWN)
     assert res.value <= res.history[0]
     assert np.all(np.diff(res.history) <= 0)
     assert len(res.history) == FAST_DOWN.max_steps + 1
@@ -164,7 +165,7 @@ AXES = tetrahedron_axes_settings().party_b  # x, y and z
     "objective, canonical, cfg",
     [
         (bound_objective(H_HG, Scenario(3, 3)), MeasurementSettings(AXES, AXES), FAST),
-        (value_objective(gisin_variant(2.0), singlet_correlators() * 0.92),
+        (value_objective(GISIN_2, singlet_correlators() * 0.92),
          tetrahedron_axes_settings(), FAST_DOWN),
     ],
     ids=["bound", "value"],
@@ -174,25 +175,25 @@ def test_harness_determinism_and_seeding(objective, canonical, cfg):
     starts = np.vstack([canonical.to_vector(), random_starts(objective.dim, 3, seed=9)])
     out1 = run_search(objective, starts, cfg)
     out2 = run_search(objective, starts, cfg)
-    assert [r.value for r in out1.runs] == [r.value for r in out2.runs]
-    assert np.array_equal(out1.best.settings.to_vector(), out2.best.settings.to_vector())
+    assert out1.values.tolist() == out2.values.tolist()
+    assert np.array_equal(out1.settings.to_vector(), out2.settings.to_vector())
     # each row gets, bit for bit, what it gets when it runs alone
-    for row, run in zip(starts, out1.runs):
-        solo = run_search(objective, row[None, :], cfg).best
-        assert solo.value == run.value
-        assert np.array_equal(solo.settings.to_vector(), run.settings.to_vector())
+    for row, value, theta in zip(starts, out1.values, out1.thetas):
+        solo = run_search(objective, row[None, :], cfg)
+        assert solo.value == value
+        assert np.array_equal(solo.settings.to_vector(), theta)
     if not objective.maximize:
         # so does a row with its own correlators in a batch whose rows' differ
         cs = singlet_correlators() * np.linspace(0.7, 1.0, len(starts))[:, None]
-        stacked = run_search(value_objective(objective.alpha, cs), starts, cfg)
-        for row, c, run in zip(starts, cs, stacked.runs):
-            solo = run_search(value_objective(objective.alpha, c), row[None, :], cfg).best
-            assert solo.value == run.value
-            assert np.array_equal(solo.settings.to_vector(), run.settings.to_vector())
+        stacked = run_search(value_objective(GISIN_2, cs), starts, cfg)
+        for row, c, value, theta in zip(starts, cs, stacked.values, stacked.thetas):
+            solo = run_search(value_objective(GISIN_2, c), row[None, :], cfg)
+            assert solo.value == value
+            assert np.array_equal(solo.settings.to_vector(), theta)
     # random start i depends only on (seed, i), not on how many are drawn
     assert np.array_equal(random_starts(objective.dim, 1, seed=9), starts[1:2])
-    different = run_search(objective, random_starts(objective.dim, 1, seed=10), cfg).best
-    assert different.value != out1.runs[1].value
+    different = run_search(objective, random_starts(objective.dim, 1, seed=10), cfg)
+    assert different.value != out1.values[1]
     assert run_search(objective, np.vstack([starts[1], starts[1]]), cfg).best_index == 0
     assert random_starts(objective.dim, 0, seed=1).shape == (0, objective.dim)
     with pytest.raises(ValueError):
@@ -278,8 +279,8 @@ def test_value_task_matches_direct_call():
     objective = value_objective(bc, c)
     out = run_search(objective, random_starts(objective.dim, 2, seed=3), FAST_DOWN)
     rng = np.random.default_rng(np.random.SeedSequence((3, 0)))
-    direct = run_search(objective, _random_settings(rng, 4, 3).to_vector()[None, :], FAST_DOWN).best
-    assert out.runs[0].value == direct.value
+    direct = run_search(objective, _random_settings(rng, 4, 3).to_vector()[None, :], FAST_DOWN)
+    assert out.values[0] == direct.value
 
 
 def test_bounce_contracts_exact():

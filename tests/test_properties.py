@@ -1,13 +1,15 @@
 """Property tests: the factored solve against the full transfer-matrix solve,
 the value objective's exact gradient against probed central differences,
-and the symmetries of the classical bound."""
+the symmetries of the classical bound, and the bounce loop's contracts."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellbounce.bell import BellCoeffs, classical_bound
+from bellbounce.bell import BellCoeffs, Scenario, classical_bound
 from bellbounce.mapping import (
     RANK_RCOND,
     LinearSolveError,
@@ -17,7 +19,17 @@ from bellbounce.mapping import (
     build_transfer_matrix,
     solve_alpha,
 )
-from bellbounce.optimize import _enumerated_bounds, value_objective
+from bellbounce.noise import P_MAX, PLACEMENTS, NoiseModel, prepare_noisy_singlet
+from bellbounce.optimize import (
+    DEFAULT_ASCENT,
+    DEFAULT_DESCENT,
+    _enumerated_bounds,
+    bounce_loop,
+    bound_objective,
+    value_objective,
+)
+from bellbounce.pauli import correlator_vector
+from bellbounce.presets import H_G_COEFFS
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -122,9 +134,26 @@ def test_unique_kernel_singular_batch_falls_back():
         np.linalg.inv(na)
     t = build_transfer_matrix(good)
     h = t.matrix @ rng.normal(size=9)
-    alpha = _solve_unique_batch(na, nb, h.reshape(3, 3))[0]
+    alpha, pa, pbt = _solve_unique_batch(na, nb, h.reshape(3, 3))
     assert_matches_oracle(t.matrix, h, "unique", alpha[0])
     assert np.all(np.isnan(alpha[1]))
+    # the good row gets, bit for bit, what it gets alone
+    solo = _solve_unique_batch(na[:1], nb[:1], h.reshape(3, 3))
+    for got, want in zip((alpha, pa, pbt), solo):
+        assert np.array_equal(got[:1], want)
+
+
+def test_bound_objective_row_ignores_singular_neighbour():
+    # a neighbour whose first two A settings are both (0, 0) has an exactly
+    # singular NA; a generic row's value, payload and gradient keep their bits
+    objective = bound_objective(H_G_COEFFS, Scenario(3, 3))
+    generic = np.random.default_rng(6).uniform(0, np.pi, objective.dim)
+    singular = generic.copy()
+    singular[:4] = 0.0
+    alone = objective.evaluate(generic[None])
+    batched = objective.evaluate(np.stack([generic, singular]))
+    for got, want in zip(batched, alone):
+        assert np.array_equal(got[:1], want)
 
 
 @st.composite
@@ -197,3 +226,38 @@ def test_value_gradient_matches_central_difference(step, case):
     ref /= np.sin(step) / step
     assert grad.shape == thetas.shape
     assert np.linalg.norm(grad - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@st.composite
+def bounce_cases(draw):
+    # Generic settings, noisy-singlet correlators, and a start: an inequality, or an
+    # operator T(ms) x that the settings reach.
+    m1, m2 = draw(st.sampled_from([(m1, m2) for m1 in (2, 3, 4) for m2 in (2, 3, 4)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angles = rng.uniform(0, 2 * np.pi, (m1 + m2, 2))
+    ms = MeasurementSettings(angles[:m1], angles[m1:])
+    x = rng.normal(size=(m1, m2))
+    start = build_transfer_matrix(ms).matrix @ x.ravel()
+    if draw(st.booleans()):
+        start = BellCoeffs.from_matrix(x)
+    noise = NoiseModel(draw(st.floats(0.0, P_MAX)), draw(st.sampled_from(PLACEMENTS)))
+    return start, ms, correlator_vector(prepare_noisy_singlet(noise))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(case=bounce_cases())
+def test_bounce_contracts_from_random_starts(case):
+    start, ms, c = case
+    res = bounce_loop(start, ms, c, min_cfg=replace(DEFAULT_DESCENT, max_steps=25),
+                      max_cfg=replace(DEFAULT_ASCENT, max_steps=25), max_loops=3)
+    assert len(res.records) == 1 + 2 * res.loops
+    assert [r.kind for r in res.records[1:]] == ["minimize-quantum-value",
+                                                 "maximize-classical-bound"] * res.loops
+    for prev, cur in zip(res.records, res.records[1:]):
+        if cur.kind == "minimize-quantum-value":
+            assert cur.beta_q <= prev.beta_q
+            assert cur.beta_c == prev.beta_c
+        else:
+            assert cur.beta_c >= prev.beta_c
+    assert all(r.gap == r.beta_q - r.beta_c for r in res.records)
+    assert res.violation == (res.final_gap < 0)

@@ -7,6 +7,7 @@ less negative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,15 @@ class DeterministicStrategy:
         return np.outer(self.a, self.b).astype(float)
 
 
+@functools.lru_cache(maxsize=None)
 def _sign_patterns(m: int) -> np.ndarray:
-    # All +-1 tuples of length m in lexicographic order with -1 < +1.
+    # All +-1 tuples of length m in lexicographic order with -1 < +1: one
+    # read-only table per m, built on first use.
     k = np.arange(2**m)
     bits = (k[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    return (2 * bits - 1).astype(float)
+    patterns = (2 * bits - 1).astype(float)
+    patterns.flags.writeable = False
+    return patterns
 
 
 def _check_batch_budget(n: int, per_matrix: int, what: str, *args):

@@ -538,7 +538,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except (ValueError, RecursionError):
+                raise ValueError(f"config file {args.config} is not valid JSON") from None
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object keyed by subcommand")
         section = data.get(args.command, {})

@@ -8,9 +8,11 @@ columns are lexicographic in the setting pair (x1, x2).
 
 T = NA^T (x) NB^T, so T . alpha = h is NA^T alpha NB = H (H = h as 3x3), solved
 on the 3-column factors (pinv(A (x) B) = pinv(A) (x) pinv(B), Van Loan 2000) by
-batch kernels shared with the optimizer. T's singular values are the products of
-the factors', so the rank cutoff applies to those products. The kernels also
-return the factors' pseudo-inverses, which the optimizer's bound gradient reuses.
+one batch kernel shared with the optimizer: a square factor is inverted, any
+other through its Gram matrix, and a badly conditioned row falls back to an SVD
+solve. T's singular values are the products of the factors', so that solve's
+rank cutoff applies to those products. The kernel also returns the factors'
+pseudo-inverses, which the optimizer's bound gradient reuses.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8
 # Relative singular-value cutoff for rank decisions and pseudo-inversion.
 RANK_RCOND = 1e-10
+# Outside 3x3 a row is solved by SVD instead when a matrix the kernel inverts
+# may have a condition number above 1e6: the factor itself if square, else its
+# Gram matrix, whose condition number is the factor's squared (Golub & Van
+# Loan, Matrix Computations, 5.3).
+MAX_COND_SQUARED = 1e12
 
 
 class LinearSolveError(RuntimeError):
@@ -196,26 +203,64 @@ def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     return alpha, pa, pbt
 
 
-def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
-    """alpha = NA^-T H NB^-1 plus one refinement step, for batches of 3x3 factors.
+def _factor_pinv(f: np.ndarray):
+    # pinv(F) (n, 3, m) of factors F (n, m, 3), and the matrix inverted for it:
+    # F^-1 at m = 3, (F^T F)^-1 F^T at m > 3 and F^T (F F^T)^-1 at m < 3.
+    m = f.shape[-2]
+    if m == 3:
+        inv = np.linalg.inv(f)
+        return inv, inv
+    ft = f.swapaxes(-1, -2)
+    if m > 3:
+        inv = np.linalg.inv(ft @ f)
+        return inv @ ft, inv
+    inv = np.linalg.inv(f @ ft)
+    return ft @ inv, inv
 
-    Returns (alpha, NA^-T, NB^-1), the same triple as _solve_min_norm_batch.
-    hmat is (3, 3) or (n, 3, 3); a row gets the same bits alone as in any batch.
+
+def _squared_cond_bound(inv: np.ndarray, m: int) -> np.ndarray:
+    # Bound on the squared Frobenius condition number of the matrix X inverted
+    # for factors of m unit rows (||F||_F^2 = m): ||X||_F^2 is m for X = F and at
+    # most m^2 for a Gram matrix, times ||X^-1||_F^2, one reduction.
+    return (m if m == 3 else m * m) * np.einsum("nij,nij->n", inv, inv)
+
+
+def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
+    """alpha = pinv(T) h plus one refinement step, for batches na (n, m1, 3), nb (n, m2, 3).
+
+    pinv(T) = pinv(NA^T) (x) pinv(NB^T), each factor's taken by _factor_pinv.
+    Returns (alpha, pa, pbt), the same triple as _solve_min_norm_batch. Rows
+    whose inversion fails, or (unless both factors are 3x3) whose inverted
+    matrices are not finite or may be badly conditioned (see
+    MAX_COND_SQUARED), take _solve_min_norm_batch's values instead; at 3x3,
+    where the solution is unique, a rank-deficient row's alpha is nan. hmat is
+    (3, 3) or (n, 3, 3); a row gets the same bits alone as in any batch.
     """
+    square = na.shape[1] == nb.shape[1] == 3
     try:
-        ia = np.linalg.inv(na).swapaxes(-1, -2)
-        ib = np.linalg.inv(nb)
+        pa, inv_a = _factor_pinv(na)
+        pbt, inv_b = _factor_pinv(nb)
     except np.linalg.LinAlgError:
-        if len(na) > 1:  # an exactly singular factor: solve each row alone
+        if len(na) > 1:  # an exactly singular matrix: solve each row alone
             hs = np.broadcast_to(hmat, (len(na), 3, 3))
             rows = [_solve_unique_batch(a, b, h) for a, b, h in zip(na[:, None], nb[:, None], hs)]
             return tuple(np.concatenate(parts) for parts in zip(*rows))
-        # an exactly singular factor: minimum-norm values, nan where T is rank-deficient
         alpha, pa, pbt = _solve_min_norm_batch(na, nb, hmat)
-        alpha[_rank_deficient(na, nb)] = np.nan
+        if square:
+            alpha[_rank_deficient(na, nb)] = np.nan
         return alpha, pa, pbt
-    alpha = ia @ hmat @ ib
-    return alpha + ia @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ ib, ia, ib
+    pa = pa.swapaxes(-1, -2)
+    alpha = pa @ hmat @ pbt
+    alpha = alpha + pa @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ pbt
+    if not square:
+        # a nan or inf inverse fails the test too; bounded ones give a finite alpha
+        ok = _squared_cond_bound(inv_a, na.shape[1]) <= MAX_COND_SQUARED
+        ok &= _squared_cond_bound(inv_b, nb.shape[1]) <= MAX_COND_SQUARED
+        if not ok.all():
+            redo = ~ok
+            hs = np.broadcast_to(hmat, (len(na), 3, 3))[redo]
+            alpha[redo], pa[redo], pbt[redo] = _solve_min_norm_batch(na[redo], nb[redo], hs)
+    return alpha, pa, pbt
 
 
 def residual_norm(t: TransferMatrix, alpha_flat: np.ndarray, h: np.ndarray) -> float:
@@ -223,19 +268,14 @@ def residual_norm(t: TransferMatrix, alpha_flat: np.ndarray, h: np.ndarray) -> f
     return float(_residual_batch(t.na, t.nb, alpha, np.asarray(h, dtype=float).reshape(3, 3)))
 
 
-def _inverts_factors(m1: int, m2: int) -> bool:
-    # The one solve-kernel choice, by shape: at 3x3 both factors are square and
-    # _solve_unique_batch inverts them; otherwise _solve_min_norm_batch.
-    return m1 == m2 == 3
-
-
 def solve_alpha(t: TransferMatrix, h) -> BellCoeffs:
     """Solve T . alpha = h for the inequality coefficients.
 
-    The kernel follows the shape, as in the optimizer: at 3x3 the factors are
-    inverted (exact solve plus one iterative-refinement step); otherwise
-    alpha is the least-squares solution of minimal Euclidean norm (cutoff
-    1e-10 relative on the singular values of T).
+    alpha is pinv(T) h, the least-squares solution of minimal Euclidean norm,
+    by the optimizer's kernel: each setting factor is inverted directly when
+    square and through its 3x3 or smaller Gram matrix otherwise, then one
+    iterative-refinement step is taken; badly conditioned factors fall back to
+    an SVD solve (cutoff 1e-10 relative on the singular values of T).
 
     Args:
         t: transfer matrix of the settings.
@@ -253,12 +293,9 @@ def solve_alpha(t: TransferMatrix, h) -> BellCoeffs:
     if h.shape != (9,):
         raise ValueError(f"h must have shape (9,), got {h.shape}")
     na, nb, hmat = t.na[None], t.nb[None], h.reshape(3, 3)
-    if _inverts_factors(t.m1, t.m2):
-        if _rank_deficient(na, nb)[0]:
-            raise LinearSolveError("transfer matrix is numerically rank-deficient")
-        alpha = _solve_unique_batch(na, nb, hmat)[0][0]
-    else:
-        alpha = _solve_min_norm_batch(na, nb, hmat)[0][0]
+    if t.m1 == t.m2 == 3 and _rank_deficient(na, nb)[0]:
+        raise LinearSolveError("transfer matrix is numerically rank-deficient")
+    alpha = _solve_unique_batch(na, nb, hmat)[0][0]
     res = residual_norm(t, alpha, h)
     if not np.isfinite(res) or res > _residual_gate(h):
         raise LinearSolveError(

@@ -6,7 +6,7 @@ Both search directions are an Objective run by one engine (run_search):
 
 Each objective returns values, payloads and gradients at the engine's points;
 the engine tracks the best and takes Adam steps. The bound objective solves
-NA^T alpha NB = H on the Kronecker factors of T with mapping's batch kernels,
+NA^T alpha NB = H on the Kronecker factors of T with mapping's batch kernel,
 and its gradient is analytic: the bound is a minimum over strategies, so the
 winning strategy's correlators a* b*^T are its subgradient in alpha, chained
 through the derivative of the factors' pseudo-inverses to the angles. The
@@ -39,11 +39,10 @@ import numpy as np
 from .bell import BellCoeffs, Scenario, _check_batch_budget, _enumerate_side
 from .mapping import (
     MeasurementSettings,
-    _inverts_factors,
     _quantum_values,
     _residual_batch,
     _residual_gate,
-    _solve_min_norm_batch,
+    _solve_min_norm_batch,  # noqa: F401  (the SVD fallback; perfbench times the solve by name)
     _solve_unique_batch,
     build_transfer_matrix,
     quantum_value_from_data,
@@ -202,7 +201,6 @@ def _check_bound_batch(n: int, m1: int, m2: int):
 def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
     hmat = h.reshape(3, 3)
     gate = _residual_gate(h)
-    inverts = _inverts_factors(m1, m2)
 
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
@@ -210,11 +208,8 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
         bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
         na, nb = bloch[:, :m1], bloch[:, m1:]
         with np.errstate(all="ignore"):
-            if inverts:
-                alpha, pa, pbt = _solve_unique_batch(na, nb, hmat)
-            else:
-                alpha, pa, pbt = _solve_min_norm_batch(na, nb, hmat)
-            # a nan or inf alpha (singular 3x3 factor) fails the gate
+            alpha, pa, pbt = _solve_unique_batch(na, nb, hmat)
+            # a nan alpha (rank-deficient 3x3 T) fails the gate
             feasible = _residual_batch(na, nb, alpha, hmat) <= gate
             bounds, g = _enumerated_bounds(alpha)
             ga, gb = _factor_gradients(na, nb, alpha, pa, pbt, hmat, g)
@@ -307,9 +302,9 @@ def bound_objective(h, scenario: Scenario) -> Objective:
     """Ascent of the classical bound at fixed operator coefficients h.
 
     Every scored point solves T(theta) alpha = h within tolerance, with the
-    kernel solve_alpha uses for the scenario's shape (the factors' inverses at
-    3x3, their SVDs otherwise), and its score is the exact enumerated bound of
-    that alpha. The gradient is the analytic subgradient at the enumerated
+    kernel solve_alpha uses (the factors' inverses or Gram inverses, an SVD
+    for a badly conditioned row), and its score is the exact enumerated bound
+    of that alpha. The gradient is the analytic subgradient at the enumerated
     winning strategy.
     """
     h = np.asarray(h, dtype=float)
@@ -462,8 +457,8 @@ def bounce_loop(
     The recorded trajectory keeps the half-step contracts exact: a minimize
     half-step never raises beta_Q, and a maximize half-step keeps the current
     inequality and settings unless the search finds a strictly higher beta_C.
-    Every solve, at the start and in each bound ascent, takes the kernel of
-    the inequality's shape (see bound_objective).
+    Every solve, at the start and in each bound ascent, takes solve_alpha's
+    kernel (see bound_objective).
 
     Raises:
         ValueError: on a bad budget or tolerance, correlators outside [-1, 1],

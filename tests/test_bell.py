@@ -148,6 +148,14 @@ def test_enumeration_size_guard():
         classical_bound(big)
 
 
+def test_sign_patterns_built_once_per_size():
+    # every enumeration step reads the same read-only table
+    table = bell._sign_patterns(3)
+    assert bell._sign_patterns(3) is table
+    assert not table.flags.writeable
+    assert table.tolist() == [list(p) for p in itertools.product([-1.0, 1.0], repeat=3)]
+
+
 def test_enumeration_guard_counts_the_whole_batch(monkeypatch):
     # The guard bounds n * max(m1, m2) * 2^min(m1, m2) products and runs before
     # any sign pattern is built.

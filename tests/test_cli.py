@@ -124,6 +124,14 @@ def test_validation_exit_codes(capsys, tmp_path):
     cfg.write_text('{"classical-bound": {"bogus": 1}}')
     assert main(["classical-bound", "--config", str(cfg)]) == 2
     capsys.readouterr()
+    # broken JSON, and nesting beyond the parser's depth, exit 2 with one line
+    for i, text in enumerate(("{", "[" * 100_000 + "]" * 100_000)):
+        cfg = tmp_path / f"broken{i}.json"
+        cfg.write_text(text)
+        assert main(["classical-bound", "--gisin-delta", "2", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config file {cfg} is not valid JSON\n"
     # a data or coefficient file must be a rectangular JSON list of numbers: an object,
     # strings, booleans, ragged rows and broken JSON are refused before any search or output
     for i, text in enumerate(('{"a": 1}', '["1", 0, 0, 0, 0, 0, 0, 0, 0]', "true",

@@ -51,7 +51,7 @@ def test_solve_unique_roundtrip():
         ms = _random_settings(rng, 3, 3)
         t = build_transfer_matrix(ms)
         h = t.matrix @ rng.normal(size=9)
-        bc = solve_alpha(t, h)  # 3x3: inverse factors
+        bc = solve_alpha(t, h)  # 3x3: both factors inverted
         assert residual_norm(t, bc.alpha.ravel(), h) <= 1e-9
 
 
@@ -61,7 +61,7 @@ def test_solve_min_norm_properties():
         ms = _random_settings(rng, 4, 3)
         t = build_transfer_matrix(ms)
         h = t.matrix @ rng.normal(size=12)
-        bc = solve_alpha(t, h)  # 4x3: minimum norm
+        bc = solve_alpha(t, h)  # 4x3: minimum norm, NA through its Gram matrix
         assert residual_norm(t, bc.alpha.ravel(), h) <= 1e-9
         # minimal norm: orthogonal to the null space and no longer than lstsq
         basis = np.linalg.svd(t.matrix)[2][9:]  # generic 4x3 settings: T has rank 9
@@ -83,7 +83,8 @@ def test_two_path_agreement():
 
 def test_inconsistent_system_rejected():
     # identical settings for every measurement collapse the column space; one
-    # system per kernel: inverse factors at 3x3, minimum norm at 4x3
+    # system at 3x3, refused as rank-deficient, and one at 4x3, whose singular
+    # factors go to the SVD fallback and leave a residual
     h = np.zeros(9)
     h[0] = 1.0
     h[4] = -1.0  # not proportional to the single reachable direction

@@ -102,7 +102,7 @@ def _kink_free(alpha_row, m1, m2, margin=1e-6):
     return values[1] - values[0] > margin
 
 
-# the kernel follows the shape: inverse factors at 3x3, minimum norm at 4x3
+# the pseudo-inverse derivative at 3x3 (square factors) and at 4x3 (NA through its Gram matrix)
 @pytest.mark.parametrize("m1", [pytest.param(3, id="3-unique"), pytest.param(4, id="4-min_norm")])
 @pytest.mark.parametrize("operator", ["H_G", "elegant", "random"])
 def test_bound_gradient_matches_finite_differences(m1, operator):

@@ -111,15 +111,19 @@ def test_factored_solve_matches_full_solve(mode, data):
                 solve_alpha(t, h)
         else:
             assert_matches_oracle(t.matrix, h, shape_mode, solve_alpha(t, h).alpha)
-    kernel = _solve_unique_batch if mode == "unique" else _solve_min_norm_batch
+    # the pseudo-inverse kernel against its shape's oracle, and the SVD kernel
+    # against the minimum-norm one
     na = np.stack([t.na for t, _ in batch])
     nb = np.stack([t.nb for t, _ in batch])
     hmats = np.stack([h.reshape(3, 3) for _, h in batch])
     with np.errstate(over="ignore", invalid="ignore"):  # singular unique rows blow up
-        alphas = kernel(na, nb, hmats)[0]
-    assert alphas.shape == (len(batch), t.m1, t.m2)
-    for (t, h), alpha in zip(batch, alphas):
-        assert_matches_oracle(t.matrix, h, mode, alpha)
+        solves = [(_solve_unique_batch(na, nb, hmats)[0], shape_mode)]
+        if mode == "min_norm":
+            solves.append((_solve_min_norm_batch(na, nb, hmats)[0], mode))
+    for alphas, oracle in solves:
+        assert alphas.shape == (len(batch), t.m1, t.m2)
+        for (t_row, h), alpha in zip(batch, alphas):
+            assert_matches_oracle(t_row.matrix, h, oracle, alpha)
 
 
 def test_unique_kernel_singular_batch_falls_back():
@@ -141,6 +145,28 @@ def test_unique_kernel_singular_batch_falls_back():
     solo = _solve_unique_batch(na[:1], nb[:1], h.reshape(3, 3))
     for got, want in zip((alpha, pa, pbt), solo):
         assert np.array_equal(got[:1], want)
+    # at 4x3: a generic row, one with an exactly singular NB (a repeated setting) and
+    # one with an ill-conditioned NA (every A setting within 2e-13 rad of the equator,
+    # so T is numerically rank-deficient and NA's Gram matrix has no accurate inverse)
+    generic = MeasurementSettings(rng.uniform(0, 3, (4, 2)), rng.uniform(0, 3, (3, 2)))
+    b = generic.party_b.copy()
+    b[2] = b[1]
+    a = generic.party_a.copy()
+    a[:, 0] = np.pi / 2 + np.array([1e-13, -1e-13, 2e-13, 0.0])
+    rows = [generic, MeasurementSettings(generic.party_a, b), MeasurementSettings(a, generic.party_b)]
+    ts = [build_transfer_matrix(ms) for ms in rows]
+    na, nb = np.stack([t.na for t in ts]), np.stack([t.nb for t in ts])
+    hmats = np.stack([(t.matrix @ rng.normal(size=12)).reshape(3, 3) for t in ts])
+    full = _solve_unique_batch(na, nb, hmats)
+    for i in (1, 2):
+        assert np.all(np.isfinite(full[0][i]))
+        assert_matches_oracle(ts[i].matrix, hmats[i].ravel(), "min_norm", full[0][i])
+    # a row's bits do not depend on its batch, also where no row is exactly singular
+    solo = [_solve_unique_batch(na[i : i + 1], nb[i : i + 1], hmats[i : i + 1]) for i in range(3)]
+    pair = _solve_unique_batch(na[[0, 2]], nb[[0, 2]], hmats[[0, 2]])
+    for got, row, i in ((full, 0, 0), (pair, 0, 0), (pair, 1, 2)):
+        for part, want in zip(got, solo[i]):
+            assert np.array_equal(part[row : row + 1], want)
 
 
 def test_bound_objective_row_ignores_singular_neighbour():

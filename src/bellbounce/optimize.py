@@ -80,13 +80,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-# run_search keeps each row's best-so-far value at every step, n * (steps + 1)
-# floats; it refuses batches beyond 2^25 of them (256 MiB), about 100x the
-# paper's largest search (32 restarts x 10,001 steps), and sweep_minima chunks
-# its points x starts rows to stay under it. random_starts draws at
-# most 2^16 starts, 2,048x the paper's 32, and sweep_minima runs at most that many
-# rows per chunk (about 2 KB of step temporaries each), so the per-row arrays stay small.
-MAX_HISTORY_ENTRIES = 2**25
+# run_search keeps one best-so-far curve of steps + 1 floats, so a search takes at
+# most 2^25 steps (256 MiB of curve), about 3,000x the paper's longest (10,000).
+# random_starts draws at most 2^16 starts, 2,048x the paper's 32, and
+# sweep_minima runs at most that many rows per chunk (about 2 KB of step
+# temporaries each), so the per-row arrays stay small.
+MAX_STEPS = 2**25 - 1
 MAX_RANDOM_STARTS = 2**16
 
 
@@ -100,6 +99,8 @@ class OptimizerConfig:
             raise ValueError("learning rate must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("step budget must be positive")
+        if self.max_steps > MAX_STEPS:
+            raise ValueError(f"step budget must be at most {MAX_STEPS}, got {self.max_steps}")
 
 
 # Ascent on the classical bound / descent on the quantum value.
@@ -143,7 +144,7 @@ class OptimizeResult:
     settings: MeasurementSettings
     value: float
     alpha: BellCoeffs | None
-    history: np.ndarray  # best-so-far objective, indexed by step
+    history: np.ndarray  # the batch's best-so-far objective, indexed by step
     best_index: int
     values: np.ndarray
     thetas: np.ndarray
@@ -251,12 +252,13 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
     maximize = objective.maximize
     n_runs = theta0.shape[0]
     steps = cfg.max_steps
-    worst = -np.inf if maximize else np.inf
+    pick = np.ndarray.argmax if maximize else np.ndarray.argmin
     state = adam_init(theta0)
-    best_value = np.full(n_runs, worst)
+    batch_best = -np.inf if maximize else np.inf
+    best_value = np.full(n_runs, batch_best)
     best_theta = theta0.copy()
     best_payload = None
-    history = np.empty((n_runs, steps + 1))
+    history = np.empty(steps + 1)
     for t in range(steps + 1):
         values, payload, grad = objective.evaluate(state.theta)
         improved = (values > best_value) if maximize else (values < best_value)
@@ -268,7 +270,8 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
                 if best_payload is None:
                     best_payload = np.zeros((n_runs, payload.shape[-1]))
                 best_payload[improved] = payload[improved]
-        history[:, t] = best_value
+            batch_best = best_value[pick(best_value)]
+        history[t] = batch_best
         if t == steps:
             break
         state = adam_step(state, grad, cfg, maximize=maximize)
@@ -349,9 +352,9 @@ def run_search(
     """Run the engine from every row of theta0s in one lockstep batch; keep the best.
 
     A row's result does not depend on the rest of the batch; ties go to the
-    lowest row. Raises ValueError on an empty batch or one whose history would
-    exceed MAX_HISTORY_ENTRIES, and NoFeasiblePointError if a maximizing
-    search finds no feasible point.
+    lowest row. history is the batch's best-so-far value at each step
+    0..max_steps, so it ends at value. Raises ValueError on an empty batch,
+    and NoFeasiblePointError if a maximizing search finds no feasible point.
     """
     cfg = cfg or (DEFAULT_ASCENT if objective.maximize else DEFAULT_DESCENT)
     sc = objective.scenario
@@ -361,18 +364,13 @@ def run_search(
     n = len(theta0s)
     if n == 0:
         raise ValueError("need at least one start")
-    if n * (cfg.max_steps + 1) > MAX_HISTORY_ENTRIES:
-        raise ValueError(
-            f"search history too large: {n} starts x {cfg.max_steps + 1} entries exceed "
-            f"{MAX_HISTORY_ENTRIES}"
-        )
     values, thetas, payload, history = _run_lockstep(objective, theta0s, cfg)
     i = int(np.argmax(values) if objective.maximize else np.argmin(values))
     if objective.maximize and not np.isfinite(values[i]):
         raise NoFeasiblePointError("no start found a feasible point")
     settings = MeasurementSettings.from_vector(sc.m1, sc.m2, thetas[i])
     alpha = None if payload is None else BellCoeffs(sc, payload[i].reshape(sc.m1, sc.m2))
-    return OptimizeResult(settings, float(values[i]), alpha, history[i], i, values, thetas)
+    return OptimizeResult(settings, float(values[i]), alpha, history, i, values, thetas)
 
 
 def sweep_minima(
@@ -386,16 +384,14 @@ def sweep_minima(
     Every point runs every row of starts. The points' starts are stacked into
     one lockstep batch, each row with its point's correlators, and a point's
     optimum is the least of its own rows' values: what run_search finds for
-    that point alone. The sweep runs in chunks of consecutive points whose
-    history stays within MAX_HISTORY_ENTRIES and whose rows number at most
-    MAX_RANDOM_STARTS, or one point's; a single point beyond the history
-    bound is refused as run_search refuses it.
+    that point alone. The sweep runs in chunks of consecutive points of at
+    most MAX_RANDOM_STARTS rows, or of one point when its starts alone are more.
     """
     cs = np.asarray(cs, dtype=float)
     starts = np.asarray(starts, dtype=float)
     cfg = cfg or DEFAULT_DESCENT
     k = len(starts)
-    chunk = max(1, min(MAX_HISTORY_ENTRIES // (cfg.max_steps + 1), MAX_RANDOM_STARTS) // max(k, 1))
+    chunk = max(1, MAX_RANDOM_STARTS // max(k, 1))
     minima = np.empty(len(cs))
     for i in range(0, len(cs), chunk):
         part = cs[i : i + chunk]

@@ -68,10 +68,12 @@ def test_validation_exit_codes(capsys, tmp_path):
     assert main(["ham2ineq", "--preset", "H_G", "--m1", "16", "--m2", "16", "--restarts", "32",
                  "--steps", "5", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
-    # a search whose per-step history would take terabytes, 1e9 random starts and a
-    # 3e11-point noise grid are refused before any allocation, row or output dir
+    # a step budget beyond the engine's cap, 1e9 random starts and a 3e11-point
+    # noise grid are refused before any allocation, row or output dir
     for i, argv in enumerate((
         ["ham2ineq", "--preset", "H_G", "--steps", "10000000000"],
+        ["ineq2ham", "--steps", "10000000000"],
+        ["bounce", "--steps", "10000000000"],
         ["ham2ineq", "--preset", "H_G", "--restarts", "1000000000", "--steps", "1"],
         ["ineq2ham", "--p-grid", "0:0.3:1e-12", "--steps", "5"],
     )):
@@ -244,9 +246,8 @@ def test_ineq2ham_zero_data(capsys, tmp_path):
 
 
 def test_ineq2ham_chunked_sweep_is_byte_identical(capsys, tmp_path, monkeypatch):
-    # 5 points x 3 starts x 31 entries: a guard of 2 points' history, or a cap of
-    # 7 rows, splits the sweep into 3 searches; a cap below one point's 3 rows runs
-    # each point alone, and a guard below one point's history refuses it
+    # 5 points x 3 starts: a cap of 7 rows splits the sweep into 3 searches, and a
+    # cap below one point's 3 rows runs each point alone
     argv = ["ineq2ham", "--p-grid", "0:0.004:0.001", "--restarts", "2", "--steps", "30"]
     assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
     whole = capsys.readouterr()
@@ -257,8 +258,7 @@ def test_ineq2ham_chunked_sweep_is_byte_identical(capsys, tmp_path, monkeypatch)
         return run_search(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "run_search", counted)
-    for key, value, batches in (("MAX_HISTORY_ENTRIES", 2 * 3 * 31, [6, 6, 3]),
-                                ("MAX_RANDOM_STARTS", 7, [6, 6, 3]),
+    for key, value, batches in (("MAX_RANDOM_STARTS", 7, [6, 6, 3]),
                                 ("MAX_RANDOM_STARTS", 2, [3] * 5)):
         with monkeypatch.context() as patched:
             patched.setattr(optimize, key, value)
@@ -269,11 +269,6 @@ def test_ineq2ham_chunked_sweep_is_byte_identical(capsys, tmp_path, monkeypatch)
         for name in ("ineq2ham_rows.csv", "ineq2ham_summary.json"):
             chunked = (tmp_path / "chunked" / name).read_bytes()
             assert chunked == (tmp_path / "whole" / name).read_bytes()
-    monkeypatch.setattr(optimize, "MAX_HISTORY_ENTRIES", 3 * 31 - 1)
-    assert main([*argv, "--out", str(tmp_path / "refused")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: search history too large")
-    assert len(captured.err.splitlines()) == 1 and not (tmp_path / "refused").exists()
 
 
 def test_p_grid_stays_inside_its_stop():

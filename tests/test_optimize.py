@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,9 @@ def test_config_validation():
         OptimizerConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.1, max_steps=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(learning_rate=0.1, max_steps=optimize.MAX_STEPS + 1)
+    assert OptimizerConfig(learning_rate=0.1, max_steps=optimize.MAX_STEPS).max_steps == 2**25 - 1
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=bad)
@@ -156,6 +161,51 @@ def test_minimize_value_descends():
     assert np.all(np.diff(res.history) <= 0)
     assert len(res.history) == FAST_DOWN.max_steps + 1
     assert res.value >= -4 * np.sqrt(6) - 1e-9  # optimum over settings for ideal data
+
+
+def test_history_is_the_batch_best_so_far():
+    # row 0 leads early, row 1 takes over at step 3 and row 2, infeasible at step 0,
+    # wins at the last step: the curve follows the batch, not the winner's own row
+    table = np.array([
+        [1.0, 0.0, -np.inf],
+        [2.0, 0.0, 0.0],
+        [1.0, 1.0, 0.0],
+        [0.0, 3.0, 0.0],
+        [0.0, 0.0, 5.0],
+    ])
+    calls = iter(table)
+
+    def evaluate(thetas):
+        return next(calls).copy(), None, np.zeros_like(thetas)
+
+    objective = optimize.Objective(Scenario(2, 2), True, evaluate)
+    cfg = OptimizerConfig(learning_rate=0.1, max_steps=len(table) - 1)
+    res = run_search(objective, np.zeros((3, objective.dim)), cfg)
+    assert res.best_index == 2 and res.value == 5.0
+    assert res.history.tolist() == np.maximum.accumulate(table.max(axis=1)).tolist()
+    assert res.history[-1] == res.value
+    assert len(res.history) == cfg.max_steps + 1
+
+
+def test_engine_memory_does_not_grow_with_rows_times_steps():
+    # every row improves at every step; the engine keeps per-row state and one
+    # curve, far below a rows x (steps + 1) array
+    n, steps = 1000, 1000
+
+    def evaluate(thetas):
+        return thetas[:, 0].copy(), None, np.ones_like(thetas)
+
+    objective = optimize.Objective(Scenario(2, 2), True, evaluate)
+    starts = np.zeros((n, objective.dim))
+    cfg = OptimizerConfig(learning_rate=0.01, max_steps=steps)
+    tracemalloc.start()
+    try:
+        res = run_search(objective, starts, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.history) == steps + 1 and np.all(np.diff(res.history) > 0)
+    assert peak < n * (steps + 1) * 8 / 4
 
 
 AXES = tetrahedron_axes_settings().party_b  # x, y and z

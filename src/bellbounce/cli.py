@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -425,11 +424,6 @@ def _cmd_bounce(cfg: dict):
     )
 
 
-def _certificate_digest(certificate: dict) -> str:
-    canon = json.dumps([[v, certificate[v].tolist()] for v in sorted(certificate)])
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _cmd_lattice(cfg: dict):
     path = cfg["file"] if cfg["file"] is not None else bundled_lattice_path()
     ls = load_lattice(path)
@@ -449,7 +443,7 @@ def _cmd_lattice(cfg: dict):
     beta_local = classical_bound(local)[0]
     beta, certificate = lattice_classical_bound(ls, local)
     floor = lattice_quantum_floor(ls, local_op)
-    digest = _certificate_digest(certificate)
+    digest = certificate.sha256()
     _print_kv("total coupling", ls.total_coupling())
     _print_kv("classical bound", beta)
     _print_kv("certificate sha256", digest)

@@ -12,8 +12,9 @@ edge ``u v J color`` (whitespace-separated); ``#`` starts a comment.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+import hashlib
+import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .pauli import min_eigenvalue
 __all__ = [
     "EDGE_COLORS",
     "LatticeSpec",
+    "LatticeCertificate",
     "HoneycombParams",
     "honeycomb_coupling",
     "check_bipartite",
@@ -37,9 +39,12 @@ __all__ = [
 ]
 
 EDGE_COLORS = ("red", "green", "blue", "other")
-# A lattice run holds about 320 B of Python lists per vertex (2^20 peaked at 348 MB); a
-# short header may declare any count, so it is capped at 228x the largest benchmark patch.
+# A lattice run holds about 80 B per vertex, mostly the two-coloring's adjacency lists
+# (2^20 vertices peak at 117 MB); a short header may declare any count, so it is capped
+# at 228x the largest benchmark patch.
 MAX_LATTICE_VERTICES = 2**20
+# Vertices per piece of certificate text handed to sha256 (about 1 MB of text each).
+DIGEST_CHUNK_VERTICES = 2**16
 
 
 @dataclass(frozen=True)
@@ -48,11 +53,16 @@ class LatticeSpec:
 
     vertices: int
     edges: tuple[tuple[int, int, float, str], ...]
+    # Set by __post_init__ in the pass that validates the edges.
+    _total: float = field(init=False, repr=False, compare=False)
+    _negative: tuple[int, int, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.vertices <= MAX_LATTICE_VERTICES:
             raise ValueError(f"vertex count {self.vertices} outside [1, {MAX_LATTICE_VERTICES}]")
         edges = []
+        # Left to right in plain float adds: sum() compensates from Python 3.12 on.
+        total, negative = 0.0, None
         for e in self.edges:
             u, v, coupling, color = int(e[0]), int(e[1]), float(e[2]), str(e[3])
             if u == v:
@@ -63,11 +73,45 @@ class LatticeSpec:
                 raise ValueError(f"edge ({u}, {v}) has non-finite coupling")
             if color not in EDGE_COLORS:
                 raise ValueError(f"unknown edge color {color!r}")
+            if coupling < 0 and negative is None:
+                negative = (u, v, coupling)
+            total += coupling
             edges.append((u, v, coupling, color))
         object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_total", total)
+        object.__setattr__(self, "_negative", negative)
 
     def total_coupling(self) -> float:
-        return float(sum(e[2] for e in self.edges))
+        return self._total
+
+
+@dataclass(frozen=True)
+class LatticeCertificate:
+    """A global strategy: the local witness a* on side A, b* on side B.
+
+    on_b holds one boolean per vertex, True on side B.
+    """
+
+    witness: DeterministicStrategy
+    on_b: np.ndarray
+
+    def assignment(self, vertex: int) -> np.ndarray:
+        return self.witness.b if self.on_b[vertex] else self.witness.a
+
+    def sha256(self) -> str:
+        """sha256 of json.dumps([[v, assignment(v).tolist()], ...]) over every vertex.
+
+        The text is hashed in pieces of DIGEST_CHUNK_VERTICES vertices, so no
+        string or list covering every vertex is held.
+        """
+        labels = (json.dumps(self.witness.a.tolist()), json.dumps(self.witness.b.tolist()))
+        digest = hashlib.sha256(b"[")
+        for lo in range(0, len(self.on_b), DIGEST_CHUNK_VERTICES):
+            sides = self.on_b[lo : lo + DIGEST_CHUNK_VERTICES].tolist()
+            text = ", ".join(f"[{v}, {labels[s]}]" for v, s in enumerate(sides, start=lo))
+            digest.update(((", " if lo else "") + text).encode())
+        digest.update(b"]")
+        return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -90,10 +134,10 @@ def honeycomb_coupling(params: HoneycombParams, color: str) -> float:
     raise ValueError(f"unknown color {color!r} for honeycomb coupling")
 
 
-def check_bipartite(ls: LatticeSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def check_bipartite(ls: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Two-color the lattice by breadth-first search.
 
-    Returns (side_a, side_b) as sorted vertex tuples; each connected
+    Returns (side_a, side_b) as sorted vertex arrays; each connected
     component's lowest-index vertex lands on side A, and isolated vertices
     default to side A.
 
@@ -104,38 +148,42 @@ def check_bipartite(ls: LatticeSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for u, v, _, _ in ls.edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    color = [-1] * ls.vertices
+    side = bytearray(ls.vertices)  # 0 unseen, 1 side A, 2 side B
     for root in range(ls.vertices):
-        if color[root] != -1:
+        if side[root]:
             continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        side[root] = 1
+        queue = [root]
+        for u in queue:
             for v in adjacency[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
+                if not side[v]:
+                    side[v] = 3 - side[u]
                     queue.append(v)
-                elif color[v] == color[u]:
+                elif side[v] == side[u]:
                     raise ValueError(
                         f"lattice is not bipartite: odd cycle through edge ({u}, {v})"
                     )
-    side_a = tuple(i for i in range(ls.vertices) if color[i] == 0)
-    side_b = tuple(i for i in range(ls.vertices) if color[i] == 1)
-    return side_a, side_b
+    on_b = np.frombuffer(side, dtype=np.uint8) == 2
+    return np.flatnonzero(~on_b), np.flatnonzero(on_b)
+
+
+def _side_b_mask(ls: LatticeSpec) -> np.ndarray:
+    on_b = np.zeros(ls.vertices, dtype=bool)
+    on_b[check_bipartite(ls)[1]] = True
+    return on_b
 
 
 def _require_nonnegative(ls: LatticeSpec):
-    for u, v, coupling, _ in ls.edges:
-        if coupling < 0:
-            raise ValueError(
-                f"unsupported lattice: negative coupling {coupling!r} on edge ({u}, {v})"
-            )
+    if ls._negative is not None:
+        u, v, coupling = ls._negative
+        raise ValueError(
+            f"unsupported lattice: negative coupling {coupling!r} on edge ({u}, {v})"
+        )
 
 
 def lattice_classical_bound(
     ls: LatticeSpec, local: BellCoeffs
-) -> tuple[float, dict[int, np.ndarray]]:
+) -> tuple[float, LatticeCertificate]:
     """Classical bound of the edge-summed Bell expression, with certificate.
 
     Requires a bipartite lattice with nonnegative couplings; then
@@ -143,36 +191,28 @@ def lattice_classical_bound(
     witness strategy a* to every A-side vertex and b* to every B-side vertex.
 
     Returns:
-        (beta, certificate) where certificate maps each vertex to its
-        assignment vector.
+        (beta, certificate): the witness and each vertex's side.
     """
     _require_nonnegative(ls)
-    side_a, side_b = check_bipartite(ls)
+    on_b = _side_b_mask(ls)
     beta_local, witness = classical_bound(local)
-    beta = ls.total_coupling() * beta_local
-    certificate: dict[int, np.ndarray] = {}
-    for u in side_a:
-        certificate[u] = witness.a
-    for v in side_b:
-        certificate[v] = witness.b
-    return beta, certificate
+    return ls.total_coupling() * beta_local, LatticeCertificate(witness, on_b)
 
 
 def lattice_certificate_value(
-    ls: LatticeSpec, local: BellCoeffs, certificate: dict[int, np.ndarray]
+    ls: LatticeSpec, local: BellCoeffs, certificate: LatticeCertificate
 ) -> float:
     """Edge-by-edge evaluation of a global strategy assignment.
 
     Each edge is scored as J_e times the local expression at its endpoints'
-    assignments, with the A-side endpoint playing party A.
+    assignments, with the endpoint on the lattice's own side A playing party A.
     """
-    side_a, _ = check_bipartite(ls)
-    in_a = set(side_a)
+    on_b = _side_b_mask(ls)
     total = 0.0
     for u, v, coupling, _ in ls.edges:
-        a_vertex, b_vertex = (u, v) if u in in_a else (v, u)
+        a_vertex, b_vertex = (v, u) if on_b[u] else (u, v)
         strategy = DeterministicStrategy(
-            a=certificate[a_vertex], b=certificate[b_vertex]
+            a=certificate.assignment(a_vertex), b=certificate.assignment(b_vertex)
         )
         total += coupling * bell_value(local, strategy.correlators())
     return total

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import BellCoeffs, MeasurementSettings, build_transfer_matrix, quantum_value_from_data
-from .pauli import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_state, correlator_vector
+from .pauli import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_state
 
 __all__ = [
     "GateStep",
@@ -29,8 +28,6 @@ __all__ = [
     "apply_gate",
     "apply_depolarizing",
     "prepare_noisy_singlet",
-    "singlet_state",
-    "noise_sweep",
 ]
 
 PLACEMENT_AFTER_EACH_GATE = "after-each-gate-on-touched-qubits"
@@ -152,28 +149,3 @@ def prepare_noisy_singlet(nm: NoiseModel) -> np.ndarray:
         for qubit in (0, 1):
             rho = apply_depolarizing(rho, qubit, nm.p)
     return rho
-
-
-def singlet_state() -> np.ndarray:
-    """The exact singlet density matrix, (|01> - |10>)(<01| - <10|)/2."""
-    return prepare_noisy_singlet(NoiseModel(0.0))
-
-
-def noise_sweep(
-    p_values,
-    ms: MeasurementSettings,
-    bc: BellCoeffs,
-    placement: str = PLACEMENT_AFTER_EACH_GATE,
-) -> list[tuple[float, float]]:
-    """Quantum value of the noisy singlet data at each noise strength.
-
-    For each p, prepares the noisy singlet, extracts its correlators, and
-    evaluates c . T(ms) . alpha. Returns (p, value) pairs in input order.
-    """
-    t = build_transfer_matrix(ms)
-    out = []
-    for p in p_values:
-        rho = prepare_noisy_singlet(NoiseModel(float(p), placement))
-        c = correlator_vector(rho)
-        out.append((float(p), quantum_value_from_data(c, t, bc)))
-    return out

@@ -19,7 +19,6 @@ __all__ = [
     "SIGMA_Z",
     "IDENTITY_2",
     "PAULI_PAIR_LABELS",
-    "bloch_from_angles",
     "observable_from_bloch",
     "pauli_coeffs_from_operator",
     "operator_from_pauli_coeffs",
@@ -64,19 +63,6 @@ def _bloch_batch(angles: np.ndarray, derivatives: bool = False):
     dn[..., 1, 1] = -n[..., 2]
     dn[..., 1, 2] = n[..., 1]
     return n, dn
-
-
-def bloch_from_angles(theta: float, phi: float) -> np.ndarray:
-    """Map spherical angles to the unit Bloch vector (cos t, sin t cos p, sin t sin p).
-
-    Args:
-        theta: polar angle in radians (any real; taken modulo its period).
-        phi: azimuthal angle in radians.
-
-    Returns:
-        Array of shape (3,) with unit Euclidean norm.
-    """
-    return _bloch_batch(np.array([theta, phi], dtype=float))
 
 
 def observable_from_bloch(n) -> np.ndarray:

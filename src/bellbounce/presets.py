@@ -12,17 +12,13 @@ import numpy as np
 
 from .bell import BellCoeffs, Scenario
 from .mapping import MeasurementSettings
-from .pauli import operator_from_pauli_coeffs
 
 __all__ = [
     "H_G_COEFFS",
     "ELEGANT_COEFFS",
-    "hamiltonian_hg",
-    "hamiltonian_elegant",
     "tetrahedron_axes_settings",
     "two_chsh_settings",
     "two_chsh_coeffs",
-    "singlet_correlators",
     "operator_preset",
     "OPERATOR_PRESETS",
 ]
@@ -38,14 +34,6 @@ ELEGANT_COEFFS = (4.0 / _SQRT3) * np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0])
 ELEGANT_COEFFS.flags.writeable = False
 
 OPERATOR_PRESETS = ("H_G", "gisin_elegant")
-
-
-def hamiltonian_hg() -> np.ndarray:
-    return operator_from_pauli_coeffs(H_G_COEFFS)
-
-
-def hamiltonian_elegant() -> np.ndarray:
-    return operator_from_pauli_coeffs(ELEGANT_COEFFS)
 
 
 def operator_preset(name: str) -> np.ndarray:
@@ -106,10 +94,3 @@ def two_chsh_coeffs() -> BellCoeffs:
         ]
     )
     return BellCoeffs(Scenario(4, 3), alpha)
-
-
-def singlet_correlators() -> np.ndarray:
-    """Pauli correlators of the two-qubit singlet: -1 at xx, yy, zz."""
-    c = np.zeros(9)
-    c[0] = c[4] = c[8] = -1.0
-    return c

@@ -35,6 +35,7 @@ from bellbounce.mapping import (
     MeasurementSettings,
     bell_operator,
     build_transfer_matrix,
+    quantum_value_from_data,
     residual_norm,
     solve_alpha,
 )
@@ -47,7 +48,6 @@ from bellbounce.noise import (
     NoiseModel,
     apply_depolarizing,
     apply_gate,
-    noise_sweep,
     prepare_noisy_singlet,
 )
 from bellbounce.optimize import (
@@ -62,12 +62,12 @@ from bellbounce.pauli import (
     check_state,
     correlator_vector,
     min_eigenvalue,
+    operator_from_pauli_coeffs,
     pauli_coeffs_from_operator,
 )
 from bellbounce.presets import (
     ELEGANT_COEFFS,
     H_G_COEFFS,
-    hamiltonian_hg,
     tetrahedron_axes_settings,
     two_chsh_coeffs,
     two_chsh_settings,
@@ -123,7 +123,7 @@ def test_criterion_01_closed_form_bound_on_delta_grid():
 
 
 def test_criterion_02_ground_energy():
-    value = min_eigenvalue(hamiltonian_hg())
+    value = min_eigenvalue(operator_from_pauli_coeffs(H_G_COEFFS))
     target = -16.0 / np.sqrt(3.0)
     assert abs(value - target) <= 1e-9
     _report(2, f"min eigenvalue {value:.12f} vs {target:.12f}")
@@ -190,7 +190,7 @@ def test_criterion_08_honeycomb_scaling():
     scaled_43 = improved_bound_scaling(beta, -8.0, -6.56)
     assert abs(scaled_33 - (-485.9)) <= 0.5
     assert abs(scaled_43 - (-431.3)) <= 0.5
-    floor = lattice_quantum_floor(ls, hamiltonian_hg())
+    floor = lattice_quantum_floor(ls, operator_from_pauli_coeffs(H_G_COEFFS))
     assert abs(floor - 65.75 * (-16.0 / np.sqrt(3.0))) <= 1e-6
     # hardware-scale energies are only required to respect the floor
     assert -514.0 > floor
@@ -202,11 +202,12 @@ def test_criterion_09_noise_sweep():
     grid = np.arange(15) / 1000.0
     ms0 = tetrahedron_axes_settings()
     bc = gisin_variant(2.0)
-    original = np.array([v for _, v in noise_sweep(grid, ms0, bc)])
+    cs = [correlator_vector(prepare_noisy_singlet(NoiseModel(float(p)))) for p in grid]
+    t0 = build_transfer_matrix(ms0)
+    original = np.array([quantum_value_from_data(c, t0, bc) for c in cs])
     cfg = OptimizerConfig(learning_rate=0.01, max_steps=2000)
     theta0 = ms0.to_vector()
     starts = np.vstack([theta0, random_starts(theta0.size, 4, 1)])
-    cs = [correlator_vector(prepare_noisy_singlet(NoiseModel(float(p)))) for p in grid]
     optimized = sweep_minima(bc, cs, starts, cfg)
     assert np.all(np.diff(original) >= 0.0)
     assert np.all(np.diff(optimized) >= -1e-9)

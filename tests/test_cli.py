@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +364,29 @@ def test_lattice_epsilon_recoupling(capsys):
     assert main(["lattice", "--epsilon", "1"]) == 0
     out = capsys.readouterr().out
     assert "total coupling: 66.02" in out
+
+
+def test_lattice_of_2_20_vertices_runs_in_bounded_memory(tmp_path):
+    # one edge between the end vertices of the largest allowed header; a probe
+    # process starts the run as its only child and reports that child's peak RSS
+    lattice = tmp_path / "wide.lattice"
+    lattice.write_text("vertices 1048576\n0 1048575 1.0 red\n")
+    probe = (
+        "import resource, subprocess, sys\n"
+        "run = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+        "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        "sys.stdout.write(run.stdout + run.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "bellbounce", "lattice", "--file", str(lattice)]
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    status, peak_kib = map(int, out.splitlines()[0].split())
+    assert status == 0, out
+    sha = "99bc43969205bf1bd43f97fae357d5ae6798c8064f99475d6f3041de0704e226"
+    assert f"certificate sha256: {sha}\n" in out
+    assert peak_kib <= 160 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_nonfinite_improved_bound_rejected_before_output(capsys, tmp_path):

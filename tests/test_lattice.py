@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from bellbounce.bell import BellCoeffs, classical_bound, gisin_variant
 from bellbounce.lattice import (
+    DIGEST_CHUNK_VERTICES,
     MAX_LATTICE_VERTICES,
     HoneycombParams,
     LatticeSpec,
@@ -18,7 +21,8 @@ from bellbounce.lattice import (
     load_lattice,
     parse_lattice,
 )
-from bellbounce.presets import hamiltonian_hg
+from bellbounce.pauli import operator_from_pauli_coeffs
+from bellbounce.presets import H_G_COEFFS
 
 CHSH = BellCoeffs.from_matrix([[1.0, 1.0], [1.0, -1.0]])
 
@@ -73,6 +77,12 @@ def test_parse_lattice_errors():
     for count in (MAX_LATTICE_VERTICES + 1, 10**9):
         with pytest.raises(ValueError, match=rf"count {count} outside \[1, 1048576\]"):
             parse_lattice(f"vertices {count}\n0 1 1.0 red\n")
+
+
+def test_total_coupling_adds_left_to_right():
+    # sum() of floats is compensated from Python 3.12 on and would give 1.0 here
+    ls = LatticeSpec(4, ((0, 1, 1e16, "other"), (1, 2, 1.0, "other"), (2, 3, -1e16, "other")))
+    assert ls.total_coupling() == 0.0
 
 
 def test_bipartite_check():
@@ -131,7 +141,7 @@ def test_negative_coupling_rejected():
     with pytest.raises(ValueError):
         lattice_classical_bound(ls, CHSH)
     with pytest.raises(ValueError):
-        lattice_quantum_floor(ls, hamiltonian_hg())
+        lattice_quantum_floor(ls, operator_from_pauli_coeffs(H_G_COEFFS))
 
 
 def test_improved_bound_scaling():
@@ -152,5 +162,23 @@ def test_bundled_lattice():
     beta, cert = lattice_classical_bound(ls, local)
     assert abs(beta - (-526.0)) < 1e-9
     assert lattice_certificate_value(ls, local, cert) == beta
-    floor = lattice_quantum_floor(ls, hamiltonian_hg())
+    floor = lattice_quantum_floor(ls, operator_from_pauli_coeffs(H_G_COEFFS))
     assert abs(floor - 65.75 * (-16 / np.sqrt(3))) < 1e-9
+
+
+def test_streamed_digest_matches_one_json_list():
+    c = DIGEST_CHUNK_VERTICES
+    n = 2 * c + 5
+    # a component across the first chunk boundary whose lowest vertex is c - 2,
+    # one edge at the end of the last chunk, and every other vertex isolated
+    edges = ((c - 2, c - 1, 1.0, "red"), (c, c - 1, 0.5, "green"),
+             (c + 7, c, 0.25, "blue"), (n - 1, n - 3, 2.0, "other"))
+    ls = LatticeSpec(n, edges)
+    side_b = {c - 1, c + 7, n - 1}
+    assert set(check_bipartite(ls)[1].tolist()) == side_b
+    local = gisin_variant(2.0)
+    witness = classical_bound(local)[1]
+    canon = json.dumps([[v, (witness.b if v in side_b else witness.a).tolist()] for v in range(n)])
+    beta, cert = lattice_classical_bound(ls, local)
+    assert cert.sha256() == hashlib.sha256(canon.encode()).hexdigest()
+    assert lattice_certificate_value(ls, local, cert) == beta

@@ -11,7 +11,7 @@ from bellbounce.mapping import (
     residual_norm,
     solve_alpha,
 )
-from bellbounce.pauli import bloch_from_angles, pauli_coeffs_from_operator
+from bellbounce.pauli import pauli_coeffs_from_operator
 
 
 def _random_settings(rng, m1, m2):
@@ -36,8 +36,7 @@ def test_transfer_matrix_entries():
     rng = np.random.default_rng(22)
     ms = _random_settings(rng, 3, 3)
     t = build_transfer_matrix(ms).matrix
-    na = [bloch_from_angles(*row) for row in ms.party_a]
-    nb = [bloch_from_angles(*row) for row in ms.party_b]
+    na, nb = ms.bloch_a(), ms.bloch_b()
     for i in range(3):
         for j in range(3):
             for x1 in range(3):

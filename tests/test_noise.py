@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bellbounce.bell import gisin_variant
+from bellbounce.mapping import build_transfer_matrix, quantum_value_from_data
 from bellbounce.noise import (
     P_MAX,
     PLACEMENT_AFTER_EACH_GATE,
@@ -11,14 +12,15 @@ from bellbounce.noise import (
     NoiseModel,
     apply_depolarizing,
     apply_gate,
-    noise_sweep,
     prepare_noisy_singlet,
-    singlet_state,
 )
 from bellbounce.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, check_state, correlator_vector
 from bellbounce.presets import tetrahedron_axes_settings
 
 _SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# (|01> - |10>)(<01| - <10|)/2
+_PSI = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+SINGLET = np.outer(_PSI, _PSI).astype(complex)
 
 
 def _super_op_gate(u):
@@ -56,7 +58,7 @@ def _oracle_prepare(p, placement):
 
 def test_ideal_circuit_gives_singlet():
     rho = prepare_noisy_singlet(NoiseModel(0.0, PLACEMENT_AFTER_EACH_GATE))
-    assert np.allclose(rho, singlet_state(), atol=1e-14)
+    assert np.allclose(rho, SINGLET, atol=1e-14)
     c = correlator_vector(rho)
     expected = np.zeros(9)
     expected[[0, 4, 8]] = -1.0
@@ -96,13 +98,12 @@ def test_states_stay_physical():
 
 
 def test_full_depolarization_kills_correlations():
-    rho = singlet_state()
-    rho = apply_depolarizing(rho, 0, 0.25)  # Bloch contraction 1 - 4p = 0
+    rho = apply_depolarizing(SINGLET, 0, 0.25)  # Bloch contraction 1 - 4p = 0
     assert np.allclose(correlator_vector(rho), 0, atol=1e-14)
 
 
 def test_apply_gate_is_unitary_evolution():
-    rho = singlet_state()
+    rho = SINGLET
     out = apply_gate(rho, GateStep("X", (0,)))
     assert abs(np.trace(out).real - 1) < 1e-14
     assert np.allclose(out, out.conj().T)
@@ -130,10 +131,14 @@ def test_gate_step_validation():
 
 
 def test_noise_sweep_order_and_monotonicity():
-    ms = tetrahedron_axes_settings()
+    # the `original` column of ineq2ham: c(p) . T(ms) . alpha per noise strength
+    t = build_transfer_matrix(tetrahedron_axes_settings())
     bc = gisin_variant(2.0)
     ps = [0.0, 0.004, 0.008, 0.012]
-    rows = noise_sweep(ps, ms, bc)
+    rows = [
+        (p, quantum_value_from_data(correlator_vector(prepare_noisy_singlet(NoiseModel(p))), t, bc))
+        for p in ps
+    ]
     assert [r[0] for r in rows] == ps
     values = [r[1] for r in rows]
     assert abs(values[0] - (-16 / np.sqrt(3))) < 1e-12

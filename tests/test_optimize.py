@@ -23,16 +23,16 @@ from bellbounce.optimize import (
     run_search,
     value_objective,
 )
+from bellbounce.noise import NoiseModel, prepare_noisy_singlet
+from bellbounce.pauli import correlator_vector
 from bellbounce.presets import (
     ELEGANT_COEFFS,
-    hamiltonian_hg,
-    singlet_correlators,
+    H_G_COEFFS,
     tetrahedron_axes_settings,
 )
-from bellbounce.pauli import pauli_coeffs_from_operator
 from finite_diff import finite_diff_gradient
 
-H_HG = pauli_coeffs_from_operator(hamiltonian_hg())
+SINGLET = correlator_vector(prepare_noisy_singlet(NoiseModel(0.0)))
 FAST = OptimizerConfig(learning_rate=0.02, max_steps=120)
 FAST_DOWN = OptimizerConfig(learning_rate=0.01, max_steps=120)
 GISIN_2 = gisin_variant(2.0)
@@ -112,7 +112,7 @@ def _kink_free(alpha_row, m1, m2, margin=1e-6):
 @pytest.mark.parametrize("operator", ["H_G", "elegant", "random"])
 def test_bound_gradient_matches_finite_differences(m1, operator):
     rng = np.random.default_rng(54)
-    h = {"H_G": H_HG, "elegant": ELEGANT_COEFFS, "random": rng.normal(size=9)}[operator]
+    h = {"H_G": H_G_COEFFS, "elegant": ELEGANT_COEFFS, "random": rng.normal(size=9)}[operator]
     objective = bound_objective(h, Scenario(m1, 3))
     checked = 0
     for _ in range(40):
@@ -140,10 +140,11 @@ def test_bound_gradient_zero_when_infeasible():
 def test_maximize_bound_consistency():
     rng = np.random.default_rng(52)
     start = _random_settings(rng, 3, 3).to_vector()[None, :]
-    res = run_search(bound_objective(H_HG, Scenario(3, 3)), start, FAST)
+    res = run_search(bound_objective(H_G_COEFFS, Scenario(3, 3)), start, FAST)
     # reported alpha reproduces h at the reported settings
     t = build_transfer_matrix(res.settings)
-    assert np.linalg.norm(t.matrix @ res.alpha.alpha.ravel() - H_HG) <= 1e-8 * np.linalg.norm(H_HG)
+    resid = np.linalg.norm(t.matrix @ res.alpha.alpha.ravel() - H_G_COEFFS)
+    assert resid <= 1e-8 * np.linalg.norm(H_G_COEFFS)
     # reported value is the exact enumerated bound of the reported alpha
     assert abs(res.value - classical_bound(res.alpha)[0]) < 1e-12
     # best-so-far history never decreases
@@ -154,7 +155,7 @@ def test_maximize_bound_consistency():
 def test_minimize_value_descends():
     rng = np.random.default_rng(53)
     bc = gisin_variant(2.0)
-    c = singlet_correlators()
+    c = SINGLET
     init = _random_settings(rng, 4, 3)
     res = run_search(value_objective(bc, c), init.to_vector()[None, :], FAST_DOWN)
     assert res.value <= res.history[0]
@@ -214,8 +215,8 @@ AXES = tetrahedron_axes_settings().party_b  # x, y and z
 @pytest.mark.parametrize(
     "objective, canonical, cfg",
     [
-        (bound_objective(H_HG, Scenario(3, 3)), MeasurementSettings(AXES, AXES), FAST),
-        (value_objective(GISIN_2, singlet_correlators() * 0.92),
+        (bound_objective(H_G_COEFFS, Scenario(3, 3)), MeasurementSettings(AXES, AXES), FAST),
+        (value_objective(GISIN_2, SINGLET * 0.92),
          tetrahedron_axes_settings(), FAST_DOWN),
     ],
     ids=["bound", "value"],
@@ -234,7 +235,7 @@ def test_harness_determinism_and_seeding(objective, canonical, cfg):
         assert np.array_equal(solo.settings.to_vector(), theta)
     if not objective.maximize:
         # so does a row with its own correlators in a batch whose rows' differ
-        cs = singlet_correlators() * np.linspace(0.7, 1.0, len(starts))[:, None]
+        cs = SINGLET * np.linspace(0.7, 1.0, len(starts))[:, None]
         stacked = run_search(value_objective(GISIN_2, cs), starts, cfg)
         for row, c, value, theta in zip(starts, cs, stacked.values, stacked.thetas):
             solo = run_search(value_objective(GISIN_2, c), row[None, :], cfg)
@@ -283,7 +284,7 @@ def test_value_rows_match_single_point_and_data_value(m1, m2):
 
 
 def test_value_objective_correlator_shapes():
-    bc, c = gisin_variant(2.0), singlet_correlators()
+    bc, c = gisin_variant(2.0), SINGLET
     thetas = np.stack([_random_settings(np.random.default_rng(59), 4, 3).to_vector()] * 3)
     shared = value_objective(bc, c).evaluate(thetas)
     # one row that every batch row shares, or one row per batch row
@@ -307,7 +308,7 @@ def test_value_objective_evaluates_the_factory_closure(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(optimize, "_make_qv_objective", factory)
-    objective = value_objective(gisin_variant(2.0), singlet_correlators())
+    objective = value_objective(gisin_variant(2.0), SINGLET)
     assert len(made) == 1 and objective.evaluate is made[0]
     thetas = np.stack([_random_settings(np.random.default_rng(58), 4, 3).to_vector()] * 5)
     values, payload, grad = objective.evaluate(thetas)
@@ -319,13 +320,13 @@ def test_bound_objective_refuses_gradient_beyond_budget(monkeypatch):
     # under a budget of 4 x 2^4 = 64 entries, a 9x2 row enumerates 9 x 2^2 = 36
     # products but would form 9 x 9 = 81 gradient entries
     monkeypatch.setattr(bell, "ENUMERATION_MAX_SIDE", 4)
-    objective = bound_objective(H_HG, Scenario(9, 2))
+    objective = bound_objective(H_G_COEFFS, Scenario(9, 2))
     with pytest.raises(ValueError, match=r"1 x 9 x 9 gradient entries exceed 4 x 2\^4"):
         objective.evaluate(np.zeros((1, objective.dim)))
 
 def test_value_task_matches_direct_call():
     bc = gisin_variant(2.0)
-    c = singlet_correlators()
+    c = SINGLET
     objective = value_objective(bc, c)
     out = run_search(objective, random_starts(objective.dim, 2, seed=3), FAST_DOWN)
     rng = np.random.default_rng(np.random.SeedSequence((3, 0)))
@@ -336,7 +337,7 @@ def test_value_task_matches_direct_call():
 def test_bounce_contracts_exact():
     bc = gisin_variant(2.0)
     ms = tetrahedron_axes_settings()
-    c = singlet_correlators() * 0.92  # mildly degraded data
+    c = SINGLET * 0.92  # mildly degraded data
     small = OptimizerConfig(learning_rate=0.01, max_steps=150)
     res = bounce_loop(bc, ms, c, min_cfg=small, max_cfg=small, max_loops=3)
     assert res.records[0].kind == "init"
@@ -354,8 +355,8 @@ def test_bounce_contracts_exact():
 def test_bounce_accepts_operator_start():
     ms = tetrahedron_axes_settings()
     tiny = OptimizerConfig(learning_rate=0.01, max_steps=40)
-    res = bounce_loop(H_HG, ms, singlet_correlators(), min_cfg=tiny, max_cfg=tiny, max_loops=1)
-    start = solve_alpha(build_transfer_matrix(ms), H_HG)
+    res = bounce_loop(H_G_COEFFS, ms, SINGLET, min_cfg=tiny, max_cfg=tiny, max_loops=1)
+    start = solve_alpha(build_transfer_matrix(ms), H_G_COEFFS)
     assert abs(res.records[0].beta_c - classical_bound(start)[0]) < 1e-12
     assert res.violation  # ideal data violates from the start
 
@@ -365,18 +366,18 @@ def test_bounce_budget_validation():
         bounce_loop(
             gisin_variant(2.0),
             tetrahedron_axes_settings(),
-            singlet_correlators(),
+            SINGLET,
             max_loops=0,
         )
     for bad in (np.nan, np.inf, -1e-6):  # a nan tolerance would never stop the loop
         with pytest.raises(ValueError, match="gap tolerance"):
             bounce_loop(
-                gisin_variant(2.0), tetrahedron_axes_settings(), singlet_correlators(), gap_tol=bad
+                gisin_variant(2.0), tetrahedron_axes_settings(), SINGLET, gap_tol=bad
             )
 
 
 def test_bounce_rejects_bad_inputs():
-    bc, c = gisin_variant(2.0), singlet_correlators()
+    bc, c = gisin_variant(2.0), SINGLET
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):  # unphysical data
         bounce_loop(bc, tetrahedron_axes_settings(), np.array([-2.0, 0, 0, 0, -2.0, 0, 0, 0, -2.0]))
     with pytest.raises(ValueError, match="does not match"):

@@ -7,7 +7,7 @@ from bellbounce.pauli import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    bloch_from_angles,
+    _bloch_batch,
     check_state,
     correlator_vector,
     min_eigenvalue,
@@ -15,7 +15,7 @@ from bellbounce.pauli import (
     operator_from_pauli_coeffs,
     pauli_coeffs_from_operator,
 )
-from bellbounce.presets import hamiltonian_elegant, hamiltonian_hg
+from bellbounce.presets import ELEGANT_COEFFS, H_G_COEFFS
 
 
 def test_pauli_algebra():
@@ -28,19 +28,19 @@ def test_pauli_algebra():
 
 def test_bloch_convention():
     # theta measured from the x axis, phi rotating y toward z
-    assert np.allclose(bloch_from_angles(0.0, 0.0), [1, 0, 0])
-    assert np.allclose(bloch_from_angles(np.pi / 2, 0.0), [0, 1, 0], atol=1e-15)
-    assert np.allclose(bloch_from_angles(np.pi / 2, np.pi / 2), [0, 0, 1], atol=1e-15)
+    assert np.allclose(_bloch_batch(np.array([0.0, 0.0])), [1, 0, 0])
+    assert np.allclose(_bloch_batch(np.array([np.pi / 2, 0.0])), [0, 1, 0], atol=1e-15)
+    assert np.allclose(_bloch_batch(np.array([np.pi / 2, np.pi / 2])), [0, 0, 1], atol=1e-15)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        n = bloch_from_angles(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+        n = _bloch_batch(np.array([rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)]))
         assert abs(np.linalg.norm(n) - 1) < 1e-14
 
 
 def test_observable_from_bloch():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        n = bloch_from_angles(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+        n = _bloch_batch(np.array([rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)]))
         a = observable_from_bloch(n)
         assert np.allclose(a, a.conj().T)
         assert np.allclose(a @ a, IDENTITY_2, atol=1e-14)  # eigenvalues +-1
@@ -82,8 +82,8 @@ def test_min_eigenvalue_against_lapack():
 
 
 def test_known_ground_energies():
-    assert abs(min_eigenvalue(hamiltonian_hg()) - (-16 / np.sqrt(3))) < 1e-9
-    assert abs(min_eigenvalue(hamiltonian_elegant()) - (-4 * np.sqrt(3))) < 1e-9
+    assert abs(min_eigenvalue(operator_from_pauli_coeffs(H_G_COEFFS)) - (-16 / np.sqrt(3))) < 1e-9
+    assert abs(min_eigenvalue(operator_from_pauli_coeffs(ELEGANT_COEFFS)) - (-4 * np.sqrt(3))) < 1e-9
 
 
 def test_min_eigenvalue_diagonal_exact():

@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -394,19 +394,7 @@ def _cmd_bounce(cfg: dict):
     _print_kv("violation", result.violation)
     _print_kv("final gap", result.final_gap)
     out = _out_dir(cfg)
-    write_json_lines(
-        out / "bounce_trajectory.jsonl",
-        (
-            {
-                "half_step": r.half_step,
-                "kind": r.kind,
-                "beta_c": r.beta_c,
-                "beta_q": r.beta_q,
-                "gap": r.gap,
-            }
-            for r in result.records
-        ),
-    )
+    write_json_lines(out / "bounce_trajectory.jsonl", (asdict(r) for r in result.records))
     write_json(
         out / "bounce_summary.json",
         {

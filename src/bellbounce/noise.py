@@ -1,11 +1,12 @@
-"""Two-qubit density-matrix circuit simulator with depolarizing noise.
+"""The noisy singlet: one fixed two-qubit circuit with depolarizing noise.
 
-Qubit 0 is the first tensor factor. The depolarizing channel is the mixture
+The circuit X(q1), H(q0), CNOT(q0 -> q1), Z(q0) takes |00> to the singlet.
+The depolarizing channel is the mixture
 N_p(rho) = (1-3p) rho + p (X rho X + Y rho Y + Z rho Z) applied on one qubit;
 it is a valid probability mixture for 0 <= p <= 1/3 and contracts that
 qubit's Bloch components by (1 - 4p).
 
-Every simulator step validates its output state (trace, Hermiticity,
+Every gate and every channel validates its output state (trace, Hermiticity,
 positivity), so CPTP violations surface immediately rather than as corrupted
 correlators downstream.
 """
@@ -16,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_state
+from .pauli import EMBEDDED_PAULIS, check_state
 
 __all__ = [
-    "GateStep",
     "NoiseModel",
     "PLACEMENT_AFTER_EACH_GATE",
     "PLACEMENT_FINAL_ONLY",
     "PLACEMENTS",
     "SINGLET_CIRCUIT",
-    "apply_gate",
     "apply_depolarizing",
     "prepare_noisy_singlet",
 ]
@@ -35,32 +34,6 @@ PLACEMENT_FINAL_ONLY = "final-state-only"
 PLACEMENTS = (PLACEMENT_AFTER_EACH_GATE, PLACEMENT_FINAL_ONLY)
 
 P_MAX = 1.0 / 3.0
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_SINGLE_QUBIT = {"X": SIGMA_X, "H": _HADAMARD, "Z": SIGMA_Z}
-_PROJ_0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_PROJ_1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class GateStep:
-    """One circuit element: kind in {X, H, Z, CNOT} and its target qubits."""
-
-    kind: str
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        if any(t not in (0, 1) for t in self.targets):
-            raise ValueError(f"targets must be qubit indices 0 or 1, got {self.targets}")
-        if self.kind == "CNOT":
-            if len(self.targets) != 2 or self.targets[0] == self.targets[1]:
-                raise ValueError("CNOT needs distinct (control, target) qubits")
-        elif self.kind in _SINGLE_QUBIT:
-            if len(self.targets) != 1:
-                raise ValueError(f"{self.kind} gate takes exactly one target")
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -79,36 +52,17 @@ class NoiseModel:
             )
 
 
-# Singlet preparation: X(q1), H(q0), CNOT(q0 -> q1), Z(q0) on |00>.
-SINGLET_CIRCUIT = (
-    GateStep("X", (1,)),
-    GateStep("H", (0,)),
-    GateStep("CNOT", (0, 1)),
-    GateStep("Z", (0,)),
-)
+_X0, _, _Z0 = EMBEDDED_PAULIS[0]
+_X1 = EMBEDDED_PAULIS[1, 0]
+_H0 = (_X0 + _Z0) / np.sqrt(2.0)
+_H0.flags.writeable = False
+# |0><0| (x) I + |1><1| (x) X, with |0><0| = (I + Z)/2 and |1><1| = (I - Z)/2
+_CNOT01 = (np.eye(4, dtype=complex) + _Z0 + _X1 - _Z0 @ _X1) / 2.0
+_CNOT01.flags.writeable = False
 
-
-def _embed_single(u: np.ndarray, qubit: int) -> np.ndarray:
-    if qubit == 0:
-        return np.kron(u, IDENTITY_2)
-    return np.kron(IDENTITY_2, u)
-
-
-def _gate_unitary(gate: GateStep) -> np.ndarray:
-    if gate.kind == "CNOT":
-        control, target = gate.targets
-        flip = _embed_single(SIGMA_X, target)
-        return _embed_single(_PROJ_0, control) @ np.eye(4) + _embed_single(
-            _PROJ_1, control
-        ) @ flip
-    return _embed_single(_SINGLE_QUBIT[gate.kind], gate.targets[0])
-
-
-def apply_gate(rho, gate: GateStep) -> np.ndarray:
-    """Conjugate the state by the gate unitary and validate the result."""
-    rho = np.asarray(rho, dtype=complex)
-    u = _gate_unitary(gate)
-    return check_state(u @ rho @ u.conj().T)
+# Singlet preparation on |00> as (unitary, touched qubits) pairs:
+# X(q1), H(q0), CNOT(q0 -> q1), Z(q0).
+SINGLET_CIRCUIT = ((_X1, (1,)), (_H0, (0,)), (_CNOT01, (0, 1)), (_Z0, (0,)))
 
 
 def apply_depolarizing(rho, qubit: int, p: float) -> np.ndarray:
@@ -119,16 +73,9 @@ def apply_depolarizing(rho, qubit: int, p: float) -> np.ndarray:
         raise ValueError(f"qubit index must be 0 or 1, got {qubit!r}")
     rho = np.asarray(rho, dtype=complex)
     out = (1.0 - 3.0 * p) * rho
-    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-        k = _embed_single(sigma, qubit)
+    for k in EMBEDDED_PAULIS[int(qubit)]:
         out += p * (k @ rho @ k.conj().T)
     return check_state(out)
-
-
-def _initial_state() -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def prepare_noisy_singlet(nm: NoiseModel) -> np.ndarray:
@@ -139,11 +86,12 @@ def prepare_noisy_singlet(nm: NoiseModel) -> np.ndarray:
     two). Final-state-only runs the circuit noiselessly and applies one
     channel per qubit at the end. At p = 0 both give the exact singlet.
     """
-    rho = _initial_state()
-    for gate in SINGLET_CIRCUIT:
-        rho = apply_gate(rho, gate)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    for u, touched in SINGLET_CIRCUIT:
+        rho = check_state(u @ rho @ u.conj().T)
         if nm.placement == PLACEMENT_AFTER_EACH_GATE:
-            for qubit in gate.targets:
+            for qubit in touched:
                 rho = apply_depolarizing(rho, qubit, nm.p)
     if nm.placement == PLACEMENT_FINAL_ONLY:
         for qubit in (0, 1):

@@ -19,6 +19,7 @@ __all__ = [
     "SIGMA_Z",
     "IDENTITY_2",
     "PAULI_PAIR_LABELS",
+    "EMBEDDED_PAULIS",
     "observable_from_bloch",
     "pauli_coeffs_from_operator",
     "operator_from_pauli_coeffs",
@@ -37,6 +38,12 @@ PAULI_PAIR_LABELS = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
 _SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # sigma_i (x) sigma_j stacked in the fixed row order above.
 _PAULI_PAIRS = np.stack([np.kron(si, sj) for si in _SIGMAS for sj in _SIGMAS])
+# EMBEDDED_PAULIS[q, i] is sigma_i on qubit q and the identity on the other;
+# qubit 0 is the first tensor factor.
+EMBEDDED_PAULIS = np.stack(
+    [[np.kron(s, IDENTITY_2) for s in _SIGMAS], [np.kron(IDENTITY_2, s) for s in _SIGMAS]]
+)
+EMBEDDED_PAULIS.flags.writeable = False
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -118,9 +125,9 @@ def pauli_coeffs_from_operator(h_op) -> np.ndarray:
         raise ValueError(
             f"not a correlator operator: identity component {ident!r}"
         )
-    for s in _SIGMAS:
-        one_a = np.trace(np.kron(s, IDENTITY_2) @ h_op).real / 4.0
-        one_b = np.trace(np.kron(IDENTITY_2, s) @ h_op).real / 4.0
+    for k_a, k_b in zip(*EMBEDDED_PAULIS):
+        one_a = np.trace(k_a @ h_op).real / 4.0
+        one_b = np.trace(k_b @ h_op).real / 4.0
         if abs(one_a) > CORRELATOR_CONTENT_TOL or abs(one_b) > CORRELATOR_CONTENT_TOL:
             raise ValueError(
                 "not a correlator operator: single-body component "

@@ -47,7 +47,6 @@ from bellbounce.noise import (
     SINGLET_CIRCUIT,
     NoiseModel,
     apply_depolarizing,
-    apply_gate,
     prepare_noisy_singlet,
 )
 from bellbounce.optimize import (
@@ -256,11 +255,11 @@ def test_criterion_11b_cptp_every_step():
     for p in (0.0, 0.007, 0.05, P_MAX):
         for placement in PLACEMENTS:
             rho = rho0
-            for gate in SINGLET_CIRCUIT:
-                rho = apply_gate(rho, gate)
+            for u, touched in SINGLET_CIRCUIT:
+                rho = u @ rho @ u.conj().T
                 check_state(rho)
                 if placement == PLACEMENT_AFTER_EACH_GATE:
-                    for qubit in gate.targets:
+                    for qubit in touched:
                         rho = apply_depolarizing(rho, qubit, p)
                         check_state(rho)
             if placement == PLACEMENT_FINAL_ONLY:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bellbounce.noise
 from bellbounce.bell import gisin_variant
 from bellbounce.mapping import build_transfer_matrix, quantum_value_from_data
 from bellbounce.noise import (
@@ -8,10 +9,8 @@ from bellbounce.noise import (
     PLACEMENT_AFTER_EACH_GATE,
     PLACEMENT_FINAL_ONLY,
     SINGLET_CIRCUIT,
-    GateStep,
     NoiseModel,
     apply_depolarizing,
-    apply_gate,
     prepare_noisy_singlet,
 )
 from bellbounce.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, check_state, correlator_vector
@@ -21,6 +20,19 @@ _SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # (|01> - |10>)(<01| - <10|)/2
 _PSI = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 SINGLET = np.outer(_PSI, _PSI).astype(complex)
+
+# The singlet circuit built here, independently of the simulator, with qubit 0
+# as the first tensor factor: X(q1), H(q0), CNOT(q0 -> q1), Z(q0).
+_I2 = np.eye(2)
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_PROJ_0 = np.diag([1.0, 0.0])
+_PROJ_1 = np.diag([0.0, 1.0])
+_GATES = (
+    (np.kron(_I2, SIGMA_X), (1,)),
+    (np.kron(_HADAMARD, _I2), (0,)),
+    (np.kron(_PROJ_0, _I2) + np.kron(_PROJ_1, SIGMA_X), (0, 1)),
+    (np.kron(SIGMA_Z, _I2), (0,)),
+)
 
 
 def _super_op_gate(u):
@@ -40,20 +52,27 @@ def _super_op_depol(qubit, p):
 
 
 def _oracle_prepare(p, placement):
-    from bellbounce.noise import _gate_unitary
-
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     vec = rho.reshape(-1)
-    for gate in SINGLET_CIRCUIT:
-        vec = _super_op_gate(_gate_unitary(gate)) @ vec
+    for u, touched in _GATES:
+        vec = _super_op_gate(u) @ vec
         if placement == PLACEMENT_AFTER_EACH_GATE:
-            for q in gate.targets:
+            for q in touched:
                 vec = _super_op_depol(q, p) @ vec
     if placement == PLACEMENT_FINAL_ONLY:
         for q in (0, 1):
             vec = _super_op_depol(q, p) @ vec
     return vec.reshape(4, 4)
+
+
+def test_singlet_circuit_matches_independent_gates():
+    assert len(SINGLET_CIRCUIT) == len(_GATES)
+    for (u, touched), (ref, ref_touched) in zip(SINGLET_CIRCUIT, _GATES):
+        assert touched == ref_touched
+        assert np.allclose(u, ref, rtol=0, atol=1e-15)
+        assert np.allclose(u @ u.conj().T, np.eye(4), rtol=0, atol=1e-15)
+        assert not u.flags.writeable
 
 
 def test_ideal_circuit_gives_singlet():
@@ -87,6 +106,16 @@ def test_noisy_correlator_closed_forms():
         assert np.allclose(c2[[0, 4, 8]], -(f**2), atol=1e-12)
 
 
+def test_every_gate_and_channel_is_checked(monkeypatch):
+    checked = []
+    monkeypatch.setattr(bellbounce.noise, "check_state", lambda rho: checked.append(rho) or rho)
+    # four gates, then five channels on touched qubits or two on the final state
+    for placement, count in ((PLACEMENT_AFTER_EACH_GATE, 9), (PLACEMENT_FINAL_ONLY, 6)):
+        checked.clear()
+        rho = prepare_noisy_singlet(NoiseModel(0.01, placement))
+        assert len(checked) == count and checked[-1] is rho
+
+
 def test_states_stay_physical():
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -102,9 +131,11 @@ def test_full_depolarization_kills_correlations():
     assert np.allclose(correlator_vector(rho), 0, atol=1e-14)
 
 
-def test_apply_gate_is_unitary_evolution():
+def test_circuit_gate_is_unitary_evolution():
     rho = SINGLET
-    out = apply_gate(rho, GateStep("X", (0,)))
+    u, touched = SINGLET_CIRCUIT[0]
+    assert touched == (1,)
+    out = check_state(u @ rho @ u.conj().T)
     assert abs(np.trace(out).real - 1) < 1e-14
     assert np.allclose(out, out.conj().T)
     # X on either qubit flips the singlet to a triplet, orthogonal state
@@ -121,13 +152,16 @@ def test_noise_model_validation():
     NoiseModel(P_MAX, PLACEMENT_FINAL_ONLY)  # boundary is allowed
 
 
-def test_gate_step_validation():
-    with pytest.raises(ValueError):
-        GateStep("CNOT", (1, 1))
-    with pytest.raises(ValueError):
-        GateStep("T", (0,))
-    with pytest.raises(ValueError):
-        GateStep("X", (2,))
+def test_depolarizing_validation():
+    for qubit in (2, -1, 0.5):
+        with pytest.raises(ValueError, match="qubit index"):
+            apply_depolarizing(SINGLET, qubit, 0.01)
+    for p in (-0.01, P_MAX + 1e-6):
+        with pytest.raises(ValueError, match="noise strength"):
+            apply_depolarizing(SINGLET, 0, p)
+    # an integral float or a bool names the same qubit as the int
+    assert np.array_equal(apply_depolarizing(SINGLET, 1.0, 0.01), apply_depolarizing(SINGLET, 1, 0.01))
+    assert np.array_equal(apply_depolarizing(SINGLET, True, 0.01), apply_depolarizing(SINGLET, 1, 0.01))
 
 
 def test_noise_sweep_order_and_monotonicity():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bellbounce.pauli import (
+    EMBEDDED_PAULIS,
     IDENTITY_2,
     PAULI_PAIR_LABELS,
     SIGMA_X,
@@ -24,6 +25,15 @@ def test_pauli_algebra():
         assert np.allclose(s, s.conj().T)
     assert np.allclose(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z)
     assert PAULI_PAIR_LABELS[0] == "xx" and PAULI_PAIR_LABELS[8] == "zz"
+
+
+def test_embedded_paulis_put_qubit_0_first():
+    for i, s in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z)):
+        assert np.array_equal(EMBEDDED_PAULIS[0, i], np.kron(s, IDENTITY_2))
+        assert np.array_equal(EMBEDDED_PAULIS[1, i], np.kron(IDENTITY_2, s))
+    # basis index 2*q0 + q1: X on qubit 0 takes |00> to |10>, on qubit 1 to |01>
+    assert EMBEDDED_PAULIS[0, 0][2, 0] == 1 and EMBEDDED_PAULIS[1, 0][1, 0] == 1
+    assert not EMBEDDED_PAULIS.flags.writeable
 
 
 def test_bloch_convention():
@@ -63,8 +73,11 @@ def test_coeff_roundtrip():
 def test_non_correlator_rejected():
     with pytest.raises(ValueError, match="not a correlator"):
         pauli_coeffs_from_operator(np.eye(4))  # identity component
-    with pytest.raises(ValueError, match="not a correlator"):
-        pauli_coeffs_from_operator(np.kron(SIGMA_Z, IDENTITY_2))  # single-body term
+    for k in EMBEDDED_PAULIS.reshape(6, 4, 4):  # every single-body term, on either qubit
+        with pytest.raises(ValueError, match="single-body"):
+            pauli_coeffs_from_operator(k)
+        with pytest.raises(ValueError, match="single-body"):
+            pauli_coeffs_from_operator(1e-9 * k + operator_from_pauli_coeffs(H_G_COEFFS))
     with pytest.raises(ValueError):
         pauli_coeffs_from_operator(np.diag([1.0, 2.0, 3.0]))  # wrong shape
     nonherm = np.kron(SIGMA_X, SIGMA_X).astype(complex)

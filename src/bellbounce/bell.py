@@ -111,27 +111,42 @@ def _check_batch_budget(n: int, per_matrix: int, what: str, *args):
         )
 
 
-def _enumerate_side(amats: np.ndarray):
-    # The smaller side's sign patterns for a batch (n, m1, m2), their products
-    # (rows (n, m1, K) or columns (n, K, m2)) and each one's value -sum|products|.
-    # The batch is folded into one matrix product.
-    n, m1, m2 = amats.shape
+def _check_enumeration(n: int, m1: int, m2: int):
     big, small = max(m1, m2), min(m1, m2)
     _check_batch_budget(n, big * 2**small, "{} x 2^{} products", big, small)
+
+
+def _enumerate_side(amats: np.ndarray):
+    # The smaller side's K sign patterns for a batch (n, m1, m2), the other side's products with
+    # each (n, max(m1, m2), K), a view if m2 > m1, and each one's value -sum|products| (n, K).
+    n, m1, m2 = amats.shape
+    _check_enumeration(n, m1, m2)
     if m2 <= m1:
         patterns = _sign_patterns(m2)
-        rows = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
-        return patterns, rows, -np.abs(rows).sum(axis=1)
-    patterns = _sign_patterns(m1)
-    cols = (patterns @ amats.transpose(1, 0, 2).reshape(m1, -1)).reshape(-1, n, m2)
-    cols = cols.transpose(1, 0, 2)
-    return patterns, cols, -np.abs(cols).sum(axis=2)
+        products = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
+    else:
+        patterns = _sign_patterns(m1)
+        products = patterns @ amats.transpose(1, 0, 2).reshape(m1, -1)
+        products = products.reshape(-1, n, m2).transpose(1, 2, 0)
+    return patterns, products, -np.abs(products).sum(axis=1)
 
 
 def _signs_from_rows(rows: np.ndarray) -> np.ndarray:
     # Outcome that turns each row sum r into -|r|; free entries (r == 0) go to
     # -1, the lexicographically smallest choice.
-    return np.where(rows < 0, 1, -1).astype(np.int64)
+    return np.where(rows < 0, 1.0, -1.0)
+
+
+def _enumerated_bounds(amats: np.ndarray):
+    # Exact classical bounds (n,) of a batch of coefficient matrices (n, m1, m2) and
+    # a winning strategy a (n, m1), b (n, m2): the first optimal pattern of the
+    # smaller side and the signs it induces on the other.
+    patterns, products, values = _enumerate_side(amats)
+    idx, k = np.arange(len(amats)), values.argmin(axis=1)
+    a, b = _signs_from_rows(products[idx, :, k]), patterns[k]
+    if amats.shape[2] > amats.shape[1]:
+        a, b = b, a
+    return values[idx, k], a, b
 
 
 def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
@@ -147,21 +162,14 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
             ENUMERATION_MAX_SIDE * 2^ENUMERATION_MAX_SIDE.
     """
     alpha = bc.alpha
-    m1, m2 = alpha.shape
     patterns, (products,), (values,) = _enumerate_side(alpha[None])
-    if m2 <= m1:
-        k = int(np.argmin(values))  # first minimum = lexicographically smallest b
-        b = patterns[k]
-        a = _signs_from_rows(products[:, k])
-    else:
-        # Every optimal pair's b is the induced sign pattern of some optimal a,
-        # so the lexicographically smallest optimal b is found among those.
-        winners = np.flatnonzero(values == values.min())
-        induced = _signs_from_rows(products[winners])
-        order = np.lexsort(induced.T[::-1])
-        b = induced[order[0]]
-        a = _signs_from_rows(alpha @ b)
-    witness = DeterministicStrategy(a=a, b=b)
+    winners = np.flatnonzero(values == values.min())
+    # Every optimal pair's b is a winning pattern or, when a is enumerated (m2 > m1),
+    # the signs a winning a induces; the lexicographically smallest is among these.
+    wide = alpha.shape[1] > alpha.shape[0]
+    candidates = _signs_from_rows(products[:, winners].T) if wide else patterns[winners]
+    b = candidates[np.lexsort(candidates.T[::-1])[0]]
+    witness = DeterministicStrategy(a=_signs_from_rows(alpha @ b), b=b)
     # Report the witness's own evaluation so the bound and its certificate
     # agree bit-for-bit.
     return bell_value(bc, witness.correlators()), witness

@@ -497,11 +497,16 @@ def _convert(key: str, value, where: str):
     return out if many else out[0]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input like any other: one line, exit 2
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process; parsing leaves it unchanged. No argparse types:
     # _merge_config converts flags and config values alike.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellbounce",
         description="Bell inequality / Bell operator optimization toolkit",
     )
@@ -542,9 +547,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _is_number(text: str) -> bool:
+def _is_numbers(text: str) -> bool:
     try:
-        float(text)
+        _parse_numbers(text)
     except ValueError:
         return False
     return True
@@ -552,12 +557,12 @@ def _is_number(text: str) -> bool:
 
 def main(argv=None) -> int:
     # argparse reads a token that starts with "-" and is not a plain decimal, such as
-    # -inf or -1e-3, as an option; with a leading space it reads it as a value.
+    # -inf, -1e-3 or -1,0,1, as an option; with a leading space it reads it as a value.
     argv = sys.argv[1:] if argv is None else argv
-    argv = [" " + tok if tok.startswith("-") and _is_number(tok) else tok for tok in argv]
-    args, extra = _build_parser().parse_known_args(argv)
+    argv = [" " + tok if tok.startswith("-") and _is_numbers(tok) else tok for tok in argv]
     # LinAlgError subclasses ValueError, so the numerical clause comes first.
     try:
+        args, extra = _build_parser().parse_known_args(argv)
         if extra:
             flags = [tok.split("=")[0] for tok in extra if tok.startswith("--")]
             raise ValueError(f"{args.command} does not take {', '.join(flags or extra)}")

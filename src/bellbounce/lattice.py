@@ -134,10 +134,10 @@ def honeycomb_coupling(params: HoneycombParams, color: str) -> float:
     raise ValueError(f"unknown color {color!r} for honeycomb coupling")
 
 
-def check_bipartite(ls: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+def check_bipartite(ls: LatticeSpec) -> np.ndarray:
     """Two-color the lattice by breadth-first search.
 
-    Returns (side_a, side_b) as sorted vertex arrays; each connected
+    Returns a boolean array over the vertices, true on side B; each connected
     component's lowest-index vertex lands on side A, and isolated vertices
     default to side A.
 
@@ -163,14 +163,7 @@ def check_bipartite(ls: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
                     raise ValueError(
                         f"lattice is not bipartite: odd cycle through edge ({u}, {v})"
                     )
-    on_b = np.frombuffer(side, dtype=np.uint8) == 2
-    return np.flatnonzero(~on_b), np.flatnonzero(on_b)
-
-
-def _side_b_mask(ls: LatticeSpec) -> np.ndarray:
-    on_b = np.zeros(ls.vertices, dtype=bool)
-    on_b[check_bipartite(ls)[1]] = True
-    return on_b
+    return np.frombuffer(side, dtype=np.uint8) == 2
 
 
 def _require_nonnegative(ls: LatticeSpec):
@@ -194,7 +187,7 @@ def lattice_classical_bound(
         (beta, certificate): the witness and each vertex's side.
     """
     _require_nonnegative(ls)
-    on_b = _side_b_mask(ls)
+    on_b = check_bipartite(ls)
     beta_local, witness = classical_bound(local)
     return ls.total_coupling() * beta_local, LatticeCertificate(witness, on_b)
 
@@ -207,7 +200,7 @@ def lattice_certificate_value(
     Each edge is scored as J_e times the local expression at its endpoints'
     assignments, with the endpoint on the lattice's own side A playing party A.
     """
-    on_b = _side_b_mask(ls)
+    on_b = check_bipartite(ls)
     total = 0.0
     for u, v, coupling, _ in ls.edges:
         a_vertex, b_vertex = (v, u) if on_b[u] else (u, v)

@@ -81,9 +81,6 @@ class MeasurementSettings:
     def m2(self) -> int:
         return self.party_b.shape[0]
 
-    def scenario(self) -> Scenario:
-        return Scenario(self.m1, self.m2)
-
     def bloch_a(self) -> np.ndarray:
         return _bloch_batch(self.party_a)
 

@@ -36,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bell import BellCoeffs, Scenario, _check_batch_budget, _enumerate_side
+# perfbench times the engine's enumeration as optimize._enumerated_bounds
+from .bell import BellCoeffs, Scenario, _check_batch_budget, _check_enumeration, _enumerated_bounds
 from .mapping import (
     MeasurementSettings,
     _quantum_values,
@@ -154,22 +155,6 @@ class OptimizeResult:
 # batched objective evaluation
 
 
-def _enumerated_bounds(amats: np.ndarray):
-    # Exact classical bounds of a batch of coefficient matrices (n, m1, m2), and a
-    # winning strategy's correlators a* b*^T: the bound's gradient in alpha
-    # wherever the winner is unique.
-    patterns, products, values = _enumerate_side(amats)
-    k = values.argmin(axis=1)
-    idx = np.arange(len(amats))
-    if amats.shape[2] <= amats.shape[1]:
-        b = patterns[k]
-        a = -np.sign(products[idx, :, k])
-    else:
-        a = patterns[k]
-        b = -np.sign(products[idx, k, :])
-    return values[idx, k], a[:, :, None] * b[:, None, :]
-
-
 def _factor_gradients(na, nb, alpha, pa, pbt, hmat, g):
     # Gradients of <G, alpha> in NA and NB, where alpha = A+ H B+^T with A = NA^T,
     # B = NB^T (pa = A+, pbt = B+^T). From the derivative of the pseudo-inverse of a
@@ -194,8 +179,8 @@ def _factor_gradients(na, nb, alpha, pa, pbt, hmat, g):
 def _check_bound_batch(n: int, m1: int, m2: int):
     # A bound-objective step over n rows enumerates n * m * 2^min(m1, m2) products and forms
     # n (m, m) gradient temporaries (alpha G^T), m = max(m1, m2): both within one budget.
-    m, k = max(m1, m2), min(m1, m2)
-    _check_batch_budget(n, m * 2**k, "{} x 2^{} products", m, k)
+    m = max(m1, m2)
+    _check_enumeration(n, m1, m2)
     _check_batch_budget(n, m * m, "{} x {} gradient entries", m, m)
 
 
@@ -212,7 +197,8 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
             alpha, pa, pbt = _solve_unique_batch(na, nb, hmat)
             # a nan alpha (rank-deficient 3x3 T) fails the gate
             feasible = _residual_batch(na, nb, alpha, hmat) <= gate
-            bounds, g = _enumerated_bounds(alpha)
+            bounds, a, b = _enumerated_bounds(alpha)
+            g = a[:, :, None] * b[:, None, :]
             ga, gb = _factor_gradients(na, nb, alpha, pa, pbt, hmat, g)
             grad = (dbloch @ np.concatenate([ga, gb], axis=1)[..., None]).reshape(n, -1)
         grad[~(feasible[:, None] & np.isfinite(grad))] = 0.0
@@ -389,7 +375,6 @@ def sweep_minima(
     """
     cs = np.asarray(cs, dtype=float)
     starts = np.asarray(starts, dtype=float)
-    cfg = cfg or DEFAULT_DESCENT
     k = len(starts)
     chunk = max(1, MAX_RANDOM_STARTS // max(k, 1))
     minima = np.empty(len(cs))

@@ -302,7 +302,7 @@ def test_criterion_11d_lattice_bound_vs_enumeration():
             )
             ls = LatticeSpec(n, edges)
             try:
-                in_a = set(check_bipartite(ls)[0])
+                in_a = set(np.flatnonzero(~check_bipartite(ls)))
             except ValueError:
                 continue
             beta, cert = lattice_classical_bound(ls, chsh)

@@ -170,3 +170,19 @@ def test_enumeration_guard_counts_the_whole_batch(monkeypatch):
         bell._enumerate_side(np.zeros((32, 16, 16)))  # the engine's batch at 16x16
     with pytest.raises(AssertionError, match="2\\^20"):  # the largest accepted input
         bell._enumerate_side(np.zeros((1, ENUMERATION_MAX_SIDE, ENUMERATION_MAX_SIDE)))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 5)])
+def test_engine_witness_attains_each_row_bound(shape):
+    # Integer entries give exact ties between patterns and exactly zero products,
+    # where the induced sign is free; the engine's witness must still be a +-1
+    # strategy whose value is the row's bound, bit for bit.
+    rng = np.random.default_rng(20)
+    amats = rng.integers(-2, 3, size=(64, *shape)).astype(float)
+    amats[0] = 0.0
+    bounds, a, b = bell._enumerated_bounds(amats)
+    assert bounds.shape == (64,) and a.shape == (64, shape[0]) and b.shape == (64, shape[1])
+    assert np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)
+    for alpha, bound, a_row, b_row in zip(amats, bounds, a, b):
+        assert a_row @ alpha @ b_row == bound
+        assert classical_bound(BellCoeffs.from_matrix(alpha))[0] == bound

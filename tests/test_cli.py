@@ -402,6 +402,38 @@ def test_nonfinite_improved_bound_rejected_before_output(capsys, tmp_path):
         assert not out.exists()
 
 
+def test_negative_number_lists_read_as_values(capsys, tmp_path):
+    # a list whose first entry is negative reads as the option's value, as with "="
+    bound = ["classical-bound", "--m1", "2", "--m2", "2"]
+    assert main([*bound, "--alpha", "-1,2,3,4"]) == 0
+    spaced = capsys.readouterr()
+    assert main([*bound, "--alpha=-1,2,3,4"]) == 0
+    assert capsys.readouterr() == spaced and "classical bound: -8" in spaced.out
+    search = ["ham2ineq", "--restarts", "2", "--steps", "20"]
+    assert main([*search, "--h", "-1,0,0,0,1,0,0,0,1", "--out", str(tmp_path / "a")]) == 0
+    assert main([*search, "--h=-1,0,0,0,1,0,0,0,1", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for name in ("ham2ineq_summary.json", "ham2ineq_curve.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_usage_errors_print_one_line(capsys):
+    runs = {
+        ("ham2ineq", "--restarts"): "argument --restarts: expected one argument",
+        ("frob",): "argument command: invalid choice: 'frob'",
+        (): "the following arguments are required: command",
+        ("classical-bound", "--alpha", "-1,x"): "argument --alpha: expected one argument",
+    }
+    for argv, message in runs.items():
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: {message}")
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+
+
 def test_config_values_parse_like_flags(capsys, tmp_path):
     bad = [
         {"ham2ineq": {"preset": "H_G", "lr": "abc"}},

@@ -29,8 +29,7 @@ CHSH = BellCoeffs.from_matrix([[1.0, 1.0], [1.0, -1.0]])
 
 def _enumerate_bound(ls, local):
     # Oracle: every vertex independently picks any deterministic assignment.
-    side_a, _ = check_bipartite(ls)
-    in_a = set(side_a)
+    in_a = set(np.flatnonzero(~check_bipartite(ls)))
     m1, m2 = local.alpha.shape
     pats_a = np.array(list(itertools.product((-1, 1), repeat=m1)))
     pats_b = np.array(list(itertools.product((-1, 1), repeat=m2)))
@@ -87,7 +86,9 @@ def test_total_coupling_adds_left_to_right():
 
 def test_bipartite_check():
     path = LatticeSpec(3, ((0, 1, 1.0, "other"), (1, 2, 1.0, "other")))
-    side_a, side_b = check_bipartite(path)
+    on_b = check_bipartite(path)
+    assert on_b.dtype == bool and on_b.shape == (3,)
+    side_a, side_b = np.flatnonzero(~on_b), np.flatnonzero(on_b)
     assert set(side_a) == {0, 2} and set(side_b) == {1}
     triangle = LatticeSpec(
         3, ((0, 1, 1.0, "other"), (1, 2, 1.0, "other"), (0, 2, 1.0, "other"))
@@ -156,7 +157,8 @@ def test_bundled_lattice():
     assert ls.vertices == 73
     assert len(ls.edges) == 91
     assert abs(ls.total_coupling() - 65.75) < 1e-9
-    side_a, side_b = check_bipartite(ls)
+    on_b = check_bipartite(ls)
+    side_a, side_b = np.flatnonzero(~on_b), np.flatnonzero(on_b)
     assert {len(side_a), len(side_b)} == {37, 36}
     local = gisin_variant(2.0)
     beta, cert = lattice_classical_bound(ls, local)
@@ -175,7 +177,7 @@ def test_streamed_digest_matches_one_json_list():
              (c + 7, c, 0.25, "blue"), (n - 1, n - 3, 2.0, "other"))
     ls = LatticeSpec(n, edges)
     side_b = {c - 1, c + 7, n - 1}
-    assert set(check_bipartite(ls)[1].tolist()) == side_b
+    assert set(np.flatnonzero(check_bipartite(ls)).tolist()) == side_b
     local = gisin_variant(2.0)
     witness = classical_bound(local)[1]
     canon = json.dumps([[v, (witness.b if v in side_b else witness.a).tolist()] for v in range(n)])

@@ -59,6 +59,11 @@ class BellCoeffs:
             raise ValueError(f"alpha shape {alpha.shape} does not match {expected}")
         if not np.all(np.isfinite(alpha)):
             raise ValueError("alpha entries must be finite")
+        # |a^T alpha b| <= m1 * m2 * max|alpha| bounds every enumerated sum
+        if np.max(np.abs(alpha)) > np.finfo(float).max / alpha.size:
+            raise ValueError(
+                f"alpha entries too large: {expected[0]} x {expected[1]} x max|alpha| overflows"
+            )
         alpha = alpha.copy()
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)

@@ -34,13 +34,12 @@ from .bell import (
 )
 from .lattice import (
     HoneycombParams,
-    LatticeSpec,
     bundled_lattice_path,
-    honeycomb_coupling,
     improved_bound_scaling,
     lattice_classical_bound,
     lattice_quantum_floor,
     load_lattice,
+    recouple_honeycomb,
 )
 from .mapping import (
     RANK_RCOND,
@@ -220,6 +219,9 @@ def _resolve_h(cfg: dict) -> np.ndarray:
             raise ValueError(f"h must have 9 entries, got {h.size}")
         if not np.all(np.isfinite(h)):
             raise ValueError("h entries must be finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(h)):  # the residual gate scales with |h|
+                raise ValueError("h entries too large: the norm of h overflows")
         return h
     raise ValueError("no operator given: use --preset or --h")
 
@@ -416,14 +418,7 @@ def _cmd_lattice(cfg: dict):
     path = cfg["file"] if cfg["file"] is not None else bundled_lattice_path()
     ls = load_lattice(path)
     if cfg["epsilon"] is not None:
-        params = HoneycombParams(cfg["epsilon"])
-        ls = LatticeSpec(
-            ls.vertices,
-            tuple(
-                (u, v, j if color == "other" else honeycomb_coupling(params, color), color)
-                for u, v, j, color in ls.edges
-            ),
-        )
+        ls = recouple_honeycomb(ls, HoneycombParams(cfg["epsilon"]))
     local = _resolve_alpha(cfg, default_delta=2.0)
     if (local.scenario.m1, local.scenario.m2) != (4, 3):
         raise ValueError("lattice quantum floor is wired for (4, 3) local coefficients")
@@ -448,7 +443,7 @@ def _cmd_lattice(cfg: dict):
                 "command": "lattice",
                 "provenance": _provenance(cfg),
                 "vertices": ls.vertices,
-                "edge_count": len(ls.edges),
+                "edge_count": len(ls.coupling),
                 "total_coupling": ls.total_coupling(),
                 "beta_local": beta_local,
                 "beta_lattice": beta,

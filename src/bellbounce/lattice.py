@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "LatticeCertificate",
     "HoneycombParams",
     "honeycomb_coupling",
+    "recouple_honeycomb",
     "check_bipartite",
     "lattice_classical_bound",
     "lattice_certificate_value",
@@ -39,50 +40,58 @@ __all__ = [
 ]
 
 EDGE_COLORS = ("red", "green", "blue", "other")
-# A lattice run holds about 80 B per vertex, mostly the two-coloring's adjacency lists
-# (2^20 vertices peak at 117 MB); a short header may declare any count, so it is capped
-# at 228x the largest benchmark patch.
+# About 16 B per vertex: 2^20 vertices peak at 52 MB (the bundled file at 36 MB). A short
+# header may declare any count, so it is capped at 228x the largest benchmark patch.
 MAX_LATTICE_VERTICES = 2**20
 # Vertices per piece of certificate text handed to sha256 (about 1 MB of text each).
 DIGEST_CHUNK_VERTICES = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeSpec:
-    """A vertex count plus weighted, color-tagged edges."""
+    """A vertex count and read-only edge arrays; color indexes EDGE_COLORS (or names it)."""
 
     vertices: int
-    edges: tuple[tuple[int, int, float, str], ...]
-    # Set by __post_init__ in the pass that validates the edges.
-    _total: float = field(init=False, repr=False, compare=False)
-    _negative: tuple[int, int, float] | None = field(init=False, repr=False, compare=False)
+    u: np.ndarray
+    v: np.ndarray
+    coupling: np.ndarray
+    color: np.ndarray
 
     def __post_init__(self):
         if not 1 <= self.vertices <= MAX_LATTICE_VERTICES:
             raise ValueError(f"vertex count {self.vertices} outside [1, {MAX_LATTICE_VERTICES}]")
-        edges = []
-        # Left to right in plain float adds: sum() compensates from Python 3.12 on.
-        total, negative = 0.0, None
-        for e in self.edges:
-            u, v, coupling, color = int(e[0]), int(e[1]), float(e[2]), str(e[3])
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertices and 0 <= v < self.vertices):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range")
-            if not np.isfinite(coupling):
-                raise ValueError(f"edge ({u}, {v}) has non-finite coupling")
-            if color not in EDGE_COLORS:
-                raise ValueError(f"unknown edge color {color!r}")
-            if coupling < 0 and negative is None:
-                negative = (u, v, coupling)
-            total += coupling
-            edges.append((u, v, coupling, color))
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "_total", total)
-        object.__setattr__(self, "_negative", negative)
+        try:
+            u, v = np.array(self.u, dtype=np.int64), np.array(self.v, dtype=np.int64)
+        except OverflowError:  # out of range anyway; kept exact for the message
+            u, v = np.array(self.u, dtype=object), np.array(self.v, dtype=object)
+        coupling, color = np.array(self.coupling, dtype=float), np.asarray(self.color)
+        if color.dtype.kind == "U":  # names
+            color = np.select([color == c for c in EDGE_COLORS], range(len(EDGE_COLORS)), -1)
+        if {u.shape, v.shape, coupling.shape, color.shape} != {(u.size,)}:
+            raise ValueError("edge arrays must be 1-d and of one length")
+        outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= self.vertices)
+        unknown = (color < 0) | (color >= len(EDGE_COLORS))
+        # the first bad edge, if any, by the first rule it breaks
+        for i in np.flatnonzero((u == v) | outside | ~np.isfinite(coupling) | unknown)[:1]:
+            if u[i] == v[i]:
+                raise ValueError(f"self-loop at vertex {u[i]}")
+            if outside[i]:
+                raise ValueError(f"edge ({u[i]}, {v[i]}) outside vertex range")
+            if not np.isfinite(coupling[i]):
+                raise ValueError(f"edge ({u[i]}, {v[i]}) has non-finite coupling")
+            raise ValueError(f"unknown edge color {np.asarray(self.color)[i].item()!r}")
+        arrays = u.astype(np.int64), v.astype(np.int64), coupling, color.astype(np.int8)
+        for name, values in zip(("u", "v", "coupling", "color"), arrays):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.total_coupling()):
+                raise ValueError("total coupling overflows the float range")
 
     def total_coupling(self) -> float:
-        return self._total
+        # Left to right in plain float adds from +0.0: sum() compensates from Python
+        # 3.12 on and np.sum adds pairwise, but np.cumsum adds in order.
+        return float(np.cumsum(np.append(0.0, self.coupling))[-1])
 
 
 @dataclass(frozen=True)
@@ -134,44 +143,47 @@ def honeycomb_coupling(params: HoneycombParams, color: str) -> float:
     raise ValueError(f"unknown color {color!r} for honeycomb coupling")
 
 
+def recouple_honeycomb(ls: LatticeSpec, params: HoneycombParams) -> LatticeSpec:
+    """The lattice with honeycomb couplings on its colored edges; "other" edges keep theirs."""
+    other = EDGE_COLORS.index("other")
+    by_color = np.array([honeycomb_coupling(params, c) for c in EDGE_COLORS[:other]] + [np.nan])
+    return replace(ls, coupling=np.where(ls.color == other, ls.coupling, by_color[ls.color]))
+
+
 def check_bipartite(ls: LatticeSpec) -> np.ndarray:
-    """Two-color the lattice by breadth-first search.
+    """Two-color the lattice by breadth-first search: one boolean per vertex, True on side B.
 
-    Returns a boolean array over the vertices, true on side B; each connected
-    component's lowest-index vertex lands on side A, and isolated vertices
-    default to side A.
-
-    Raises:
-        ValueError: if an odd cycle makes the graph non-bipartite.
+    Each connected component's lowest vertex is on side A, as is every isolated
+    vertex. Raises ValueError if an odd cycle makes the graph non-bipartite.
     """
-    adjacency = [[] for _ in range(ls.vertices)]
-    for u, v, _, _ in ls.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    ends = np.stack([ls.u, ls.v], axis=1).ravel()  # the half-edges u0, v0, u1, v1, ...
+    order = np.argsort(ends, kind="stable")  # by vertex; each vertex's in edge order
+    first = np.searchsorted(ends[order], np.arange(ls.vertices + 1))
+    offsets = memoryview(first)  # indexes to Python ints, at 8 bytes per vertex
+    neighbors = ends[order ^ 1].tolist()  # half-edge k's neighbor is half-edge k ^ 1's vertex
     side = bytearray(ls.vertices)  # 0 unseen, 1 side A, 2 side B
-    for root in range(ls.vertices):
+    for root in np.flatnonzero(np.diff(first)).tolist():  # isolated ones stay on side A
         if side[root]:
             continue
         side[root] = 1
         queue = [root]
-        for u in queue:
-            for v in adjacency[u]:
-                if not side[v]:
-                    side[v] = 3 - side[u]
-                    queue.append(v)
-                elif side[v] == side[u]:
+        for x in queue:
+            for k in range(offsets[x], offsets[x + 1]):
+                y = neighbors[k]
+                if not side[y]:
+                    side[y] = 3 - side[x]
+                    queue.append(y)
+                elif side[y] == side[x]:
                     raise ValueError(
-                        f"lattice is not bipartite: odd cycle through edge ({u}, {v})"
+                        f"lattice is not bipartite: odd cycle through edge ({x}, {y})"
                     )
     return np.frombuffer(side, dtype=np.uint8) == 2
 
 
 def _require_nonnegative(ls: LatticeSpec):
-    if ls._negative is not None:
-        u, v, coupling = ls._negative
-        raise ValueError(
-            f"unsupported lattice: negative coupling {coupling!r} on edge ({u}, {v})"
-        )
+    for i in np.flatnonzero(ls.coupling < 0)[:1]:  # the first negative edge, if any
+        j, u, v = float(ls.coupling[i]), ls.u[i], ls.v[i]
+        raise ValueError(f"unsupported lattice: negative coupling {j!r} on edge ({u}, {v})")
 
 
 def lattice_classical_bound(
@@ -202,11 +214,9 @@ def lattice_certificate_value(
     """
     on_b = check_bipartite(ls)
     total = 0.0
-    for u, v, coupling, _ in ls.edges:
-        a_vertex, b_vertex = (v, u) if on_b[u] else (u, v)
-        strategy = DeterministicStrategy(
-            a=certificate.assignment(a_vertex), b=certificate.assignment(b_vertex)
-        )
+    for u, v, coupling in zip(ls.u.tolist(), ls.v.tolist(), ls.coupling.tolist()):
+        a, b = (v, u) if on_b[u] else (u, v)
+        strategy = DeterministicStrategy(certificate.assignment(a), certificate.assignment(b))
         total += coupling * bell_value(local, strategy.correlators())
     return total
 
@@ -214,9 +224,7 @@ def lattice_certificate_value(
 def lattice_quantum_floor(ls: LatticeSpec, local_op) -> float:
     """(sum_e J_e) * lambda_min(local_op): a ground-energy lower bound."""
     _require_nonnegative(ls)
-    if not ls.edges:
-        return 0.0
-    return ls.total_coupling() * min_eigenvalue(local_op)
+    return ls.total_coupling() * min_eigenvalue(local_op) if ls.coupling.size else 0.0
 
 
 def improved_bound_scaling(
@@ -231,7 +239,7 @@ def improved_bound_scaling(
 def parse_lattice(text: str) -> LatticeSpec:
     """Parse the lattice file format; see the module docstring."""
     vertices = None
-    edges = []
+    u, v, coupling, color = [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -248,17 +256,19 @@ def parse_lattice(text: str) -> LatticeSpec:
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'u v J color', got {line!r}")
         try:
-            u, v, coupling = int(parts[0]), int(parts[1]), float(parts[2])
+            u.append(int(parts[0]))
+            v.append(int(parts[1]))
+            coupling.append(float(parts[2]))
         except ValueError:
             raise ValueError(f"line {lineno}: bad edge fields {line!r}") from None
-        edges.append((u, v, coupling, parts[3]))
+        color.append(parts[3])
     if vertices is None:
         raise ValueError("missing 'vertices N' header")
-    return LatticeSpec(vertices, tuple(edges))
+    return LatticeSpec(vertices, u, v, coupling, color)
 
 
 def load_lattice(path) -> LatticeSpec:
-    return parse_lattice(Path(path).read_text())
+    return parse_lattice(Path(path).read_text(encoding="utf-8"))
 
 
 def bundled_lattice_path() -> Path:

@@ -88,6 +88,9 @@ ADAM_EPSILON = 1e-8
 # temporaries each), so the per-row arrays stay small.
 MAX_STEPS = 2**25 - 1
 MAX_RANDOM_STARTS = 2**16
+# Adam's first step moves each angle by about the learning rate, and the angles are
+# 2*pi-periodic, so a larger rate only jumps around the circle (or overflows).
+MAX_LEARNING_RATE = 2 * np.pi
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError("learning rate must be positive and finite")
+        if self.learning_rate > MAX_LEARNING_RATE:
+            raise ValueError(f"learning rate must be at most 2*pi, got {self.learning_rate!r}")
         if self.max_steps < 1:
             raise ValueError("step budget must be positive")
         if self.max_steps > MAX_STEPS:

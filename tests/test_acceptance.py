@@ -22,7 +22,6 @@ from bellbounce.bell import (
     gisin_variant,
 )
 from bellbounce.lattice import (
-    LatticeSpec,
     bundled_lattice_path,
     check_bipartite,
     improved_bound_scaling,
@@ -72,6 +71,7 @@ from bellbounce.presets import (
     two_chsh_settings,
 )
 from finite_diff import finite_diff_gradient
+from lattice_edges import rows, spec
 
 RESTARTS = 32
 SEED = 0
@@ -300,14 +300,14 @@ def test_criterion_11d_lattice_bound_vs_enumeration():
                 for k, (u, v) in enumerate(pairs)
                 if mask >> k & 1
             )
-            ls = LatticeSpec(n, edges)
+            ls = spec(n, edges)
             try:
                 in_a = set(np.flatnonzero(~check_bipartite(ls)))
             except ValueError:
                 continue
             beta, cert = lattice_classical_bound(ls, chsh)
             total = np.zeros(len(combos))
-            for u, v, coupling, _ in ls.edges:
+            for u, v, coupling, _ in rows(ls):
                 au, bv = (u, v) if u in in_a else (v, u)
                 total += coupling * table[combos[:, au], combos[:, bv]]
             assert abs(beta - float(total.min())) <= 1e-9

@@ -11,7 +11,7 @@ import pytest
 from bellbounce import cli, optimize
 from bellbounce.cli import main
 from bellbounce.noise import NoiseModel, prepare_noisy_singlet
-from bellbounce.optimize import run_search
+from bellbounce.optimize import DEFAULT_ASCENT, DEFAULT_DESCENT, OptimizerConfig, run_search
 from bellbounce.pauli import correlator_vector
 
 CERT_SHA = "402455be3535bd7f61760cb7e0ccf0679b0cd281b97936dde814e90d1f348443"
@@ -366,6 +366,49 @@ def test_lattice_epsilon_recoupling(capsys):
     assert "total coupling: 66.02" in out
 
 
+# One lattice file per fault, and the one line a run of it prints.
+LATTICE_FAULTS = {
+    "# a comment and nothing else\n": "missing 'vertices N' header",
+    "vertices\n0 1 1.0 red\n": "line 1: expected header 'vertices N'",
+    "vertices 0\n": "vertex count 0 outside [1, 1048576]",
+    "vertices 1048577\n0 1 1.0 red\n": "vertex count 1048577 outside [1, 1048576]",
+    "vertices 2\n0 1 1.0\n": "line 2: expected 'u v J color', got '0 1 1.0'",
+    "vertices 2\n\n0\t1  1.0 red extra  # note\n":
+        "line 3: expected 'u v J color', got '0\\t1  1.0 red extra'",
+    "vertices 2\n0 1.5 1.0 red\n": "line 2: bad edge fields '0 1.5 1.0 red'",
+    "vertices 2\n0 1 one red\n": "line 2: bad edge fields '0 1 one red'",
+    "vertices 2\n1 1 1.0 red\n": "self-loop at vertex 1",
+    "vertices 3\n0 3 1.0 red\n": "edge (0, 3) outside vertex range",
+    "vertices 3\n-1 2 1.0 red\n": "edge (-1, 2) outside vertex range",
+    "vertices 3\n0 99999999999999999999 1.0 red\n":
+        "edge (0, 99999999999999999999) outside vertex range",
+    "vertices 2\n0 1 nan red\n": "edge (0, 1) has non-finite coupling",
+    "vertices 2\n0 1 inf red\n": "edge (0, 1) has non-finite coupling",
+    "vertices 2\n0 1 1.0 purple\n": "unknown edge color 'purple'",
+    "vertices 3\n0 1 1.0 red\n1 2 1.0 green\n2 0 1.0 blue\n":
+        "lattice is not bipartite: odd cycle through edge (1, 2)",
+    "vertices 3\n0 1 1.0 red\n1 2 -0.5 green\n":
+        "unsupported lattice: negative coupling -0.5 on edge (1, 2)",
+    "vertices 3\n0 1 1e308 red\n1 2 1e308 green\n": "total coupling overflows the float range",
+    b"vertices 2\n0 1 1.0 red # \xe9\n":
+        "'utf-8' codec can't decode byte 0xe9 in position 25: invalid continuation byte",
+    # several bad edges: the first one is named, by the first rule it breaks
+    "vertices 3\n0 1 nan purple\n2 2 1.0 red\n": "edge (0, 1) has non-finite coupling",
+    "vertices 3\n0 1 1.0 red\n2 2 nan purple\n0 9 1.0 red\n": "self-loop at vertex 2",
+    "vertices 3\n0 1 1.0 red\n1 2 1.0 purple\n0 9 1.0 red\n": "unknown edge color 'purple'",
+}
+
+
+def test_lattice_input_faults_exit_2_with_one_line(capsys, tmp_path):
+    path = tmp_path / "fault.lattice"
+    for text, message in LATTICE_FAULTS.items():
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["lattice", "--file", str(path), "--out", str(tmp_path / "out")]) == 2, text
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), text
+        assert not (tmp_path / "out").exists()
+
+
 def test_lattice_of_2_20_vertices_runs_in_bounded_memory(tmp_path):
     # one edge between the end vertices of the largest allowed header; a probe
     # process starts the run as its only child and reports that child's peak RSS
@@ -386,7 +429,54 @@ def test_lattice_of_2_20_vertices_runs_in_bounded_memory(tmp_path):
     assert status == 0, out
     sha = "99bc43969205bf1bd43f97fae357d5ae6798c8064f99475d6f3041de0704e226"
     assert f"certificate sha256: {sha}\n" in out
-    assert peak_kib <= 160 * 1024  # ru_maxrss is in KiB on Linux
+    assert peak_kib <= 80 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def _refused_in_one_line(capsys, out, argv, message):
+    # exit 2 before any start is drawn or row printed; a RuntimeWarning raised inside
+    # main would escape it as an exception (pytest turns warnings into errors)
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_classical_bound_refuses_alpha_whose_sums_overflow(capsys, tmp_path):
+    # the entries are finite, but a*alpha*b sums beyond the float range
+    argv = ["classical-bound", "--alpha", "1e308 1e308 1e308 -1e308", "--m1", "2", "--m2", "2"]
+    _refused_in_one_line(capsys, tmp_path / "out", argv,
+                         "alpha entries too large: 2 x 2 x max|alpha| overflows")
+
+
+def test_ineq2ham_refuses_alpha_whose_sums_overflow(capsys, tmp_path):
+    argv = ["ineq2ham", "--gisin-delta", "1e308", "--restarts", "0", "--steps", "3",
+            "--p-grid", "0:0:1"]
+    _refused_in_one_line(capsys, tmp_path / "out", argv,
+                         "alpha entries too large: 4 x 3 x max|alpha| overflows")
+
+
+def test_bounce_refuses_alpha_whose_sums_overflow(capsys, tmp_path):
+    # an oversized input, not a numerical failure (exit 3)
+    argv = ["bounce", "--gisin-delta", "1e308", "--steps", "3"]
+    _refused_in_one_line(capsys, tmp_path / "out", argv,
+                         "alpha entries too large: 4 x 3 x max|alpha| overflows")
+
+
+def test_ham2ineq_refuses_h_whose_norm_overflows(capsys, tmp_path):
+    argv = ["ham2ineq", "--h", "1e308 0 0 0 1e308 0 0 0 1e308", "--restarts", "1", "--steps", "3"]
+    _refused_in_one_line(capsys, tmp_path / "out", argv,
+                         "h entries too large: the norm of h overflows")
+
+
+def test_learning_rate_above_a_turn_refused(capsys, tmp_path):
+    # 1e308 overflowed the angles, and the run reported its random start's bound
+    argv = ["ham2ineq", "--preset", "H_G", "--restarts", "1", "--steps", "3", "--lr", "1e308"]
+    _refused_in_one_line(capsys, tmp_path / "out", argv,
+                         "learning rate must be at most 2*pi, got 1e+308")
+    assert OptimizerConfig(learning_rate=2 * np.pi).learning_rate == 2 * np.pi
+    with pytest.raises(ValueError, match="at most 2"):
+        OptimizerConfig(learning_rate=np.nextafter(2 * np.pi, 7.0))
+    assert (DEFAULT_ASCENT.learning_rate, DEFAULT_DESCENT.learning_rate) == (0.02, 0.01)
 
 
 def test_nonfinite_improved_bound_rejected_before_output(capsys, tmp_path):

@@ -25,10 +25,13 @@ __all__ = [
 
 # Full enumeration is refused beyond this many total settings.
 BRUTEFORCE_MAX_SETTINGS = 24
-# The enumerator holds n * max(m1, m2) * 2^min(m1, m2) products for a batch of n
-# coefficient matrices; it refuses batches beyond those of one 20x20 matrix
-# (20 * 2^20 entries, a 522 MB peak).
+# The enumerator forms n * max(m1, m2) * 2^(min(m1, m2) - 1) products for a batch of n
+# coefficient matrices; it refuses batches beyond those of one 20x20 matrix (20 * 2^20
+# entries by the full count). Blocks keep its memory bounded, so this bounds time.
 ENUMERATION_MAX_SIDE = 20
+# Sign patterns per enumeration block, as a power of two: a 20-column block of products
+# holds 20 * 2^13 floats (1.3 MB).
+PATTERN_BLOCK_BITS = 13
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,19 @@ def _sign_patterns(m: int) -> np.ndarray:
     return patterns
 
 
+def _pattern_blocks(m: int, bits: int, block_bits: int = PATTERN_BLOCK_BITS):
+    # The first 2^bits sign patterns of length m in lexicographic order, in blocks of
+    # 2^block_bits: one slice of the cached table if they fit in one block, else each block's
+    # constant prefix of m - block_bits entries over the cached table of the rest.
+    if bits <= block_bits:
+        return (_sign_patterns(m)[: 2**bits],)
+    low, prefixes = _sign_patterns(block_bits), _sign_patterns(m - block_bits)
+    return (
+        np.hstack([np.broadcast_to(prefix, (len(low), len(prefix))), low])
+        for prefix in prefixes[: 2 ** (bits - block_bits)]
+    )
+
+
 def _check_batch_budget(n: int, per_matrix: int, what: str, *args):
     # Refuses n matrices' worth of per_matrix entries, described by what.format(*args)
     # (formatted only then), beyond the entries of one ENUMERATION_MAX_SIDE-square enumeration.
@@ -122,18 +138,26 @@ def _check_enumeration(n: int, m1: int, m2: int):
 
 
 def _enumerate_side(amats: np.ndarray):
-    # The smaller side's K sign patterns for a batch (n, m1, m2), the other side's products with
-    # each (n, max(m1, m2), K), a view if m2 > m1, and each one's value -sum|products| (n, K).
+    # Checks the budget now, then walks the smaller side's sign patterns that start with -1 (a
+    # global flip keeps every |product|) block by block: for a batch (n, m1, m2), each block's
+    # K patterns, the other side's products with each (n, max(m1, m2), K), a view if m2 > m1,
+    # and each one's value -sum|products| (n, K).
     n, m1, m2 = amats.shape
     _check_enumeration(n, m1, m2)
-    if m2 <= m1:
-        patterns = _sign_patterns(m2)
-        products = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
-    else:
-        patterns = _sign_patterns(m1)
-        products = patterns @ amats.transpose(1, 0, 2).reshape(m1, -1)
-        products = products.reshape(-1, n, m2).transpose(1, 2, 0)
-    return patterns, products, -np.abs(products).sum(axis=1)
+    return _side_blocks(amats)
+
+
+def _side_blocks(amats: np.ndarray):
+    n, m1, m2 = amats.shape
+    m = min(m1, m2)
+    if m2 > m1:
+        columns = amats.transpose(1, 0, 2).reshape(m1, -1)
+    for patterns in _pattern_blocks(m, m - 1):
+        if m2 <= m1:
+            products = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
+        else:
+            products = (patterns @ columns).reshape(-1, n, m2).transpose(1, 2, 0)
+        yield patterns, products, -np.abs(products).sum(axis=1)
 
 
 def _signs_from_rows(rows: np.ndarray) -> np.ndarray:
@@ -145,13 +169,21 @@ def _signs_from_rows(rows: np.ndarray) -> np.ndarray:
 def _enumerated_bounds(amats: np.ndarray):
     # Exact classical bounds (n,) of a batch of coefficient matrices (n, m1, m2) and
     # a winning strategy a (n, m1), b (n, m2): the first optimal pattern of the
-    # smaller side and the signs it induces on the other.
-    patterns, products, values = _enumerate_side(amats)
-    idx, k = np.arange(len(amats)), values.argmin(axis=1)
-    a, b = _signs_from_rows(products[idx, :, k]), patterns[k]
+    # smaller side and the signs it induces on the other. That pattern starts with -1,
+    # since its flip is optimal too, and a later block replaces a row only if strictly lower.
+    blocks, idx = _enumerate_side(amats), np.arange(len(amats))
+    patterns, products, values = next(blocks)
+    k = values.argmin(axis=1)
+    bounds, a, b = values[idx, k], _signs_from_rows(products[idx, :, k]), patterns[k]
+    for patterns, products, values in blocks:
+        k = values.argmin(axis=1)
+        lower = values[idx, k] < bounds
+        bounds[lower] = values[lower, k[lower]]
+        a[lower] = _signs_from_rows(products[lower, :, k[lower]])
+        b[lower] = patterns[k[lower]]
     if amats.shape[2] > amats.shape[1]:
         a, b = b, a
-    return values[idx, k], a, b
+    return bounds, a, b
 
 
 def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
@@ -167,13 +199,24 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
             ENUMERATION_MAX_SIDE * 2^ENUMERATION_MAX_SIDE.
     """
     alpha = bc.alpha
-    patterns, (products,), (values,) = _enumerate_side(alpha[None])
-    winners = np.flatnonzero(values == values.min())
-    # Every optimal pair's b is a winning pattern or, when a is enumerated (m2 > m1),
-    # the signs a winning a induces; the lexicographically smallest is among these.
     wide = alpha.shape[1] > alpha.shape[0]
-    candidates = _signs_from_rows(products[:, winners].T) if wide else patterns[winners]
-    b = candidates[np.lexsort(candidates.T[::-1])[0]]
+    lowest, b = np.inf, None
+    for patterns, (products,), (values,) in _enumerate_side(alpha[None]):
+        low = values.min()
+        if low > lowest:
+            continue
+        # Every optimal pair's b is a winning pattern or its flip or, when a is enumerated
+        # (m2 > m1), the signs a winning a or its flip induces (a zero row sum goes to -1 under
+        # both). The lexicographically smallest starts with -1 or is among those signs.
+        won = values == low
+        if wide:
+            rows = products[:, won].T
+            candidates = np.vstack([_signs_from_rows(rows), _signs_from_rows(-rows)])
+        else:
+            candidates = patterns[won]
+        if low == lowest:
+            candidates = np.vstack([b, candidates])
+        lowest, b = low, candidates[np.lexsort(candidates.T[::-1])[0]]
     witness = DeterministicStrategy(a=_signs_from_rows(alpha @ b), b=b)
     # Report the witness's own evaluation so the bound and its certificate
     # agree bit-for-bit.
@@ -183,21 +226,19 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
 def classical_bound_bruteforce(bc: BellCoeffs) -> float:
     """Classical bound by full enumeration of all 2^(m1+m2) strategies.
 
-    Testing oracle; refuses scenarios with m1 + m2 > 24.
+    Testing oracle; refuses scenarios with m1 + m2 > 24. Both sides are walked
+    in blocks, so that no more than 2^9 x 2^13 values are held at once.
     """
     m1, m2 = bc.alpha.shape
     if m1 + m2 > BRUTEFORCE_MAX_SETTINGS:
         raise ValueError(
             f"scenario too large for brute force: {m1}+{m2} > {BRUTEFORCE_MAX_SETTINGS}"
         )
-    b_patterns = _sign_patterns(m2)
-    a_patterns = _sign_patterns(m1)
     best = np.inf
-    chunk = 4096
-    for start in range(0, a_patterns.shape[0], chunk):
-        block = a_patterns[start : start + chunk]
-        values = block @ bc.alpha @ b_patterns.T
-        best = min(best, float(values.min()))
+    for a_block in _pattern_blocks(m1, m1, block_bits=9):
+        rows = a_block @ bc.alpha
+        for b_block in _pattern_blocks(m2, m2):
+            best = min(best, float((rows @ b_block.T).min()))
     return best
 
 

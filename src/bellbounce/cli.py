@@ -426,15 +426,16 @@ def _cmd_lattice(cfg: dict):
     beta_local = classical_bound(local)[0]
     beta, certificate = lattice_classical_bound(ls, local)
     floor = lattice_quantum_floor(ls, local_op)
+    improved = [
+        (new_local, improved_bound_scaling(beta, beta_local, new_local))
+        for new_local in cfg["improved_bound"]
+    ]
     digest = certificate.sha256()
     _print_kv("total coupling", ls.total_coupling())
     _print_kv("classical bound", beta)
     _print_kv("certificate sha256", digest)
     _print_kv("quantum floor", floor)
-    improved = []
-    for new_local in cfg["improved_bound"]:
-        scaled = improved_bound_scaling(beta, beta_local, new_local)
-        improved.append((new_local, scaled))
+    for new_local, scaled in improved:
         _print_kv(f"improved bound (local {format_float(new_local)})", scaled)
     if cfg["out"] is not None:
         write_json(

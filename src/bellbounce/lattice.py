@@ -186,6 +186,17 @@ def _require_nonnegative(ls: LatticeSpec):
         raise ValueError(f"unsupported lattice: negative coupling {j!r} on edge ({u}, {v})")
 
 
+def _scaled_by_coupling(ls: LatticeSpec, local_value: float, what: str) -> float:
+    # (sum_e J_e) * local_value, refused if the product leaves the float range.
+    total, local_value = ls.total_coupling(), float(local_value)
+    value = total * local_value
+    if not np.isfinite(value):
+        raise ValueError(
+            f"lattice {what} overflows: total coupling {total:g} x local {local_value:g}"
+        )
+    return value
+
+
 def lattice_classical_bound(
     ls: LatticeSpec, local: BellCoeffs
 ) -> tuple[float, LatticeCertificate]:
@@ -201,7 +212,8 @@ def lattice_classical_bound(
     _require_nonnegative(ls)
     on_b = check_bipartite(ls)
     beta_local, witness = classical_bound(local)
-    return ls.total_coupling() * beta_local, LatticeCertificate(witness, on_b)
+    beta = _scaled_by_coupling(ls, beta_local, "classical bound")
+    return beta, LatticeCertificate(witness, on_b)
 
 
 def lattice_certificate_value(
@@ -224,7 +236,9 @@ def lattice_certificate_value(
 def lattice_quantum_floor(ls: LatticeSpec, local_op) -> float:
     """(sum_e J_e) * lambda_min(local_op): a ground-energy lower bound."""
     _require_nonnegative(ls)
-    return ls.total_coupling() * min_eigenvalue(local_op) if ls.coupling.size else 0.0
+    if not ls.coupling.size:
+        return 0.0
+    return _scaled_by_coupling(ls, min_eigenvalue(local_op), "quantum floor")
 
 
 def improved_bound_scaling(
@@ -233,7 +247,10 @@ def improved_bound_scaling(
     """Rescale a lattice bound by the ratio of new to original local bounds."""
     if beta_local_original == 0.0:
         raise ValueError("original local bound must be nonzero")
-    return beta_lattice_original * (beta_local_new / beta_local_original)
+    scaled = beta_lattice_original * (beta_local_new / beta_local_original)
+    if not np.isfinite(scaled):
+        raise ValueError(f"improved bound for local {beta_local_new:g} overflows")
+    return scaled
 
 
 def parse_lattice(text: str) -> LatticeSpec:

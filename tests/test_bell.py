@@ -168,8 +168,10 @@ def test_enumeration_guard_counts_the_whole_batch(monkeypatch):
         classical_bound(long_side)
     with pytest.raises(ValueError, match=str(ENUMERATION_MAX_SIDE)):
         bell._enumerate_side(np.zeros((32, 16, 16)))  # the engine's batch at 16x16
-    with pytest.raises(AssertionError, match="2\\^20"):  # the largest accepted input
-        bell._enumerate_side(np.zeros((1, ENUMERATION_MAX_SIDE, ENUMERATION_MAX_SIDE)))
+    # the largest accepted input passes the guard and starts building its first block
+    blocks = bell._enumerate_side(np.zeros((1, ENUMERATION_MAX_SIDE, ENUMERATION_MAX_SIDE)))
+    with pytest.raises(AssertionError, match="patterns built"):
+        next(blocks)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 5)])
@@ -186,3 +188,55 @@ def test_engine_witness_attains_each_row_bound(shape):
     for alpha, bound, a_row, b_row in zip(amats, bounds, a, b):
         assert a_row @ alpha @ b_row == bound
         assert classical_bound(BellCoeffs.from_matrix(alpha))[0] == bound
+
+
+def _full_table_reference(alpha):
+    # Every pattern of the smaller side, from itertools.product in lexicographic order:
+    # the patterns, the other side's row sums with each, and each one's value -sum|rows|.
+    m1, m2 = alpha.shape
+    wide = m2 > m1
+    patterns = np.array(list(itertools.product((-1.0, 1.0), repeat=min(m1, m2))))
+    rows = patterns @ alpha if wide else patterns @ alpha.T
+    return patterns, rows, -np.abs(rows).sum(axis=1)
+
+
+def _induced(rows):
+    return np.where(rows < 0, 1.0, -1.0)
+
+
+# shapes of several blocks on either side of the m2 <= m1 branch, and one block for contrast
+BLOCKED_SHAPES = [(16, 15), (17, 16), (15, 16), (16, 17), (4, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("shape", BLOCKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_blocked_half_set_matches_full_table(shape):
+    # Integer entries put exact ties in different blocks; the all-zero matrix ties every pattern.
+    rng = np.random.default_rng(sum(shape))
+    alphas = [rng.integers(-1, 2, size=shape).astype(float) for _ in range(3)]
+    alphas.append(np.zeros(shape))
+    wide = shape[1] > shape[0]
+    for alpha in alphas:
+        patterns, rows, values = _full_table_reference(alpha)
+        low = values.min()
+        # classical_bound: the lexicographically smallest b of an optimal pair, and its a
+        candidates = _induced(rows[values == low]) if wide else patterns[values == low]
+        b = min(candidates.tolist())  # lists compare lexicographically
+        beta, witness = classical_bound(BellCoeffs.from_matrix(alpha))
+        assert beta == low
+        assert witness.b.tolist() == b
+        assert witness.a.tolist() == _induced(alpha @ b).tolist()
+        # _enumerated_bounds: the first optimal pattern of the smaller side, and its induced signs
+        k = int(values.argmin())
+        want_a, want_b = (patterns[k], _induced(rows[k])) if wide else (_induced(rows[k]), patterns[k])
+        bounds, a, b = bell._enumerated_bounds(alpha[None])
+        assert bounds.tolist() == [low]
+        assert a.tolist() == [want_a.tolist()] and b.tolist() == [want_b.tolist()]
+
+
+def test_pattern_blocks_tile_the_table_in_order():
+    table = bell._sign_patterns(10)
+    blocks = list(bell._pattern_blocks(10, 9, block_bits=4))
+    assert len(blocks) == 2**5 and all(block.shape == (16, 10) for block in blocks)
+    assert np.array_equal(np.concatenate(blocks), table[: 2**9])
+    (whole,) = bell._pattern_blocks(10, 9)  # one block: a slice of the cached table
+    assert whole.base is table and not whole.flags.writeable

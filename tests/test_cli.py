@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from bellbounce import cli, optimize
+from bellbounce.bell import BellCoeffs, classical_bound
 from bellbounce.cli import main
 from bellbounce.noise import NoiseModel, prepare_noisy_singlet
 from bellbounce.optimize import DEFAULT_ASCENT, DEFAULT_DESCENT, OptimizerConfig, run_search
 from bellbounce.pauli import correlator_vector
+from bellbounce.serialize import format_float
 
 CERT_SHA = "402455be3535bd7f61760cb7e0ccf0679b0cd281b97936dde814e90d1f348443"
 
@@ -409,11 +411,9 @@ def test_lattice_input_faults_exit_2_with_one_line(capsys, tmp_path):
         assert not (tmp_path / "out").exists()
 
 
-def test_lattice_of_2_20_vertices_runs_in_bounded_memory(tmp_path):
-    # one edge between the end vertices of the largest allowed header; a probe
-    # process starts the run as its only child and reports that child's peak RSS
-    lattice = tmp_path / "wide.lattice"
-    lattice.write_text("vertices 1048576\n0 1048575 1.0 red\n")
+def _run_with_peak_rss(*args):
+    # A probe process starts `bellbounce args` as its only child and reports that child's
+    # exit status, peak RSS in KiB (ru_maxrss on Linux) and output.
     probe = (
         "import resource, subprocess, sys\n"
         "run = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
@@ -422,14 +422,35 @@ def test_lattice_of_2_20_vertices_runs_in_bounded_memory(tmp_path):
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-m", "bellbounce", "lattice", "--file", str(lattice)]
+    argv = [sys.executable, "-m", "bellbounce", *args]
     out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                          env=env, check=True).stdout
     status, peak_kib = map(int, out.splitlines()[0].split())
+    return status, peak_kib, out
+
+
+def test_lattice_of_2_20_vertices_runs_in_bounded_memory(tmp_path):
+    # one edge between the end vertices of the largest allowed header
+    lattice = tmp_path / "wide.lattice"
+    lattice.write_text("vertices 1048576\n0 1048575 1.0 red\n")
+    status, peak_kib, out = _run_with_peak_rss("lattice", "--file", str(lattice))
     assert status == 0, out
     sha = "99bc43969205bf1bd43f97fae357d5ae6798c8064f99475d6f3041de0704e226"
     assert f"certificate sha256: {sha}\n" in out
-    assert peak_kib <= 80 * 1024  # ru_maxrss is in KiB on Linux
+    assert peak_kib <= 80 * 1024
+
+
+def test_classical_bound_of_20x20_runs_in_bounded_memory(tmp_path):
+    # the largest accepted side: 2^19 sign patterns, walked in blocks (all at once, 525 MB)
+    alpha = np.random.default_rng(22).integers(-3, 4, size=(20, 20)).astype(float)
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(alpha.tolist()))
+    status, peak_kib, out = _run_with_peak_rss("classical-bound", "--alpha-file", str(path))
+    assert status == 0, out
+    beta, witness = classical_bound(BellCoeffs.from_matrix(alpha))
+    assert f"classical bound: {format_float(beta)}\nwitness a: {witness.a.tolist()}\n" in out
+    assert f"witness b: {witness.b.tolist()}\n" in out
+    assert peak_kib <= 80 * 1024
 
 
 def _refused_in_one_line(capsys, out, argv, message):
@@ -439,6 +460,20 @@ def _refused_in_one_line(capsys, out, argv, message):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+def test_lattice_refuses_bounds_that_overflow(capsys, tmp_path):
+    # the total coupling is finite, but a product with a local value is not
+    path = tmp_path / "heavy.lattice"
+    runs = [
+        ("1e308", [], "lattice classical bound overflows: total coupling 1e+308 x local -8"),
+        ("2e307", [], "lattice quantum floor overflows: total coupling 2e+307 x local -9.2376"),
+        ("1e307", ["--improved-bound", "-100"], "improved bound for local -100 overflows"),
+    ]
+    for coupling, extra, message in runs:
+        path.write_text(f"vertices 2\n0 1 {coupling} red\n")
+        argv = ["lattice", "--file", str(path), *extra]
+        _refused_in_one_line(capsys, tmp_path / "out", argv, message)
 
 
 def test_classical_bound_refuses_alpha_whose_sums_overflow(capsys, tmp_path):

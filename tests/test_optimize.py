@@ -103,7 +103,8 @@ def test_finite_diff_rejects_nonfinite():
 
 def _kink_free(alpha_row, m1, m2, margin=1e-6):
     # The winning strategy is unique (up to the global flip) by more than margin.
-    values = np.unique(_enumerate_side(alpha_row.reshape(1, m1, m2))[2][0])
+    blocks = _enumerate_side(alpha_row.reshape(1, m1, m2))
+    values = np.unique(np.concatenate([values[0] for _, _, values in blocks]))
     return values[1] - values[0] > margin
 
 

@@ -140,24 +140,29 @@ def _check_enumeration(n: int, m1: int, m2: int):
 def _enumerate_side(amats: np.ndarray):
     # Checks the budget now, then walks the smaller side's sign patterns that start with -1 (a
     # global flip keeps every |product|) block by block: for a batch (n, m1, m2), each block's
-    # K patterns, the other side's products with each (n, max(m1, m2), K), a view if m2 > m1,
-    # and each one's value -sum|products| (n, K).
+    # K patterns with _side_products' products and values.
     n, m1, m2 = amats.shape
     _check_enumeration(n, m1, m2)
     return _side_blocks(amats)
 
 
 def _side_blocks(amats: np.ndarray):
-    n, m1, m2 = amats.shape
-    m = min(m1, m2)
-    if m2 > m1:
-        columns = amats.transpose(1, 0, 2).reshape(m1, -1)
+    m = min(amats.shape[1:])
     for patterns in _pattern_blocks(m, m - 1):
-        if m2 <= m1:
-            products = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
-        else:
-            products = (patterns @ columns).reshape(-1, n, m2).transpose(1, 2, 0)
-        yield patterns, products, -np.abs(products).sum(axis=1)
+        yield (patterns, *_side_products(amats, patterns))
+
+
+def _side_products(amats: np.ndarray, patterns: np.ndarray):
+    # For a batch (n, m1, m2) and K sign patterns of the smaller side: the other side's
+    # products with each (n, max(m1, m2), K), a view if m2 > m1, and each one's value
+    # -sum|products| (n, K).
+    n, m1, m2 = amats.shape
+    if m2 <= m1:
+        products = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
+    else:
+        columns = amats.transpose(1, 0, 2).reshape(m1, -1)
+        products = (patterns @ columns).reshape(-1, n, m2).transpose(1, 2, 0)
+    return products, -np.abs(products).sum(axis=1)
 
 
 def _signs_from_rows(rows: np.ndarray) -> np.ndarray:
@@ -171,11 +176,16 @@ def _enumerated_bounds(amats: np.ndarray):
     # a winning strategy a (n, m1), b (n, m2): the first optimal pattern of the
     # smaller side and the signs it induces on the other. That pattern starts with -1,
     # since its flip is optimal too, and a later block replaces a row only if strictly lower.
-    blocks, idx = _enumerate_side(amats), np.arange(len(amats))
-    patterns, products, values = next(blocks)
+    # Callers check the budget first (_check_enumeration): the engine once per batch size.
+    # A smaller side of up to 14 settings has one block, and no generator runs.
+    m, idx = min(amats.shape[1:]), np.arange(len(amats))
+    blocks = iter(_pattern_blocks(m, m - 1))
+    patterns = next(blocks)
+    products, values = _side_products(amats, patterns)
     k = values.argmin(axis=1)
     bounds, a, b = values[idx, k], _signs_from_rows(products[idx, :, k]), patterns[k]
-    for patterns, products, values in blocks:
+    for patterns in blocks:
+        products, values = _side_products(amats, patterns)
         k = values.argmin(axis=1)
         lower = values[idx, k] < bounds
         bounds[lower] = values[lower, k[lower]]

@@ -156,7 +156,9 @@ def bell_operator(ms: MeasurementSettings, bc: BellCoeffs) -> np.ndarray:
 
 def _residual_batch(na, nb, alpha, hmat) -> np.ndarray:
     # ||NA^T alpha NB - H||_F, the same number as ||T vec(alpha) - h||.
-    return np.linalg.norm(na.swapaxes(-1, -2) @ alpha @ nb - hmat, axis=(-2, -1))
+    # np.linalg.norm's Frobenius formula, without its dispatch
+    r = na.swapaxes(-1, -2) @ alpha @ nb - hmat
+    return np.sqrt(np.add.reduce(r * r, axis=(-2, -1)))
 
 
 def _residual_gate(h) -> float:
@@ -200,32 +202,31 @@ def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     return alpha, pa, pbt
 
 
-def _factor_pinv(f: np.ndarray):
-    # pinv(F) (n, 3, m) of factors F (n, m, 3), and the matrix inverted for it:
-    # F^-1 at m = 3, (F^T F)^-1 F^T at m > 3 and F^T (F F^T)^-1 at m < 3.
+def _inverted(f: np.ndarray) -> np.ndarray:
+    # The matrix inverted for pinv(F) of factors F (n, m, 3): F itself at m = 3, F^T F
+    # at m > 3 and F F^T at m < 3; 3x3 unless m < 3.
     m = f.shape[-2]
     if m == 3:
-        inv = np.linalg.inv(f)
-        return inv, inv
+        return f
     ft = f.swapaxes(-1, -2)
-    if m > 3:
-        inv = np.linalg.inv(ft @ f)
-        return inv @ ft, inv
-    inv = np.linalg.inv(f @ ft)
-    return ft @ inv, inv
+    return ft @ f if m > 3 else f @ ft
 
 
-def _squared_cond_bound(inv: np.ndarray, m: int) -> np.ndarray:
-    # Bound on the squared Frobenius condition number of the matrix X inverted
-    # for factors of m unit rows (||F||_F^2 = m): ||X||_F^2 is m for X = F and at
-    # most m^2 for a Gram matrix, times ||X^-1||_F^2, one reduction.
-    return (m if m == 3 else m * m) * np.einsum("nij,nij->n", inv, inv)
+def _pinv_from(f: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    # pinv(F) (n, 3, m) from the inverse of _inverted(F): F^-1 at m = 3,
+    # (F^T F)^-1 F^T at m > 3 and F^T (F F^T)^-1 at m < 3.
+    m = f.shape[-2]
+    if m == 3:
+        return inv
+    ft = f.swapaxes(-1, -2)
+    return inv @ ft if m > 3 else ft @ inv
 
 
 def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     """alpha = pinv(T) h plus one refinement step, for batches na (n, m1, 3), nb (n, m2, 3).
 
-    pinv(T) = pinv(NA^T) (x) pinv(NB^T), each factor's taken by _factor_pinv.
+    pinv(T) = pinv(NA^T) (x) pinv(NB^T), each factor's taken from the inverse of
+    _inverted(F); when both inverted matrices are 3x3, one call inverts both.
     Returns (alpha, pa, pbt), the same triple as _solve_min_norm_batch. Rows
     whose inversion fails, or (unless both factors are 3x3) whose inverted
     matrices are not finite or may be badly conditioned (see
@@ -233,29 +234,40 @@ def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     where the solution is unique, a rank-deficient row's alpha is nan. hmat is
     (3, 3) or (n, 3, 3); a row gets the same bits alone as in any batch.
     """
-    square = na.shape[1] == nb.shape[1] == 3
+    n, m1, m2 = len(na), na.shape[1], nb.shape[1]
+    square, stacked = m1 == m2 == 3, m1 >= 3 and m2 >= 3
     try:
-        pa, inv_a = _factor_pinv(na)
-        pbt, inv_b = _factor_pinv(nb)
+        if stacked:
+            invs = np.linalg.inv(np.concatenate((_inverted(na), _inverted(nb)))).reshape(2, n, 3, 3)
+        else:  # a party of m < 3 settings inverts an m x m matrix
+            invs = [np.linalg.inv(_inverted(f)) for f in (na, nb)]
     except np.linalg.LinAlgError:
-        if len(na) > 1:  # an exactly singular matrix: solve each row alone
-            hs = np.broadcast_to(hmat, (len(na), 3, 3))
+        if n > 1:  # an exactly singular matrix: solve each row alone
+            hs = np.broadcast_to(hmat, (n, 3, 3))
             rows = [_solve_unique_batch(a, b, h) for a, b, h in zip(na[:, None], nb[:, None], hs)]
             return tuple(np.concatenate(parts) for parts in zip(*rows))
         alpha, pa, pbt = _solve_min_norm_batch(na, nb, hmat)
         if square:
             alpha[_rank_deficient(na, nb)] = np.nan
         return alpha, pa, pbt
-    pa = pa.swapaxes(-1, -2)
+    pa, pbt = _pinv_from(na, invs[0]).swapaxes(-1, -2), _pinv_from(nb, invs[1])
     alpha = pa @ hmat @ pbt
-    alpha = alpha + pa @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ pbt
+    alpha += pa @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ pbt
     if not square:
-        # a nan or inf inverse fails the test too; bounded ones give a finite alpha
-        ok = _squared_cond_bound(inv_a, na.shape[1]) <= MAX_COND_SQUARED
-        ok &= _squared_cond_bound(inv_b, nb.shape[1]) <= MAX_COND_SQUARED
+        # Bound on the squared Frobenius condition number of each inverted matrix X,
+        # for factors of m unit rows (||F||_F^2 = m): ||X||_F^2 is m for X = F and at
+        # most m^2 for a Gram matrix, times ||X^-1||_F^2. A nan or inf inverse fails
+        # the test too; bounded ones give a finite alpha.
+        if stacked:
+            sq = np.einsum("knij,knij->kn", invs, invs)
+        else:
+            sq = np.stack([np.einsum("nij,nij->n", x, x) for x in invs])
+        sq[0] *= m1 if m1 == 3 else m1 * m1
+        sq[1] *= m2 if m2 == 3 else m2 * m2
+        ok = sq <= MAX_COND_SQUARED
         if not ok.all():
-            redo = ~ok
-            hs = np.broadcast_to(hmat, (len(na), 3, 3))[redo]
+            redo = ~ok.all(axis=0)
+            hs = np.broadcast_to(hmat, (n, 3, 3))[redo]
             alpha[redo], pa[redo], pbt[redo] = _solve_min_norm_batch(na[redo], nb[redo], hs)
     return alpha, pa, pbt
 

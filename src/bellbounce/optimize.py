@@ -31,6 +31,7 @@ a stream seeded by (s, i), so it does not depend on how many are drawn.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,15 +131,33 @@ def adam_init(theta0) -> AdamState:
 def adam_step(
     state: AdamState, gradient, cfg: OptimizerConfig, maximize: bool = False
 ) -> AdamState:
-    """One bias-corrected Adam update; sign of motion set by maximize."""
+    """One bias-corrected Adam update; sign of motion set by maximize.
+
+    The update is written into state's arrays, which the returned state shares,
+    so the state passed in is spent. adam_init copies the start it is given.
+    """
     g = np.asarray(gradient, dtype=float)
     t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    delta = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    theta = state.theta + delta if maximize else state.theta - delta
+    theta, m, v = state.theta, state.m, state.v
+    # m = beta1 m + (1 - beta1) g and v = beta2 v + ((1 - beta2) g) g, in place
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    gg = (1.0 - ADAM_BETA2) * g
+    gg *= g
+    v *= ADAM_BETA2
+    v += gg
+    # delta = (lr m_hat) / (sqrt(v_hat) + epsilon), with m_hat = m / (1 - beta1^t) and
+    # v_hat = v / (1 - beta2^t)
+    delta = m / (1.0 - ADAM_BETA1**t)
+    delta *= cfg.learning_rate
+    den = np.divide(v, 1.0 - ADAM_BETA2**t, out=gg)
+    np.sqrt(den, out=den)
+    den += ADAM_EPSILON
+    delta /= den
+    if maximize:
+        theta += delta
+    else:
+        theta -= delta
     return AdamState(theta, m, v, t)
 
 
@@ -168,17 +187,25 @@ def _factor_gradients(na, nb, alpha, pa, pbt, hmat, g):
     #   d/dNB = -alpha^T G B+ + (I - B+ B) G^T A+ H (B+^T B+)
     # A projector term vanishes when its party has at most 3 settings. The
     # formula's third term, for a party with fewer than 3, vanishes at feasible points.
-    pb = pbt.swapaxes(-1, -2)
-    ga = -alpha @ g.swapaxes(-1, -2) @ pa
-    gb = -alpha.swapaxes(-1, -2) @ g @ pb
+    pb, neg = pbt.swapaxes(-1, -2), -alpha
+    ga = neg @ g.swapaxes(-1, -2) @ pa
+    gb = neg.swapaxes(-1, -2) @ g @ pb
     m1, m2 = alpha.shape[1:]
     if m1 > 3:
-        proj = np.eye(m1) - pa @ na.swapaxes(-1, -2)
+        proj = _identity(m1) - pa @ na.swapaxes(-1, -2)
         ga += proj @ (g @ pb @ hmat.T) @ (pa.swapaxes(-1, -2) @ pa)
     if m2 > 3:
-        proj = np.eye(m2) - pb @ nb.swapaxes(-1, -2)
+        proj = _identity(m2) - pb @ nb.swapaxes(-1, -2)
         gb += proj @ (g.swapaxes(-1, -2) @ pa @ hmat) @ (pbt @ pb)
     return ga, gb
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(m: int) -> np.ndarray:
+    # one read-only m x m identity per party size, built on first use
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
 
 
 def _check_bound_batch(n: int, m1: int, m2: int):
@@ -193,9 +220,13 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
     hmat = h.reshape(3, 3)
     gate = _residual_gate(h)
 
+    checked = set()  # batch sizes that passed _check_bound_batch
+
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
-        _check_bound_batch(n, m1, m2)
+        if n not in checked:
+            _check_bound_batch(n, m1, m2)
+            checked.add(n)
         bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
         na, nb = bloch[:, :m1], bloch[:, m1:]
         with np.errstate(all="ignore"):
@@ -206,8 +237,14 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
             g = a[:, :, None] * b[:, None, :]
             ga, gb = _factor_gradients(na, nb, alpha, pa, pbt, hmat, g)
             grad = (dbloch @ np.concatenate([ga, gb], axis=1)[..., None]).reshape(n, -1)
-        grad[~(feasible[:, None] & np.isfinite(grad))] = 0.0
-        return np.where(feasible, bounds, -np.inf), alpha.reshape(n, m1 * m2), grad
+        # an infeasible point scores -inf; its gradient, and any non-finite entry, is 0
+        finite = np.isfinite(grad)
+        if not feasible.all():
+            np.copyto(bounds, -np.inf, where=~feasible)
+            finite &= feasible[:, None]
+        if not finite.all():
+            np.copyto(grad, 0.0, where=~finite)
+        return bounds, alpha.reshape(n, m1 * m2), grad
 
     return objective
 
@@ -229,7 +266,9 @@ def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
         na, nb = np.ascontiguousarray(bloch[:, :m1]), np.ascontiguousarray(bloch[:, m1:])
         g = np.concatenate([alpha_mat @ nb @ cmats_t, alpha_mat.T @ na @ cmats], axis=1)
         grad = (dbloch @ g[..., None]).reshape(n, -1)
-        grad[~np.isfinite(grad)] = 0.0
+        finite = np.isfinite(grad)
+        if not finite.all():
+            np.copyto(grad, 0.0, where=~finite)
         return _quantum_values(na, nb, cmats, alpha_mat), None, grad
 
     return objective
@@ -254,13 +293,14 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
         values, payload, grad = objective.evaluate(state.theta)
         improved = (values > best_value) if maximize else (values < best_value)
         improved &= np.isfinite(values)
-        if np.any(improved):
-            best_value = np.where(improved, values, best_value)
-            best_theta[improved] = state.theta[improved]
+        if improved.any():
+            np.copyto(best_value, values, where=improved)
+            rows = improved[:, None]
+            np.copyto(best_theta, state.theta, where=rows)
             if payload is not None:
                 if best_payload is None:
                     best_payload = np.zeros((n_runs, payload.shape[-1]))
-                best_payload[improved] = payload[improved]
+                np.copyto(best_payload, payload, where=rows)
             batch_best = best_value[pick(best_value)]
         history[t] = batch_best
         if t == steps:
@@ -462,6 +502,7 @@ def bounce_loop(
     scenario = alpha.scenario
 
     ms = ms0
+    _check_enumeration(1, scenario.m1, scenario.m2)  # _enumerated_bounds leaves it to its callers
     beta_c = float(_enumerated_bounds(alpha.alpha[None, :, :])[0][0])
     beta_q = quantum_value_from_data(c, build_transfer_matrix(ms), alpha)
     records = [BounceRecord(0, "init", beta_c, beta_q, beta_q - beta_c)]

@@ -58,18 +58,25 @@ def _bloch_batch(angles: np.ndarray, derivatives: bool = False):
 
     With derivatives, also returns dn/d(t, p) with shape (..., 2, 3).
     """
-    t, p = angles[..., 0], angles[..., 1]
-    ct, st, cp, sp = np.cos(t), np.sin(t), np.cos(p), np.sin(p)
-    n = np.stack([ct, st * cp, st * sp], axis=-1)
+    # on flat (rows, k) buffers, whose columns are 1-d views: numpy's fastest elementwise loops
+    shape = angles.shape[:-1]
+    a = angles.reshape(-1, 2)
+    c, s = np.cos(a), np.sin(a)
+    ct, cp, st, sp = c[:, 0], c[:, 1], s[:, 0], s[:, 1]
+    n = np.empty((len(a), 3))
+    n[:, 0] = ct
+    np.multiply(st, cp, out=n[:, 1])
+    np.multiply(st, sp, out=n[:, 2])
     if not derivatives:
-        return n
-    dn = np.zeros(n.shape[:-1] + (2, 3))
-    dn[..., 0, 0] = -st
-    dn[..., 0, 1] = ct * cp
-    dn[..., 0, 2] = ct * sp
-    dn[..., 1, 1] = -n[..., 2]
-    dn[..., 1, 2] = n[..., 1]
-    return n, dn
+        return n.reshape(shape + (3,))
+    dn = np.empty((len(a), 6))  # the rows of dn/dt, dn/dp
+    np.negative(st, out=dn[:, 0])
+    np.multiply(ct, cp, out=dn[:, 1])
+    np.multiply(ct, sp, out=dn[:, 2])
+    dn[:, 3] = 0.0
+    np.negative(n[:, 2], out=dn[:, 4])
+    dn[:, 5] = n[:, 1]
+    return n.reshape(shape + (3,)), dn.reshape(shape + (2, 3))
 
 
 def observable_from_bloch(n) -> np.ndarray:

@@ -5,6 +5,9 @@ from bellbounce.bell import BellCoeffs, Scenario
 from bellbounce.mapping import (
     LinearSolveError,
     MeasurementSettings,
+    _residual_batch,
+    _solve_min_norm_batch,
+    _solve_unique_batch,
     bell_operator,
     build_transfer_matrix,
     quantum_value_from_data,
@@ -78,6 +81,75 @@ def test_two_path_agreement():
             t = build_transfer_matrix(ms)
             direct = pauli_coeffs_from_operator(bell_operator(ms, bc))
             assert np.allclose(direct, t.matrix @ bc.alpha.ravel(), atol=1e-12)
+
+
+def _factor_pinv_reference(f):
+    # pinv(F) of factors F (n, m, 3), one factor at a time: F^-1 at m = 3,
+    # (F^T F)^-1 F^T at m > 3 and F^T (F F^T)^-1 at m < 3
+    m = f.shape[-2]
+    if m == 3:
+        return np.linalg.inv(f)
+    ft = f.swapaxes(-1, -2)
+    if m > 3:
+        return np.linalg.inv(ft @ f) @ ft
+    return ft @ np.linalg.inv(f @ ft)
+
+
+def _solve_unique_reference(na, nb, hmat):
+    # the kernel's arithmetic with one inversion per factor, for well-conditioned rows
+    pa, pbt = _factor_pinv_reference(na).swapaxes(-1, -2), _factor_pinv_reference(nb)
+    alpha = pa @ hmat @ pbt
+    alpha = alpha + pa @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ pbt
+    return alpha, pa, pbt
+
+
+@pytest.mark.parametrize("m1, m2", [(3, 3), (4, 3), (3, 4), (2, 3), (4, 2)])
+def test_solve_kernel_keeps_the_per_factor_bits(m1, m2):
+    # Both factors' 3x3 matrices are inverted in one call when they are 3x3; a
+    # party with fewer than 3 settings keeps its own m x m inversion. Either way
+    # every row keeps the bits of inverting each factor on its own.
+    rng = np.random.default_rng(25)
+    settings = [_random_settings(rng, m1, m2) for _ in range(6)]
+    na = np.stack([ms.bloch_a() for ms in settings])
+    nb = np.stack([ms.bloch_b() for ms in settings])
+    for hmat in (rng.normal(size=(3, 3)), rng.normal(size=(6, 3, 3))):
+        got = _solve_unique_batch(na, nb, hmat)
+        want = _solve_unique_reference(na, nb, hmat)
+        for part, ref in zip(got, want):
+            assert np.array_equal(part, ref)
+
+
+def test_solve_kernel_singular_row_keeps_its_neighbours_bits():
+    # an exactly singular 3x3 row sends the batch row by row: its neighbours keep
+    # the per-factor bits, and it gets the SVD solve with a nan alpha
+    rng = np.random.default_rng(26)
+    settings = [_random_settings(rng, 3, 3) for _ in range(3)]
+    a = settings[1].party_a.copy()
+    a[2] = a[0]
+    settings[1] = MeasurementSettings(a, settings[1].party_b)
+    na = np.stack([ms.bloch_a() for ms in settings])
+    nb = np.stack([ms.bloch_b() for ms in settings])
+    hmat = rng.normal(size=(3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(na)
+    with np.errstate(all="ignore"):
+        got = _solve_unique_batch(na, nb, hmat)
+        svd = _solve_min_norm_batch(na[1:2], nb[1:2], hmat)
+    for i in (0, 2):
+        want = _solve_unique_reference(na[i : i + 1], nb[i : i + 1], hmat)
+        for part, ref in zip(got, want):
+            assert np.array_equal(part[i : i + 1], ref)
+    assert np.all(np.isnan(got[0][1]))
+    assert np.array_equal(got[1][1:2], svd[1]) and np.array_equal(got[2][1:2], svd[2])
+
+
+def test_residual_batch_is_the_frobenius_norm():
+    rng = np.random.default_rng(27)
+    for m1, m2 in ((3, 3), (4, 3), (2, 5)):
+        na, nb = rng.normal(size=(8, m1, 3)), rng.normal(size=(8, m2, 3))
+        alpha, hmat = rng.normal(size=(8, m1, m2)), rng.normal(size=(3, 3))
+        want = np.linalg.norm(na.swapaxes(-1, -2) @ alpha @ nb - hmat, axis=(-2, -1))
+        assert np.array_equal(_residual_batch(na, nb, alpha, hmat), want)
 
 
 def test_inconsistent_system_rejected():

@@ -325,6 +325,31 @@ def test_bound_objective_refuses_gradient_beyond_budget(monkeypatch):
     with pytest.raises(ValueError, match=r"1 x 9 x 9 gradient entries exceed 4 x 2\^4"):
         objective.evaluate(np.zeros((1, objective.dim)))
 
+
+def test_bound_objective_checks_each_batch_size_once(monkeypatch):
+    # The budget is checked on the first batch of each size; a larger batch is still
+    # refused before any sign pattern is built.
+    checks, check = [], optimize._check_bound_batch
+    monkeypatch.setattr(optimize, "_check_bound_batch", lambda *a: checks.append(a) or check(*a))
+    objective = bound_objective(H_G_COEFFS, Scenario(4, 3))
+    start = random_starts(objective.dim, 1, 0)
+    first = objective.evaluate(start)
+    again = objective.evaluate(start)
+    assert checks == [(1, 4, 3)]
+    for got, want in zip(again, first):
+        assert np.array_equal(got, want)
+
+    def no_patterns(m):
+        raise AssertionError(f"2^{m} patterns built")
+
+    monkeypatch.setattr(bell, "_sign_patterns", no_patterns)
+    # 4 x 2^3 products per row: one row more than the budget allows, as a view of one row
+    n = bell.ENUMERATION_MAX_SIDE * 2**bell.ENUMERATION_MAX_SIDE // (4 * 2**3) + 1
+    with pytest.raises(ValueError, match=f"{n} x 4 x 2\\^3 products"):
+        objective.evaluate(np.broadcast_to(start, (n, objective.dim)))
+    assert checks[-1] == (n, 4, 3)
+
+
 def test_value_task_matches_direct_call():
     bc = gisin_variant(2.0)
     c = SINGLET

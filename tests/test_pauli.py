@@ -47,6 +47,36 @@ def test_bloch_convention():
         assert abs(np.linalg.norm(n) - 1) < 1e-14
 
 
+def _textbook_bloch(angles, derivatives=False):
+    # n = (cos t, sin t cos p, sin t sin p) and its rows dn/dt, dn/dp, one trig call per angle
+    t, p = angles[..., 0], angles[..., 1]
+    ct, st, cp, sp = np.cos(t), np.sin(t), np.cos(p), np.sin(p)
+    n = np.stack([ct, st * cp, st * sp], axis=-1)
+    if not derivatives:
+        return n
+    dn = np.zeros(n.shape[:-1] + (2, 3))
+    dn[..., 0, 0] = -st
+    dn[..., 0, 1] = ct * cp
+    dn[..., 0, 2] = ct * sp
+    dn[..., 1, 1] = -n[..., 2]
+    dn[..., 1, 2] = n[..., 1]
+    return n, dn
+
+
+def test_bloch_batch_keeps_the_textbook_bits():
+    rng = np.random.default_rng(7)
+    batch = rng.uniform(-7, 7, size=(5, 7, 2))
+    wide = rng.uniform(-7, 7, size=(5, 7, 5))
+    for angles in (rng.uniform(-7, 7, size=2), batch, wide[:, ::2, 1:4:2], batch[::-1, 1:]):
+        assert np.array_equal(_bloch_batch(angles), _textbook_bloch(angles))
+        n, dn = _bloch_batch(angles, derivatives=True)
+        want_n, want_dn = _textbook_bloch(angles, derivatives=True)
+        assert n.shape == want_n.shape and dn.shape == want_dn.shape
+        assert np.array_equal(n, want_n) and np.array_equal(dn, want_dn)
+        # the zeros too, sign included
+        assert np.array_equal(np.signbit(dn), np.signbit(want_dn))
+
+
 def test_observable_from_bloch():
     rng = np.random.default_rng(6)
     for _ in range(50):

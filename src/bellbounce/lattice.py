@@ -150,17 +150,26 @@ def recouple_honeycomb(ls: LatticeSpec, params: HoneycombParams) -> LatticeSpec:
     return replace(ls, coupling=np.where(ls.color == other, ls.coupling, by_color[ls.color]))
 
 
+def _adjacency(ls: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    # (first, neighbors): vertex x's neighbors are neighbors[first[x]:first[x + 1]], in edge order
+    ends = np.stack([ls.u, ls.v], axis=1).ravel()  # the half-edges u0, v0, u1, v1, ...
+    # by vertex, each vertex's in edge order: a stable sort's order, from a unique key.
+    # The key stays below 2E * MAX_LATTICE_VERTICES = 2^21 E, so int64 holds it up to
+    # E = 2^42 edges, far beyond what fits in memory.
+    order = np.argsort(ends * len(ends) + np.arange(len(ends)))
+    first = np.searchsorted(ends[order], np.arange(ls.vertices + 1))
+    return first, ends[order ^ 1]  # half-edge k's neighbor is half-edge k ^ 1's vertex
+
+
 def check_bipartite(ls: LatticeSpec) -> np.ndarray:
     """Two-color the lattice by breadth-first search: one boolean per vertex, True on side B.
 
     Each connected component's lowest vertex is on side A, as is every isolated
     vertex. Raises ValueError if an odd cycle makes the graph non-bipartite.
     """
-    ends = np.stack([ls.u, ls.v], axis=1).ravel()  # the half-edges u0, v0, u1, v1, ...
-    order = np.argsort(ends, kind="stable")  # by vertex; each vertex's in edge order
-    first = np.searchsorted(ends[order], np.arange(ls.vertices + 1))
+    first, neighbors = _adjacency(ls)
     offsets = memoryview(first)  # indexes to Python ints, at 8 bytes per vertex
-    neighbors = ends[order ^ 1].tolist()  # half-edge k's neighbor is half-edge k ^ 1's vertex
+    neighbors = neighbors.tolist()
     side = bytearray(ls.vertices)  # 0 unseen, 1 side A, 2 side B
     for root in np.flatnonzero(np.diff(first)).tolist():  # isolated ones stay on side A
         if side[root]:

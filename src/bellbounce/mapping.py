@@ -166,13 +166,16 @@ def _residual_gate(h) -> float:
     return RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(h)))
 
 
-def _quantum_values(na, nb, cmats, alpha) -> np.ndarray:
+def _quantum_values(na, nb, cmats, alpha) -> tuple[np.ndarray, np.ndarray]:
     # c . T . alpha = sum_ab alpha_ab nA_a^T C nB_b for batches na (n, m1, 3),
     # nb (n, m2, 3) and cmats (n, 3, 3), or (1, 3, 3) for a C every row shares.
-    # The contraction order is fixed, so a row's value depends neither on the
-    # batch size nor on the other rows' C; the bounce loop's half-step
-    # contracts rely on it.
-    return np.einsum("nai,nij,nbj,ab->n", na, cmats, nb, alpha)
+    # Returns (values (n,), ga (n, m1, 3)) with ga_a = d beta_Q/d nA_a = C sum_b
+    # alpha_ab nB_b: beta_Q is linear in nA_a, so beta_Q = sum_a nA_a . ga_a.
+    # Each row takes its own matmul chain and its own reduce, so its value
+    # depends neither on the batch size nor on the other rows' C; the bounce
+    # loop's half-step contracts rely on it.
+    ga = alpha @ nb @ cmats.swapaxes(-1, -2)
+    return np.add.reduce((na * ga).reshape(len(na), -1), axis=1), ga
 
 
 def _rank_deficient(na, nb) -> np.ndarray:
@@ -324,4 +327,4 @@ def quantum_value_from_data(c, t: TransferMatrix, bc: BellCoeffs) -> float:
         raise ValueError(
             f"transfer matrix ({t.m1}, {t.m2}) does not match alpha {bc.alpha.shape}"
         )
-    return float(_quantum_values(t.na[None], t.nb[None], c.reshape(1, 3, 3), bc.alpha)[0])
+    return float(_quantum_values(t.na[None], t.nb[None], c.reshape(1, 3, 3), bc.alpha)[0][0])

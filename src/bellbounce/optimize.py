@@ -11,8 +11,9 @@ and its gradient is analytic: the bound is a minimum over strategies, so the
 winning strategy's correlators a* b*^T are its subgradient in alpha, chained
 through the derivative of the factors' pseudo-inverses to the angles. The
 value objective is linear in each Bloch vector, so its gradient is exact and
-analytic, one point per restart per step. It takes one correlator vector c for
-the whole batch or one per row.
+analytic, one point per restart per step, and by Euler's identity its value is
+sum_a nA_a . d beta_Q/d nA_a: the gradient's party-A half scores the point. It
+takes one correlator vector c for the whole batch or one per row.
 
 The classical bound is only piecewise smooth, so correctness rests on
 best-so-far tracking, not smooth convergence: the reported optimum is always
@@ -251,10 +252,11 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
 
 def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
     # d beta_Q/d nA_a = C sum_b alpha_ab nB_b and d beta_Q/d nB_b = C^T sum_a alpha_ab nA_a,
-    # chained to the angles.
+    # chained to the angles. The value comes from the first half: beta_Q is linear
+    # in each nA_a, so by Euler's identity it is sum_a nA_a . d beta_Q/d nA_a, and
+    # _quantum_values returns that half with it.
     # c holds one correlator row per batch row, or one row that every row shares.
     cmats = np.asarray(c, dtype=float).reshape(-1, 3, 3)
-    cmats_t = cmats.swapaxes(-1, -2)
     alpha_mat = np.asarray(alpha_mat, dtype=float)
 
     def objective(thetas: np.ndarray):
@@ -262,14 +264,14 @@ def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
         if len(cmats) not in (1, n):
             raise ValueError(f"{len(cmats)} correlator rows for a batch of {n}")
         bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
-        # contiguous, as quantum_value_from_data's, so each row's value has the same bits
-        na, nb = np.ascontiguousarray(bloch[:, :m1]), np.ascontiguousarray(bloch[:, m1:])
-        g = np.concatenate([alpha_mat @ nb @ cmats_t, alpha_mat.T @ na @ cmats], axis=1)
+        na, nb = bloch[:, :m1], bloch[:, m1:]
+        values, ga = _quantum_values(na, nb, cmats, alpha_mat)
+        g = np.concatenate([ga, alpha_mat.T @ na @ cmats], axis=1)
         grad = (dbloch @ g[..., None]).reshape(n, -1)
         finite = np.isfinite(grad)
         if not finite.all():
             np.copyto(grad, 0.0, where=~finite)
-        return _quantum_values(na, nb, cmats, alpha_mat), None, grad
+        return values, None, grad
 
     return objective
 

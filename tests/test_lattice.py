@@ -11,6 +11,7 @@ from bellbounce.lattice import (
     MAX_LATTICE_VERTICES,
     HoneycombParams,
     LatticeSpec,
+    _adjacency,
     bundled_lattice_path,
     check_bipartite,
     honeycomb_coupling,
@@ -140,6 +141,21 @@ def test_bipartite_check_matches_adjacency_list_reference():
         assert got == want
         outcomes.add(type(want))
     assert outcomes == {list, str}
+
+
+def test_adjacency_keeps_the_stable_sorts_order():
+    # each vertex's neighbors in edge order, as a stable sort of the half-edges gives
+    ls = load_lattice(bundled_lattice_path())
+    rng = np.random.default_rng(8)
+    label, order = rng.permutation(ls.vertices), rng.permutation(len(ls.u))
+    shuffled = LatticeSpec(
+        ls.vertices, label[ls.u][order], label[ls.v][order], ls.coupling[order], ls.color[order]
+    )
+    first, neighbors = _adjacency(shuffled)
+    ends = np.stack([shuffled.u, shuffled.v], axis=1).ravel()
+    stable = np.argsort(ends, kind="stable")
+    assert np.array_equal(first, np.searchsorted(ends[stable], np.arange(ls.vertices + 1)))
+    assert np.array_equal(neighbors, ends[stable ^ 1])
 
 
 def test_honeycomb_coupling():

@@ -5,6 +5,7 @@ from bellbounce.bell import BellCoeffs, Scenario
 from bellbounce.mapping import (
     LinearSolveError,
     MeasurementSettings,
+    _quantum_values,
     _residual_batch,
     _solve_min_norm_batch,
     _solve_unique_batch,
@@ -172,6 +173,33 @@ def test_solve_mode_validation():
     t43 = build_transfer_matrix(_random_settings(rng, 4, 3))
     with pytest.raises(ValueError):
         solve_alpha(t43, np.zeros(5))
+
+
+def _four_index_sum(na, nb, cmats, alpha):
+    # the contraction the kernel replaced, kept as its oracle
+    return np.einsum("nai,nij,nbj,ab->n", na, cmats, nb, alpha)
+
+
+@pytest.mark.parametrize("m1, m2", [(2, 2), (2, 5), (3, 4), (4, 3), (5, 2)])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("shared", [True, False])
+def test_quantum_values_match_the_four_index_sum(m1, m2, n, shared):
+    rng = np.random.default_rng(29)
+    na = rng.normal(size=(n, m1, 3))
+    nb = rng.normal(size=(n, m2, 3))
+    cmats = rng.uniform(-1, 1, size=(1 if shared else n, 3, 3))
+    alpha = rng.normal(size=(m1, m2))
+    values, ga = _quantum_values(na, nb, cmats, alpha)
+    scale = _four_index_sum(abs(na), abs(nb), abs(cmats), abs(alpha))
+    assert values.shape == (n,)
+    assert np.all(abs(values - _four_index_sum(na, nb, cmats, alpha)) <= 1e-12 * scale)
+    # ga is the party-A half-gradient C sum_b alpha_ab nB_b
+    want = np.einsum("ab,nbj,nij->nai", alpha, nb, cmats)
+    assert np.allclose(ga, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # a row gets the same bits alone as in the batch
+    for i in range(n):
+        alone = _quantum_values(na[i : i + 1], nb[i : i + 1], cmats[0 if shared else i][None], alpha)
+        assert alone[0][0] == values[i]
 
 
 def test_quantum_value_from_data():

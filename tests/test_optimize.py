@@ -285,16 +285,26 @@ def test_value_rows_match_single_point_and_data_value(m1, m2):
 
 
 def test_value_objective_correlator_shapes():
-    bc, c = gisin_variant(2.0), SINGLET
-    thetas = np.stack([_random_settings(np.random.default_rng(59), 4, 3).to_vector()] * 3)
-    shared = value_objective(bc, c).evaluate(thetas)
-    # one row that every batch row shares, or one row per batch row
-    for stack in (c[None, :], np.stack([c] * 3)):
-        got = value_objective(bc, stack).evaluate(thetas)
-        assert np.array_equal(got[0], shared[0]) and np.array_equal(got[2], shared[2])
+    rng = np.random.default_rng(59)
+    c = SINGLET
+    for bc in (GISIN_2, *(BellCoeffs.from_matrix(rng.normal(size=s)) for s in ((2, 5), (5, 2)))):
+        m1, m2 = bc.alpha.shape
+        thetas = np.stack([_random_settings(rng, m1, m2).to_vector() for _ in range(3)])
+        shared = value_objective(bc, c).evaluate(thetas)
+        # one row that every batch row shares, or one row per batch row
+        for stack in (c[None, :], np.stack([c] * 3)):
+            got = value_objective(bc, stack).evaluate(thetas)
+            assert np.array_equal(got[0], shared[0]) and np.array_equal(got[2], shared[2])
+        # a row alone gets the bits it gets in the batch, with c shared or its own
+        cs = rng.uniform(-1, 1, size=(3, 9))
+        mixed = value_objective(bc, cs).evaluate(thetas)
+        for i in range(3):
+            for ci, batch in ((c, shared), (cs[i], mixed)):
+                alone = value_objective(bc, ci).evaluate(thetas[i : i + 1])
+                assert alone[0][0] == batch[0][i] and np.array_equal(alone[2][0], batch[2][i])
     for bad in (c.reshape(3, 3), c[:8], np.zeros((2, 3, 9))):
         with pytest.raises(ValueError, match="shape"):
-            value_objective(bc, bad)
+            value_objective(GISIN_2, bad)
     with pytest.raises(ValueError, match="2 correlator rows for a batch of 3"):
         value_objective(bc, np.stack([c, c])).evaluate(thetas)
 

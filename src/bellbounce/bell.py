@@ -50,31 +50,30 @@ class Scenario:
 
 @dataclass(frozen=True)
 class BellCoeffs:
-    """Correlator coefficients alpha[x1, x2] of a two-party Bell expression."""
+    """Correlator coefficients alpha[x1, x2] of a two-party Bell expression.
 
-    scenario: Scenario
+    Its scenario (m1, m2) is alpha's shape."""
+
     alpha: np.ndarray
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
-        expected = (self.scenario.m1, self.scenario.m2)
-        if alpha.shape != expected:
-            raise ValueError(f"alpha shape {alpha.shape} does not match {expected}")
+        if alpha.ndim != 2:
+            raise ValueError(f"alpha must be a 2-d coefficient matrix, got shape {alpha.shape}")
+        Scenario(*alpha.shape)  # refuses fewer than two settings per party
         if not np.all(np.isfinite(alpha)):
             raise ValueError("alpha entries must be finite")
         # |a^T alpha b| <= m1 * m2 * max|alpha| bounds every enumerated sum
         if np.max(np.abs(alpha)) > np.finfo(float).max / alpha.size:
-            raise ValueError(
-                f"alpha entries too large: {expected[0]} x {expected[1]} x max|alpha| overflows"
-            )
+            m1, m2 = alpha.shape
+            raise ValueError(f"alpha entries too large: {m1} x {m2} x max|alpha| overflows")
         alpha = alpha.copy()
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
 
-    @classmethod
-    def from_matrix(cls, alpha) -> "BellCoeffs":
-        alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-        return cls(Scenario(alpha.shape[0], alpha.shape[1]), alpha)
+    @property
+    def scenario(self) -> Scenario:
+        return Scenario(*self.alpha.shape)
 
 
 @dataclass(frozen=True)
@@ -137,21 +136,6 @@ def _check_enumeration(n: int, m1: int, m2: int):
     _check_batch_budget(n, big * 2**small, "{} x 2^{} products", big, small)
 
 
-def _enumerate_side(amats: np.ndarray):
-    # Checks the budget now, then walks the smaller side's sign patterns that start with -1 (a
-    # global flip keeps every |product|) block by block: for a batch (n, m1, m2), each block's
-    # K patterns with _side_products' products and values.
-    n, m1, m2 = amats.shape
-    _check_enumeration(n, m1, m2)
-    return _side_blocks(amats)
-
-
-def _side_blocks(amats: np.ndarray):
-    m = min(amats.shape[1:])
-    for patterns in _pattern_blocks(m, m - 1):
-        yield (patterns, *_side_products(amats, patterns))
-
-
 def _side_products(amats: np.ndarray, patterns: np.ndarray):
     # For a batch (n, m1, m2) and K sign patterns of the smaller side: the other side's
     # products with each (n, max(m1, m2), K), a view if m2 > m1, and each one's value
@@ -209,9 +193,12 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
             ENUMERATION_MAX_SIDE * 2^ENUMERATION_MAX_SIDE.
     """
     alpha = bc.alpha
-    wide = alpha.shape[1] > alpha.shape[0]
-    lowest, b = np.inf, None
-    for patterns, (products,), (values,) in _enumerate_side(alpha[None]):
+    m1, m2 = alpha.shape
+    _check_enumeration(1, m1, m2)
+    # the smaller side's sign patterns that start with -1 (a global flip keeps every |product|)
+    lowest, b, m = np.inf, None, min(m1, m2)
+    for patterns in _pattern_blocks(m, m - 1):
+        (products,), (values,) = _side_products(alpha[None], patterns)
         low = values.min()
         if low > lowest:
             continue
@@ -219,7 +206,7 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
         # (m2 > m1), the signs a winning a or its flip induces (a zero row sum goes to -1 under
         # both). The lexicographically smallest starts with -1 or is among those signs.
         won = values == low
-        if wide:
+        if m2 > m1:
             rows = products[:, won].T
             candidates = np.vstack([_signs_from_rows(rows), _signs_from_rows(-rows)])
         else:
@@ -263,7 +250,7 @@ def gisin_variant(delta: float) -> BellCoeffs:
             [-1.0, -1.0, d],
         ]
     )
-    return BellCoeffs(Scenario(4, 3), alpha)
+    return BellCoeffs(alpha)
 
 
 def gisin_bound_closed_form(delta: float) -> float:
@@ -279,6 +266,6 @@ def bell_value(bc: BellCoeffs, corr) -> float:
         raise ValueError(
             f"correlator shape {corr.shape} does not match alpha {bc.alpha.shape}"
         )
-    if np.max(np.abs(corr)) > 1.0 + 1e-9:
+    if not np.all(np.abs(corr) <= 1.0 + 1e-9):
         raise ValueError("correlator entries must lie in [-1, 1]")
     return float(np.sum(bc.alpha * corr))

@@ -46,7 +46,6 @@ from .mapping import (
     RESIDUAL_RTOL,
     LinearSolveError,
     bell_operator,
-    build_transfer_matrix,
     quantum_value_from_data,
     residual_norm,
 )
@@ -200,9 +199,9 @@ def _resolve_alpha(cfg: dict, *, default_delta: float | None = None) -> BellCoef
             raise ValueError("inline alpha needs --m1 and --m2")
         if flat.size != m1 * m2:
             raise ValueError(f"alpha has {flat.size} entries, expected {m1 * m2}")
-        return BellCoeffs(Scenario(m1, m2), flat.reshape(m1, m2))
+        return BellCoeffs(flat.reshape(m1, m2))
     if cfg.get("alpha_file") is not None:
-        return BellCoeffs.from_matrix(_load_number_file(cfg["alpha_file"], "alpha file"))
+        return BellCoeffs(_load_number_file(cfg["alpha_file"], "alpha file"))
     if default_delta is not None:
         return gisin_variant(default_delta)
     raise ValueError("no coefficients given: use --gisin-delta, --alpha, or --alpha-file")
@@ -283,8 +282,7 @@ def _cmd_ham2ineq(cfg: dict):
     _check_bound_batch(cfg["restarts"], scenario.m1, scenario.m2)
     starts = random_starts(objective.dim, cfg["restarts"], cfg["seed"])
     best = run_search(objective, starts, opt_cfg)
-    t_best = build_transfer_matrix(best.settings)
-    resid = residual_norm(t_best, best.alpha.alpha.ravel(), h)
+    resid = residual_norm(best.settings, best.alpha.alpha.ravel(), h)
     _print_kv("best classical bound", best.value)
     _print_kv("winning restart", best.best_index)
     out = _out_dir(cfg)
@@ -327,10 +325,9 @@ def _parse_p_grid(text: str) -> np.ndarray:
 
 def _cmd_ineq2ham(cfg: dict):
     bc = _resolve_alpha(cfg, default_delta=2.0)
-    if (bc.scenario.m1, bc.scenario.m2) != (4, 3):
+    if bc.alpha.shape != (4, 3):
         raise ValueError("settings optimization is wired for (4, 3) coefficient matrices")
     ms0 = tetrahedron_axes_settings()
-    t0 = build_transfer_matrix(ms0)
     beta_c = classical_bound(bc)[0]
     opt_cfg = _search_cfg(DEFAULT_DESCENT, cfg)
     theta0 = ms0.to_vector()
@@ -348,7 +345,7 @@ def _cmd_ineq2ham(cfg: dict):
     minima = sweep_minima(bc, [c for _, c in sources], starts, opt_cfg)
     rows = []
     for (p, c), best in zip(sources, minima.tolist()):
-        original = quantum_value_from_data(c, t0, bc)
+        original = quantum_value_from_data(c, ms0, bc)
         rows.append((p, original, best, beta_c))
         label = "data" if p is None else f"p={format_float(p)}"
         print(
@@ -420,7 +417,7 @@ def _cmd_lattice(cfg: dict):
     if cfg["epsilon"] is not None:
         ls = recouple_honeycomb(ls, HoneycombParams(cfg["epsilon"]))
     local = _resolve_alpha(cfg, default_delta=2.0)
-    if (local.scenario.m1, local.scenario.m2) != (4, 3):
+    if local.alpha.shape != (4, 3):
         raise ValueError("lattice quantum floor is wired for (4, 3) local coefficients")
     local_op = bell_operator(tetrahedron_axes_settings(), local)
     beta_local = classical_bound(local)[0]

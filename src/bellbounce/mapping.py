@@ -4,7 +4,10 @@ For measurement settings theta the transfer matrix T(theta) satisfies
 T . alpha = h, where alpha are the correlator coefficients of the inequality
 and h the Pauli coefficients of the Bell operator built from the same
 settings. Rows follow the fixed Pauli-pair order of :mod:`bellbounce.pauli`;
-columns are lexicographic in the setting pair (x1, x2).
+columns are lexicographic in the setting pair (x1, x2). T is fixed by the
+settings, so solve_alpha, residual_norm and quantum_value_from_data take the
+MeasurementSettings and read their Bloch vectors; build_transfer_matrix forms
+the explicit 9 x (m1*m2) array when one is wanted.
 
 T = NA^T (x) NB^T, so T . alpha = h is NA^T alpha NB = H (H = h as 3x3), solved
 on the 3-column factors (pinv(A (x) B) = pinv(A) (x) pinv(B), Van Loan 2000) by
@@ -21,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellCoeffs, Scenario
+from .bell import BellCoeffs
 from .pauli import _bloch_batch, observable_from_bloch
 
 __all__ = [
     "MeasurementSettings",
-    "TransferMatrix",
     "LinearSolveError",
     "build_transfer_matrix",
     "bell_operator",
@@ -101,38 +103,9 @@ class MeasurementSettings:
         return cls(vec[: 2 * m1].reshape(m1, 2), vec[2 * m1 :].reshape(m2, 2))
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """T = NA^T (x) NB^T, the 9 x (m1*m2) matrix linking alpha to Pauli coefficients,
-    held as its factors: the parties' Bloch vectors na (m1, 3) and nb (m2, 3)."""
-
-    na: np.ndarray
-    nb: np.ndarray
-
-    def __post_init__(self):
-        for name in ("na", "nb"):
-            v = np.array(getattr(self, name), dtype=float)
-            if v.ndim != 2 or v.shape[1] != 3:
-                raise ValueError(f"{name} must be an (m, 3) Bloch-vector array, got {v.shape}")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.einsum("ai,bj->ijab", self.na, self.nb).reshape(9, self.m1 * self.m2)
-
-    @property
-    def m1(self) -> int:
-        return self.na.shape[0]
-
-    @property
-    def m2(self) -> int:
-        return self.nb.shape[0]
-
-
-def build_transfer_matrix(ms: MeasurementSettings) -> TransferMatrix:
-    """T[3i+j, x1*m2+x2] = nA[x1, i] * nB[x2, j] for the settings' Bloch vectors."""
-    return TransferMatrix(ms.bloch_a(), ms.bloch_b())
+def build_transfer_matrix(ms: MeasurementSettings) -> np.ndarray:
+    """T[3i+j, x1*m2+x2] = nA[x1, i] * nB[x2, j] for the settings' Bloch vectors, 9 x (m1*m2)."""
+    return np.einsum("ai,bj->ijab", ms.bloch_a(), ms.bloch_b()).reshape(9, ms.m1 * ms.m2)
 
 
 def bell_operator(ms: MeasurementSettings, bc: BellCoeffs) -> np.ndarray:
@@ -275,12 +248,14 @@ def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     return alpha, pa, pbt
 
 
-def residual_norm(t: TransferMatrix, alpha_flat: np.ndarray, h: np.ndarray) -> float:
-    alpha = np.asarray(alpha_flat, dtype=float).reshape(t.m1, t.m2)
-    return float(_residual_batch(t.na, t.nb, alpha, np.asarray(h, dtype=float).reshape(3, 3)))
+def residual_norm(ms: MeasurementSettings, alpha_flat: np.ndarray, h: np.ndarray) -> float:
+    """||T . alpha - h|| for the transfer matrix T of the settings ms."""
+    alpha = np.asarray(alpha_flat, dtype=float).reshape(ms.m1, ms.m2)
+    hmat = np.asarray(h, dtype=float).reshape(3, 3)
+    return float(_residual_batch(ms.bloch_a(), ms.bloch_b(), alpha, hmat))
 
 
-def solve_alpha(t: TransferMatrix, h) -> BellCoeffs:
+def solve_alpha(ms: MeasurementSettings, h) -> BellCoeffs:
     """Solve T . alpha = h for the inequality coefficients.
 
     alpha is pinv(T) h, the least-squares solution of minimal Euclidean norm,
@@ -290,11 +265,11 @@ def solve_alpha(t: TransferMatrix, h) -> BellCoeffs:
     an SVD solve (cutoff 1e-10 relative on the singular values of T).
 
     Args:
-        t: transfer matrix of the settings.
+        ms: measurement settings; T is their transfer matrix.
         h: 9-component Pauli coefficient vector.
 
     Returns:
-        BellCoeffs over the transfer matrix's scenario.
+        BellCoeffs over the settings' scenario (m1, m2).
 
     Raises:
         ValueError: if h does not have shape (9,).
@@ -304,27 +279,28 @@ def solve_alpha(t: TransferMatrix, h) -> BellCoeffs:
     h = np.asarray(h, dtype=float)
     if h.shape != (9,):
         raise ValueError(f"h must have shape (9,), got {h.shape}")
-    na, nb, hmat = t.na[None], t.nb[None], h.reshape(3, 3)
-    if t.m1 == t.m2 == 3 and _rank_deficient(na, nb)[0]:
+    na, nb, hmat = ms.bloch_a()[None], ms.bloch_b()[None], h.reshape(3, 3)
+    if ms.m1 == ms.m2 == 3 and _rank_deficient(na, nb)[0]:
         raise LinearSolveError("transfer matrix is numerically rank-deficient")
     alpha = _solve_unique_batch(na, nb, hmat)[0][0]
-    res = residual_norm(t, alpha, h)
+    res = float(_residual_batch(na[0], nb[0], alpha, hmat))
     if not np.isfinite(res) or res > _residual_gate(h):
         raise LinearSolveError(
             f"inconsistent system: residual {res!r} for these settings"
         )
-    return BellCoeffs(Scenario(t.m1, t.m2), alpha)
+    return BellCoeffs(alpha)
 
 
-def quantum_value_from_data(c, t: TransferMatrix, bc: BellCoeffs) -> float:
-    """Evaluate c . T . alpha for measured Pauli correlators c."""
+def quantum_value_from_data(c, ms: MeasurementSettings, bc: BellCoeffs) -> float:
+    """Evaluate c . T . alpha for measured Pauli correlators c at the settings ms."""
     c = np.asarray(c, dtype=float)
     if c.shape != (9,):
         raise ValueError(f"correlator vector must have shape (9,), got {c.shape}")
-    if np.max(np.abs(c)) > 1.0 + 1e-9:
+    if not np.all(np.abs(c) <= 1.0 + 1e-9):
         raise ValueError("correlator entries must lie in [-1, 1]")
-    if (t.m1, t.m2) != bc.alpha.shape:
+    if (ms.m1, ms.m2) != bc.alpha.shape:
         raise ValueError(
-            f"transfer matrix ({t.m1}, {t.m2}) does not match alpha {bc.alpha.shape}"
+            f"scenario ({ms.m1}, {ms.m2}) of the settings does not match alpha {bc.alpha.shape}"
         )
-    return float(_quantum_values(t.na[None], t.nb[None], c.reshape(1, 3, 3), bc.alpha)[0][0])
+    na, nb = ms.bloch_a()[None], ms.bloch_b()[None]
+    return float(_quantum_values(na, nb, c.reshape(1, 3, 3), bc.alpha)[0][0])

@@ -402,7 +402,7 @@ def run_search(
     if objective.maximize and not np.isfinite(values[i]):
         raise NoFeasiblePointError("no start found a feasible point")
     settings = MeasurementSettings.from_vector(sc.m1, sc.m2, thetas[i])
-    alpha = None if payload is None else BellCoeffs(sc, payload[i].reshape(sc.m1, sc.m2))
+    alpha = None if payload is None else BellCoeffs(payload[i].reshape(sc.m1, sc.m2))
     return OptimizeResult(settings, float(values[i]), alpha, history, i, values, thetas)
 
 
@@ -449,15 +449,22 @@ class BounceRecord:
 @dataclass(frozen=True)
 class BounceResult:
     records: tuple[BounceRecord, ...]
-    loops: int
     converged: bool
-    violation: bool
     alpha: BellCoeffs
     settings: MeasurementSettings
 
     @property
+    def loops(self) -> int:
+        # each loop records one minimize and one maximize half-step after the init record
+        return (len(self.records) - 1) // 2
+
+    @property
     def final_gap(self) -> float:
         return self.records[-1].gap
+
+    @property
+    def violation(self) -> bool:
+        return self.final_gap < 0
 
 
 def bounce_loop(
@@ -486,11 +493,16 @@ def bounce_loop(
     half-step never raises beta_Q, and a maximize half-step keeps the current
     inequality and settings unless the search finds a strictly higher beta_C.
     Every solve, at the start and in each bound ascent, takes solve_alpha's
-    kernel (see bound_objective).
+    kernel (see bound_objective). Each recorded beta_Q is
+    quantum_value_from_data at the current settings, and each bound ascent
+    starts from h = T . alpha, with T built from the current settings by
+    build_transfer_matrix. The result's loops, final_gap and violation are
+    read from its records.
 
     Raises:
-        ValueError: on a bad budget or tolerance, correlators outside [-1, 1],
-            or settings that do not match the inequality's scenario.
+        ValueError: on a bad budget or tolerance, correlators outside [-1, 1]
+            (nan or inf included), or settings that do not match the
+            inequality's scenario; each before any search starts.
     """
     if max_loops < 1:
         raise ValueError("loop budget must be positive")
@@ -500,16 +512,15 @@ def bounce_loop(
     if isinstance(start, BellCoeffs):
         alpha = start
     else:
-        alpha = solve_alpha(build_transfer_matrix(ms0), np.asarray(start, dtype=float))
+        alpha = solve_alpha(ms0, np.asarray(start, dtype=float))
     scenario = alpha.scenario
 
     ms = ms0
     _check_enumeration(1, scenario.m1, scenario.m2)  # _enumerated_bounds leaves it to its callers
     beta_c = float(_enumerated_bounds(alpha.alpha[None, :, :])[0][0])
-    beta_q = quantum_value_from_data(c, build_transfer_matrix(ms), alpha)
+    beta_q = quantum_value_from_data(c, ms, alpha)
     records = [BounceRecord(0, "init", beta_c, beta_q, beta_q - beta_c)]
     gap_prev = records[-1].gap
-    loops = 0
     converged = False
     for _ in range(max_loops):
         theta = ms.to_vector()[None, :]
@@ -520,27 +531,19 @@ def bounce_loop(
             BounceRecord(len(records), "minimize-quantum-value", beta_c, beta_q, beta_q - beta_c)
         )
 
-        h_cur = build_transfer_matrix(ms).matrix @ alpha.alpha.ravel()
+        h_cur = build_transfer_matrix(ms) @ alpha.alpha.ravel()
         theta = ms.to_vector()[None, :]
         res_max = run_search(bound_objective(h_cur, scenario), theta, max_cfg)
         if res_max.value > beta_c:
             ms, alpha, beta_c = res_max.settings, res_max.alpha, res_max.value
-        beta_q = quantum_value_from_data(c, build_transfer_matrix(ms), alpha)
+        beta_q = quantum_value_from_data(c, ms, alpha)
         records.append(
             BounceRecord(len(records), "maximize-classical-bound", beta_c, beta_q, beta_q - beta_c)
         )
 
-        loops += 1
         gap = records[-1].gap
         if gap_prev - gap < gap_tol:
             converged = True
             break
         gap_prev = gap
-    return BounceResult(
-        records=tuple(records),
-        loops=loops,
-        converged=converged,
-        violation=records[-1].gap < 0,
-        alpha=alpha,
-        settings=ms,
-    )
+    return BounceResult(records=tuple(records), converged=converged, alpha=alpha, settings=ms)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellCoeffs, Scenario
+from .bell import BellCoeffs
 from .mapping import MeasurementSettings
 
 __all__ = [
@@ -93,4 +93,4 @@ def two_chsh_coeffs() -> BellCoeffs:
             [0.0, -1.0, -1.0],
         ]
     )
-    return BellCoeffs(Scenario(4, 3), alpha)
+    return BellCoeffs(alpha)

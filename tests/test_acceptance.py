@@ -137,10 +137,9 @@ def test_criterion_03_mapping_roundtrip():
         ms = MeasurementSettings.from_vector(
             m1, m2, rng.uniform(0.0, 2.0 * np.pi, size=2 * (m1 + m2))
         )
-        t = build_transfer_matrix(ms)
-        h = t.matrix @ rng.normal(size=m1 * m2)
-        bc = solve_alpha(t, h)
-        worst_resid = max(worst_resid, residual_norm(t, bc.alpha.ravel(), h))
+        h = build_transfer_matrix(ms) @ rng.normal(size=m1 * m2)
+        bc = solve_alpha(ms, h)
+        worst_resid = max(worst_resid, residual_norm(ms, bc.alpha.ravel(), h))
         if i % 10 == 0:
             h_two = pauli_coeffs_from_operator(bell_operator(ms, bc))
             worst_twopath = max(worst_twopath, float(np.max(np.abs(h_two - h))))
@@ -202,8 +201,7 @@ def test_criterion_09_noise_sweep():
     ms0 = tetrahedron_axes_settings()
     bc = gisin_variant(2.0)
     cs = [correlator_vector(prepare_noisy_singlet(NoiseModel(float(p)))) for p in grid]
-    t0 = build_transfer_matrix(ms0)
-    original = np.array([quantum_value_from_data(c, t0, bc) for c in cs])
+    original = np.array([quantum_value_from_data(c, ms0, bc) for c in cs])
     cfg = OptimizerConfig(learning_rate=0.01, max_steps=2000)
     theta0 = ms0.to_vector()
     starts = np.vstack([theta0, random_starts(theta0.size, 4, 1)])
@@ -242,7 +240,7 @@ def test_criterion_11a_bound_oracle_equivalence():
     for _ in range(200):
         m1 = int(rng.integers(2, 5))
         m2 = int(rng.integers(2, 5))
-        bc = BellCoeffs(Scenario(m1, m2), rng.normal(size=(m1, m2)))
+        bc = BellCoeffs(rng.normal(size=(m1, m2)))
         beta, witness = classical_bound(bc)
         assert abs(beta - classical_bound_bruteforce(bc)) <= 1e-12
         assert bell_value(bc, witness.correlators()) == beta
@@ -286,7 +284,7 @@ def test_criterion_11c_finite_difference_on_quadratics():
 
 
 def test_criterion_11d_lattice_bound_vs_enumeration():
-    chsh = BellCoeffs(Scenario(2, 2), np.array([[1.0, 1.0], [1.0, -1.0]]))
+    chsh = BellCoeffs(np.array([[1.0, 1.0], [1.0, -1.0]]))
     pats = np.array(list(itertools.product((-1.0, 1.0), repeat=2)))
     table = pats @ chsh.alpha @ pats.T
     rng = np.random.default_rng(5)

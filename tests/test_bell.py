@@ -17,7 +17,7 @@ from bellbounce.bell import (
     gisin_variant,
 )
 
-CHSH = BellCoeffs.from_matrix([[1.0, 1.0], [1.0, -1.0]])
+CHSH = BellCoeffs([[1.0, 1.0], [1.0, -1.0]])
 
 
 def _reference_bound(alpha):
@@ -57,7 +57,7 @@ def test_bound_matches_bruteforce():
     rng = np.random.default_rng(11)
     for _ in range(60):
         m1, m2 = rng.integers(2, 5, size=2)
-        bc = BellCoeffs.from_matrix(rng.normal(size=(m1, m2)))
+        bc = BellCoeffs(rng.normal(size=(m1, m2)))
         beta, _ = classical_bound(bc)
         ref = classical_bound_bruteforce(bc)
         assert abs(beta - ref) < 1e-12
@@ -67,7 +67,7 @@ def test_witness_attains_bound_exactly():
     rng = np.random.default_rng(12)
     for _ in range(100):
         m1, m2 = rng.integers(2, 5, size=2)
-        bc = BellCoeffs.from_matrix(rng.normal(size=(m1, m2)))
+        bc = BellCoeffs(rng.normal(size=(m1, m2)))
         beta, witness = classical_bound(bc)
         # bit-exact: the reported bound is the witness's own evaluation
         assert bell_value(bc, witness.correlators()) == beta
@@ -78,7 +78,7 @@ def test_tie_break_lexicographic():
     for _ in range(40):
         m1, m2 = rng.integers(2, 4, size=2)
         # small integers force plenty of exact ties
-        bc = BellCoeffs.from_matrix(rng.integers(-2, 3, size=(m1, m2)).astype(float))
+        bc = BellCoeffs(rng.integers(-2, 3, size=(m1, m2)).astype(float))
         beta, witness = classical_bound(bc)
         ref_v, ref_b, ref_a = _reference_bound(bc.alpha)
         assert abs(beta - ref_v) < 1e-12
@@ -90,17 +90,17 @@ def test_bound_scaling_and_permutation():
     rng = np.random.default_rng(14)
     for _ in range(40):
         alpha = rng.normal(size=(3, 4))
-        beta, _ = classical_bound(BellCoeffs.from_matrix(alpha))
-        beta2, _ = classical_bound(BellCoeffs.from_matrix(2.0 * alpha))
+        beta, _ = classical_bound(BellCoeffs(alpha))
+        beta2, _ = classical_bound(BellCoeffs(2.0 * alpha))
         assert abs(beta2 - 2 * beta) < 1e-12
         perm = alpha[rng.permutation(3)][:, rng.permutation(4)]
-        beta3, _ = classical_bound(BellCoeffs.from_matrix(perm))
+        beta3, _ = classical_bound(BellCoeffs(perm))
         assert abs(beta3 - beta) < 1e-12
 
 
 def test_bound_is_lower_bound():
     rng = np.random.default_rng(15)
-    bc = BellCoeffs.from_matrix(rng.normal(size=(3, 3)))
+    bc = BellCoeffs(rng.normal(size=(3, 3)))
     beta, _ = classical_bound(bc)
     for _ in range(200):
         s = DeterministicStrategy(
@@ -114,6 +114,9 @@ def test_bell_value_validation():
         bell_value(CHSH, np.ones((3, 2)))
     with pytest.raises(ValueError):
         bell_value(CHSH, np.full((2, 2), 1.5))  # correlators out of range
+    for bad in (np.nan, np.inf, -np.inf):  # a nan is not above 1 either
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            bell_value(CHSH, np.array([[1.0, 1.0], [bad, 1.0]]))
     assert bell_value(CHSH, np.ones((2, 2))) == 2.0
 
 
@@ -121,9 +124,12 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(1, 3)
     with pytest.raises(ValueError):
-        BellCoeffs(Scenario(2, 2), np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        BellCoeffs.from_matrix([[np.inf, 0], [0, 1]])
+        BellCoeffs([[np.inf, 0], [0, 1]])
+    # the scenario is alpha's shape: a 2-d matrix with at least two settings per party
+    assert BellCoeffs(np.ones((4, 3))).scenario == Scenario(4, 3)
+    for alpha in ([1.0, 2.0, 3.0], [], [[]], [[1.0, 2.0]], np.ones((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError):
+            BellCoeffs(alpha)
 
 
 def test_strategy_validation():
@@ -134,7 +140,7 @@ def test_strategy_validation():
 
 
 def test_bruteforce_size_guard():
-    big = BellCoeffs(Scenario(13, 12), np.zeros((13, 12)))
+    big = BellCoeffs(np.zeros((13, 12)))
     assert 13 + 12 > BRUTEFORCE_MAX_SETTINGS
     with pytest.raises(ValueError):
         classical_bound_bruteforce(big)
@@ -142,7 +148,7 @@ def test_bruteforce_size_guard():
 
 def test_enumeration_size_guard():
     # refused before the 2^21-pattern table is built
-    big = BellCoeffs(Scenario(21, 21), np.zeros((21, 21)))
+    big = BellCoeffs(np.zeros((21, 21)))
     assert 21 > ENUMERATION_MAX_SIDE
     with pytest.raises(ValueError, match=str(ENUMERATION_MAX_SIDE)):
         classical_bound(big)
@@ -163,15 +169,15 @@ def test_enumeration_guard_counts_the_whole_batch(monkeypatch):
         raise AssertionError(f"2^{m} patterns built")
 
     monkeypatch.setattr(bell, "_sign_patterns", no_patterns)
-    long_side = BellCoeffs(Scenario(1000, 20), np.zeros((1000, 20)))  # 8.4 GB of products
+    long_side = BellCoeffs(np.zeros((1000, 20)))  # 8.4 GB of products
     with pytest.raises(ValueError, match=str(ENUMERATION_MAX_SIDE)):
         classical_bound(long_side)
     with pytest.raises(ValueError, match=str(ENUMERATION_MAX_SIDE)):
-        bell._enumerate_side(np.zeros((32, 16, 16)))  # the engine's batch at 16x16
+        bell._check_enumeration(32, 16, 16)  # the engine's batch at 16x16
     # the largest accepted input passes the guard and starts building its first block
-    blocks = bell._enumerate_side(np.zeros((1, ENUMERATION_MAX_SIDE, ENUMERATION_MAX_SIDE)))
+    largest = BellCoeffs(np.zeros((ENUMERATION_MAX_SIDE, ENUMERATION_MAX_SIDE)))
     with pytest.raises(AssertionError, match="patterns built"):
-        next(blocks)
+        classical_bound(largest)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 5)])
@@ -187,7 +193,7 @@ def test_engine_witness_attains_each_row_bound(shape):
     assert np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)
     for alpha, bound, a_row, b_row in zip(amats, bounds, a, b):
         assert a_row @ alpha @ b_row == bound
-        assert classical_bound(BellCoeffs.from_matrix(alpha))[0] == bound
+        assert classical_bound(BellCoeffs(alpha))[0] == bound
 
 
 def _full_table_reference(alpha):
@@ -221,7 +227,7 @@ def test_blocked_half_set_matches_full_table(shape):
         # classical_bound: the lexicographically smallest b of an optimal pair, and its a
         candidates = _induced(rows[values == low]) if wide else patterns[values == low]
         b = min(candidates.tolist())  # lists compare lexicographically
-        beta, witness = classical_bound(BellCoeffs.from_matrix(alpha))
+        beta, witness = classical_bound(BellCoeffs(alpha))
         assert beta == low
         assert witness.b.tolist() == b
         assert witness.a.tolist() == _induced(alpha @ b).tolist()

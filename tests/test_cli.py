@@ -176,6 +176,22 @@ def test_nonfinite_data_file_rejected_before_search(capsys, tmp_path):
             assert not out.exists()
 
 
+def test_alpha_file_of_wrong_rank_rejected(capsys, tmp_path):
+    # a coefficient file must hold a matrix with at least two settings per party
+    nested = "[[[1, 2], [3, 4]], [[5, 6], [7, 8]]]"
+    for i, text in enumerate(("[1, 2, 3]", "[[1, 2]]", "[]", "[[]]", nested)):
+        data = tmp_path / f"rank{i}.json"
+        data.write_text(text)
+        for cmd, extra in (("classical-bound", []), ("lattice", []),
+                           ("ineq2ham", ["--steps", "5"]), ("bounce", ["--steps", "5"])):
+            out = tmp_path / f"rank{i}_{cmd}"
+            assert main([cmd, "--alpha-file", str(data), *extra, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert not out.exists()
+
+
 def test_unphysical_data_file_rejected_before_search(capsys, tmp_path):
     # entries inside [-1, 1] whose signed singular values leave the tetrahedron
     # of two-qubit states: <XX> = <YY> = <ZZ> = 1 is impossible, as XX YY = -ZZ
@@ -447,7 +463,7 @@ def test_classical_bound_of_20x20_runs_in_bounded_memory(tmp_path):
     path.write_text(json.dumps(alpha.tolist()))
     status, peak_kib, out = _run_with_peak_rss("classical-bound", "--alpha-file", str(path))
     assert status == 0, out
-    beta, witness = classical_bound(BellCoeffs.from_matrix(alpha))
+    beta, witness = classical_bound(BellCoeffs(alpha))
     assert f"classical bound: {format_float(beta)}\nwitness a: {witness.a.tolist()}\n" in out
     assert f"witness b: {witness.b.tolist()}\n" in out
     assert peak_kib <= 80 * 1024

@@ -27,7 +27,7 @@ from bellbounce.pauli import operator_from_pauli_coeffs
 from bellbounce.presets import H_G_COEFFS
 from lattice_edges import rows, spec
 
-CHSH = BellCoeffs.from_matrix([[1.0, 1.0], [1.0, -1.0]])
+CHSH = BellCoeffs([[1.0, 1.0], [1.0, -1.0]])
 
 
 def _enumerate_bound(ls, local):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellbounce.bell import BellCoeffs, Scenario
+from bellbounce.bell import BellCoeffs
 from bellbounce.mapping import (
     LinearSolveError,
     MeasurementSettings,
@@ -39,7 +39,7 @@ def test_settings_roundtrip_and_validation():
 def test_transfer_matrix_entries():
     rng = np.random.default_rng(22)
     ms = _random_settings(rng, 3, 3)
-    t = build_transfer_matrix(ms).matrix
+    t = build_transfer_matrix(ms)
     na, nb = ms.bloch_a(), ms.bloch_b()
     for i in range(3):
         for j in range(3):
@@ -52,10 +52,9 @@ def test_solve_unique_roundtrip():
     rng = np.random.default_rng(23)
     for _ in range(200):
         ms = _random_settings(rng, 3, 3)
-        t = build_transfer_matrix(ms)
-        h = t.matrix @ rng.normal(size=9)
-        bc = solve_alpha(t, h)  # 3x3: both factors inverted
-        assert residual_norm(t, bc.alpha.ravel(), h) <= 1e-9
+        h = build_transfer_matrix(ms) @ rng.normal(size=9)
+        bc = solve_alpha(ms, h)  # 3x3: both factors inverted
+        assert residual_norm(ms, bc.alpha.ravel(), h) <= 1e-9
 
 
 def test_solve_min_norm_properties():
@@ -63,13 +62,13 @@ def test_solve_min_norm_properties():
     for _ in range(100):
         ms = _random_settings(rng, 4, 3)
         t = build_transfer_matrix(ms)
-        h = t.matrix @ rng.normal(size=12)
-        bc = solve_alpha(t, h)  # 4x3: minimum norm, NA through its Gram matrix
-        assert residual_norm(t, bc.alpha.ravel(), h) <= 1e-9
+        h = t @ rng.normal(size=12)
+        bc = solve_alpha(ms, h)  # 4x3: minimum norm, NA through its Gram matrix
+        assert residual_norm(ms, bc.alpha.ravel(), h) <= 1e-9
         # minimal norm: orthogonal to the null space and no longer than lstsq
-        basis = np.linalg.svd(t.matrix)[2][9:]  # generic 4x3 settings: T has rank 9
+        basis = np.linalg.svd(t)[2][9:]  # generic 4x3 settings: T has rank 9
         assert np.allclose(basis @ bc.alpha.ravel(), 0, atol=1e-9)
-        ref = np.linalg.lstsq(t.matrix, h, rcond=None)[0]
+        ref = np.linalg.lstsq(t, h, rcond=None)[0]
         assert np.linalg.norm(bc.alpha.ravel()) <= np.linalg.norm(ref) + 1e-9
 
 
@@ -78,10 +77,9 @@ def test_two_path_agreement():
     for m1, m2 in [(3, 3), (4, 3), (2, 2)]:
         for _ in range(50):
             ms = _random_settings(rng, m1, m2)
-            bc = BellCoeffs(Scenario(m1, m2), rng.normal(size=(m1, m2)))
-            t = build_transfer_matrix(ms)
+            bc = BellCoeffs(rng.normal(size=(m1, m2)))
             direct = pauli_coeffs_from_operator(bell_operator(ms, bc))
-            assert np.allclose(direct, t.matrix @ bc.alpha.ravel(), atol=1e-12)
+            assert np.allclose(direct, build_transfer_matrix(ms) @ bc.alpha.ravel(), atol=1e-12)
 
 
 def _factor_pinv_reference(f):
@@ -163,16 +161,14 @@ def test_inconsistent_system_rejected():
     for m1 in (3, 4):
         a = np.tile([[0.3, 0.4]], (m1, 1))
         b = np.tile([[1.0, 2.0]], (3, 1))
-        t = build_transfer_matrix(MeasurementSettings(party_a=a, party_b=b))
         with pytest.raises(LinearSolveError):
-            solve_alpha(t, h)
+            solve_alpha(MeasurementSettings(party_a=a, party_b=b), h)
 
 
 def test_solve_mode_validation():
     rng = np.random.default_rng(26)
-    t43 = build_transfer_matrix(_random_settings(rng, 4, 3))
     with pytest.raises(ValueError):
-        solve_alpha(t43, np.zeros(5))
+        solve_alpha(_random_settings(rng, 4, 3), np.zeros(5))
 
 
 def _four_index_sum(na, nb, cmats, alpha):
@@ -205,15 +201,17 @@ def test_quantum_values_match_the_four_index_sum(m1, m2, n, shared):
 def test_quantum_value_from_data():
     rng = np.random.default_rng(28)
     ms = _random_settings(rng, 3, 3)
-    bc = BellCoeffs(Scenario(3, 3), rng.normal(size=(3, 3)))
-    t = build_transfer_matrix(ms)
+    bc = BellCoeffs(rng.normal(size=(3, 3)))
     c = rng.uniform(-1, 1, size=9)
-    v = quantum_value_from_data(c, t, bc)
-    assert abs(v - c @ (t.matrix @ bc.alpha.ravel())) < 1e-12
+    v = quantum_value_from_data(c, ms, bc)
+    assert abs(v - c @ (build_transfer_matrix(ms) @ bc.alpha.ravel())) < 1e-12
     with pytest.raises(ValueError):
-        quantum_value_from_data(np.full(9, 1.5), t, bc)
+        quantum_value_from_data(np.full(9, 1.5), ms, bc)
+    for bad in (np.nan, np.inf, -np.inf):  # a nan is not above 1 either
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            quantum_value_from_data(np.where(np.arange(9) == 4, bad, c), ms, bc)
     with pytest.raises(ValueError):
-        quantum_value_from_data(c[:5], t, bc)
-    bc42 = BellCoeffs(Scenario(4, 2), rng.normal(size=(4, 2)))
-    with pytest.raises(ValueError):
-        quantum_value_from_data(c, t, bc42)
+        quantum_value_from_data(c[:5], ms, bc)
+    bc42 = BellCoeffs(rng.normal(size=(4, 2)))
+    with pytest.raises(ValueError, match="does not match"):
+        quantum_value_from_data(c, ms, bc42)

@@ -3,7 +3,7 @@ import pytest
 
 import bellbounce.noise
 from bellbounce.bell import gisin_variant
-from bellbounce.mapping import build_transfer_matrix, quantum_value_from_data
+from bellbounce.mapping import quantum_value_from_data
 from bellbounce.noise import (
     P_MAX,
     PLACEMENT_AFTER_EACH_GATE,
@@ -166,11 +166,11 @@ def test_depolarizing_validation():
 
 def test_noise_sweep_order_and_monotonicity():
     # the `original` column of ineq2ham: c(p) . T(ms) . alpha per noise strength
-    t = build_transfer_matrix(tetrahedron_axes_settings())
+    ms = tetrahedron_axes_settings()
     bc = gisin_variant(2.0)
     ps = [0.0, 0.004, 0.008, 0.012]
     rows = [
-        (p, quantum_value_from_data(correlator_vector(prepare_noisy_singlet(NoiseModel(p))), t, bc))
+        (p, quantum_value_from_data(correlator_vector(prepare_noisy_singlet(NoiseModel(p))), ms, bc))
         for p in ps
     ]
     assert [r[0] for r in rows] == ps

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellbounce import bell, optimize
-from bellbounce.bell import BellCoeffs, Scenario, _enumerate_side, classical_bound, gisin_variant
+from bellbounce.bell import BellCoeffs, Scenario, classical_bound, gisin_variant
 from bellbounce.mapping import (
     MeasurementSettings,
     build_transfer_matrix,
@@ -103,8 +103,9 @@ def test_finite_diff_rejects_nonfinite():
 
 def _kink_free(alpha_row, m1, m2, margin=1e-6):
     # The winning strategy is unique (up to the global flip) by more than margin.
-    blocks = _enumerate_side(alpha_row.reshape(1, m1, m2))
-    values = np.unique(np.concatenate([values[0] for _, _, values in blocks]))
+    amats, m = alpha_row.reshape(1, m1, m2), min(m1, m2)
+    blocks = bell._pattern_blocks(m, m - 1)
+    values = np.unique(np.concatenate([bell._side_products(amats, p)[1][0] for p in blocks]))
     return values[1] - values[0] > margin
 
 
@@ -144,7 +145,7 @@ def test_maximize_bound_consistency():
     res = run_search(bound_objective(H_G_COEFFS, Scenario(3, 3)), start, FAST)
     # reported alpha reproduces h at the reported settings
     t = build_transfer_matrix(res.settings)
-    resid = np.linalg.norm(t.matrix @ res.alpha.alpha.ravel() - H_G_COEFFS)
+    resid = np.linalg.norm(t @ res.alpha.alpha.ravel() - H_G_COEFFS)
     assert resid <= 1e-8 * np.linalg.norm(H_G_COEFFS)
     # reported value is the exact enumerated bound of the reported alpha
     assert abs(res.value - classical_bound(res.alpha)[0]) < 1e-12
@@ -273,21 +274,21 @@ def test_value_rows_match_single_point_and_data_value(m1, m2):
     # The bounce half-step contracts compare engine values with
     # quantum_value_from_data, so a row's value must not depend on the batch.
     rng = np.random.default_rng(57)
-    bc = BellCoeffs.from_matrix(rng.normal(size=(m1, m2)))
+    bc = BellCoeffs(rng.normal(size=(m1, m2)))
     c = rng.uniform(-1, 1, 9)
     evaluate = value_objective(bc, c).evaluate
     thetas = np.stack([_random_settings(rng, m1, m2).to_vector() for _ in range(6)])
     values = evaluate(thetas)[0]
     for i, theta in enumerate(thetas):
         assert values[i] == evaluate(thetas[i : i + 1])[0][0]
-        t = build_transfer_matrix(MeasurementSettings.from_vector(m1, m2, theta))
-        assert values[i] == quantum_value_from_data(c, t, bc)
+        ms = MeasurementSettings.from_vector(m1, m2, theta)
+        assert values[i] == quantum_value_from_data(c, ms, bc)
 
 
 def test_value_objective_correlator_shapes():
     rng = np.random.default_rng(59)
     c = SINGLET
-    for bc in (GISIN_2, *(BellCoeffs.from_matrix(rng.normal(size=s)) for s in ((2, 5), (5, 2)))):
+    for bc in (GISIN_2, *(BellCoeffs(rng.normal(size=s)) for s in ((2, 5), (5, 2)))):
         m1, m2 = bc.alpha.shape
         thetas = np.stack([_random_settings(rng, m1, m2).to_vector() for _ in range(3)])
         shared = value_objective(bc, c).evaluate(thetas)
@@ -392,7 +393,7 @@ def test_bounce_accepts_operator_start():
     ms = tetrahedron_axes_settings()
     tiny = OptimizerConfig(learning_rate=0.01, max_steps=40)
     res = bounce_loop(H_G_COEFFS, ms, SINGLET, min_cfg=tiny, max_cfg=tiny, max_loops=1)
-    start = solve_alpha(build_transfer_matrix(ms), H_G_COEFFS)
+    start = solve_alpha(ms, H_G_COEFFS)
     assert abs(res.records[0].beta_c - classical_bound(start)[0]) < 1e-12
     assert res.violation  # ideal data violates from the start
 
@@ -418,6 +419,19 @@ def test_bounce_rejects_bad_inputs():
         bounce_loop(bc, tetrahedron_axes_settings(), np.array([-2.0, 0, 0, 0, -2.0, 0, 0, 0, -2.0]))
     with pytest.raises(ValueError, match="does not match"):
         bounce_loop(bc, _random_settings(np.random.default_rng(56), 3, 3), c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bounce_rejects_nonfinite_correlators_before_searching(monkeypatch, bad):
+    # a nan passes a "max|c| > 1" test; the loop must refuse it before its first search
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(optimize, "run_search", no_search)
+    c = SINGLET.copy()
+    c[0] = bad
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        bounce_loop(gisin_variant(2.0), tetrahedron_axes_settings(), c)
 
 
 def test_adam_state_is_immutable():

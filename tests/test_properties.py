@@ -91,10 +91,9 @@ def solve_cases(draw, mode: str):
     m1, m2 = (3, 3) if mode == "unique" else (draw(st.integers(2, 5)), draw(st.integers(2, 5)))
     batch = []
     for _ in range(draw(st.integers(1, 3))):
-        t = build_transfer_matrix(
-            MeasurementSettings(draw(party_angles(m1)), draw(party_angles(m2))))
+        ms = MeasurementSettings(draw(party_angles(m1)), draw(party_angles(m2)))
         x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=m1 * m2)
-        batch.append((t, t.matrix @ x))
+        batch.append((ms, build_transfer_matrix(ms) @ x))
     return batch
 
 
@@ -103,27 +102,28 @@ def solve_cases(draw, mode: str):
 @given(data=st.data())
 def test_factored_solve_matches_full_solve(mode, data):
     batch = data.draw(solve_cases(mode))
-    t, h = batch[0]
-    shape_mode = "unique" if (t.m1, t.m2) == (3, 3) else "min_norm"  # solve_alpha's kernel
-    if solve_tolerance(t.matrix) is not None:
-        if oracle_solve(t.matrix, h, shape_mode) is None:
+    ms, h = batch[0]
+    t = build_transfer_matrix(ms)
+    shape_mode = "unique" if (ms.m1, ms.m2) == (3, 3) else "min_norm"  # solve_alpha's kernel
+    if solve_tolerance(t) is not None:
+        if oracle_solve(t, h, shape_mode) is None:
             with pytest.raises(LinearSolveError):
-                solve_alpha(t, h)
+                solve_alpha(ms, h)
         else:
-            assert_matches_oracle(t.matrix, h, shape_mode, solve_alpha(t, h).alpha)
+            assert_matches_oracle(t, h, shape_mode, solve_alpha(ms, h).alpha)
     # the pseudo-inverse kernel against its shape's oracle, and the SVD kernel
     # against the minimum-norm one
-    na = np.stack([t.na for t, _ in batch])
-    nb = np.stack([t.nb for t, _ in batch])
+    na = np.stack([ms.bloch_a() for ms, _ in batch])
+    nb = np.stack([ms.bloch_b() for ms, _ in batch])
     hmats = np.stack([h.reshape(3, 3) for _, h in batch])
     with np.errstate(over="ignore", invalid="ignore"):  # singular unique rows blow up
         solves = [(_solve_unique_batch(na, nb, hmats)[0], shape_mode)]
         if mode == "min_norm":
             solves.append((_solve_min_norm_batch(na, nb, hmats)[0], mode))
     for alphas, oracle in solves:
-        assert alphas.shape == (len(batch), t.m1, t.m2)
-        for (t_row, h), alpha in zip(batch, alphas):
-            assert_matches_oracle(t_row.matrix, h, oracle, alpha)
+        assert alphas.shape == (len(batch), ms.m1, ms.m2)
+        for (ms_row, h), alpha in zip(batch, alphas):
+            assert_matches_oracle(build_transfer_matrix(ms_row), h, oracle, alpha)
 
 
 def test_unique_kernel_singular_batch_falls_back():
@@ -137,9 +137,9 @@ def test_unique_kernel_singular_batch_falls_back():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(na)
     t = build_transfer_matrix(good)
-    h = t.matrix @ rng.normal(size=9)
+    h = t @ rng.normal(size=9)
     alpha, pa, pbt = _solve_unique_batch(na, nb, h.reshape(3, 3))
-    assert_matches_oracle(t.matrix, h, "unique", alpha[0])
+    assert_matches_oracle(t, h, "unique", alpha[0])
     assert np.all(np.isnan(alpha[1]))
     # the good row gets, bit for bit, what it gets alone
     solo = _solve_unique_batch(na[:1], nb[:1], h.reshape(3, 3))
@@ -155,12 +155,12 @@ def test_unique_kernel_singular_batch_falls_back():
     a[:, 0] = np.pi / 2 + np.array([1e-13, -1e-13, 2e-13, 0.0])
     rows = [generic, MeasurementSettings(generic.party_a, b), MeasurementSettings(a, generic.party_b)]
     ts = [build_transfer_matrix(ms) for ms in rows]
-    na, nb = np.stack([t.na for t in ts]), np.stack([t.nb for t in ts])
-    hmats = np.stack([(t.matrix @ rng.normal(size=12)).reshape(3, 3) for t in ts])
+    na, nb = np.stack([ms.bloch_a() for ms in rows]), np.stack([ms.bloch_b() for ms in rows])
+    hmats = np.stack([(t @ rng.normal(size=12)).reshape(3, 3) for t in ts])
     full = _solve_unique_batch(na, nb, hmats)
     for i in (1, 2):
         assert np.all(np.isfinite(full[0][i]))
-        assert_matches_oracle(ts[i].matrix, hmats[i].ravel(), "min_norm", full[0][i])
+        assert_matches_oracle(ts[i], hmats[i].ravel(), "min_norm", full[0][i])
     # a row's bits do not depend on its batch, also where no row is exactly singular
     solo = [_solve_unique_batch(na[i : i + 1], nb[i : i + 1], hmats[i : i + 1]) for i in range(3)]
     pair = _solve_unique_batch(na[[0, 2]], nb[[0, 2]], hmats[[0, 2]])
@@ -197,7 +197,7 @@ def bound_cases(draw):
 @given(case=bound_cases(), scale=st.floats(1e-3, 1e3))
 def test_bound_symmetries(case, scale):
     alpha, rng = case
-    beta, witness = classical_bound(BellCoeffs.from_matrix(alpha))
+    beta, witness = classical_bound(BellCoeffs(alpha))
     assert witness.correlators().ravel() @ alpha.ravel() == pytest.approx(beta, rel=1e-12, abs=1e-12)
     assert _enumerated_bounds(alpha[None])[0][0] == pytest.approx(beta, rel=1e-12, abs=1e-12)
     flips = rng.choice([-1.0, 1.0], size=(alpha.shape[0], 1))
@@ -208,7 +208,7 @@ def test_bound_symmetries(case, scale):
         (scale * alpha, scale),
     ]
     for variant, factor in variants:
-        got = classical_bound(BellCoeffs.from_matrix(variant))[0]
+        got = classical_bound(BellCoeffs(variant))[0]
         assert got == pytest.approx(factor * beta, rel=1e-12, abs=1e-12)
 
 
@@ -234,7 +234,7 @@ def value_cases(draw):
     m1, m2 = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     thetas = rng.uniform(-np.pi, 2 * np.pi, size=(draw(st.integers(1, 3)), 2 * (m1 + m2)))
-    return BellCoeffs.from_matrix(rng.normal(size=(m1, m2))), rng.uniform(-1, 1, 9), thetas
+    return BellCoeffs(rng.normal(size=(m1, m2))), rng.uniform(-1, 1, 9), thetas
 
 
 @pytest.mark.parametrize("step", [1e-4, 1e-2])
@@ -263,9 +263,9 @@ def bounce_cases(draw):
     angles = rng.uniform(0, 2 * np.pi, (m1 + m2, 2))
     ms = MeasurementSettings(angles[:m1], angles[m1:])
     x = rng.normal(size=(m1, m2))
-    start = build_transfer_matrix(ms).matrix @ x.ravel()
+    start = build_transfer_matrix(ms) @ x.ravel()
     if draw(st.booleans()):
-        start = BellCoeffs.from_matrix(x)
+        start = BellCoeffs(x)
     noise = NoiseModel(draw(st.floats(0.0, P_MAX)), draw(st.sampled_from(PLACEMENTS)))
     return start, ms, correlator_vector(prepare_noisy_singlet(noise))
 

@@ -184,37 +184,20 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
     """Exact classical bound and an optimal deterministic strategy.
 
     Computes beta_C = min over strategies of sum alpha[x1,x2] a[x1] b[x2] via
-    the reduction min_b of -sum_x1 |sum_x2 alpha[x1,x2] b[x2]|, enumerating
-    the smaller party side. Ties are broken toward the lexicographically
-    smallest b, then a (with -1 ordered before +1).
+    the reduction to -sum |row sums| over the sign patterns of the smaller
+    party side. The witness is the lexicographically smallest optimal sign
+    pattern of the smaller party (party B when m1 = m2), with -1 before +1.
+    The other party answers with the signs that pattern induces, -1 on a zero
+    row sum.
 
     Raises:
         ValueError: if max(m1, m2) * 2^min(m1, m2) exceeds
             ENUMERATION_MAX_SIDE * 2^ENUMERATION_MAX_SIDE.
     """
-    alpha = bc.alpha
-    m1, m2 = alpha.shape
+    m1, m2 = bc.alpha.shape
     _check_enumeration(1, m1, m2)
-    # the smaller side's sign patterns that start with -1 (a global flip keeps every |product|)
-    lowest, b, m = np.inf, None, min(m1, m2)
-    for patterns in _pattern_blocks(m, m - 1):
-        (products,), (values,) = _side_products(alpha[None], patterns)
-        low = values.min()
-        if low > lowest:
-            continue
-        # Every optimal pair's b is a winning pattern or its flip or, when a is enumerated
-        # (m2 > m1), the signs a winning a or its flip induces (a zero row sum goes to -1 under
-        # both). The lexicographically smallest starts with -1 or is among those signs.
-        won = values == low
-        if m2 > m1:
-            rows = products[:, won].T
-            candidates = np.vstack([_signs_from_rows(rows), _signs_from_rows(-rows)])
-        else:
-            candidates = patterns[won]
-        if low == lowest:
-            candidates = np.vstack([b, candidates])
-        lowest, b = low, candidates[np.lexsort(candidates.T[::-1])[0]]
-    witness = DeterministicStrategy(a=_signs_from_rows(alpha @ b), b=b)
+    _, (a,), (b,) = _enumerated_bounds(bc.alpha[None])
+    witness = DeterministicStrategy(a, b)
     # Report the witness's own evaluation so the bound and its certificate
     # agree bit-for-bit.
     return bell_value(bc, witness.correlators()), witness

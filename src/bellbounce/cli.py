@@ -28,6 +28,7 @@ from . import __version__
 from .bell import (
     BellCoeffs,
     Scenario,
+    bell_value,
     classical_bound,
     gisin_bound_closed_form,
     gisin_variant,
@@ -420,8 +421,9 @@ def _cmd_lattice(cfg: dict):
     if local.alpha.shape != (4, 3):
         raise ValueError("lattice quantum floor is wired for (4, 3) local coefficients")
     local_op = bell_operator(tetrahedron_axes_settings(), local)
-    beta_local = classical_bound(local)[0]
     beta, certificate = lattice_classical_bound(ls, local)
+    # the witness's own value: what classical_bound returns, without a second enumeration
+    beta_local = bell_value(local, certificate.witness.correlators())
     floor = lattice_quantum_floor(ls, local_op)
     improved = [
         (new_local, improved_bound_scaling(beta, beta_local, new_local))

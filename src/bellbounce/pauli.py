@@ -1,8 +1,8 @@
 """Two-qubit Pauli algebra.
 
-Bloch-vector observables, Pauli correlator decompositions of 4x4 Hermitian
-operators, density-matrix sanity checks, and the smallest eigenvalue of a
-4x4 Hermitian operator.
+Bloch-vector observables, density-matrix sanity checks, two-body Pauli
+correlators of a state, and the smallest eigenvalue of a 4x4 Hermitian
+operator.
 
 All 9-component coefficient/correlator vectors use the fixed row order
 (xx, xy, xz, yx, yy, yz, zx, zy, zz), i.e. index 3*i + j for Pauli pair
@@ -18,11 +18,8 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "IDENTITY_2",
-    "PAULI_PAIR_LABELS",
     "EMBEDDED_PAULIS",
     "observable_from_bloch",
-    "pauli_coeffs_from_operator",
-    "operator_from_pauli_coeffs",
     "min_eigenvalue",
     "check_state",
     "correlator_vector",
@@ -32,8 +29,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-PAULI_PAIR_LABELS = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
 
 _SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # sigma_i (x) sigma_j stacked in the fixed row order above.
@@ -48,9 +43,6 @@ EMBEDDED_PAULIS.flags.writeable = False
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
-# Residual single-body/identity content above this means the operator is not
-# a pure two-body correlator combination.
-CORRELATOR_CONTENT_TOL = 1e-10
 
 
 def _bloch_batch(angles: np.ndarray, derivatives: bool = False):
@@ -107,48 +99,6 @@ def _check_hermitian(h: np.ndarray, dim: int, what: str) -> np.ndarray:
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian within {HERMITICITY_TOL}")
     return h
-
-
-def pauli_coeffs_from_operator(h_op) -> np.ndarray:
-    """Project a 4x4 Hermitian operator onto the two-body Pauli basis.
-
-    Coefficient convention: h_ij = Tr((sigma_i x sigma_j) H) / 4, so that
-    H = sum_ij h_ij sigma_i x sigma_j holds exactly for pure correlator
-    operators.
-
-    Args:
-        h_op: 4x4 Hermitian matrix with no identity or single-body content.
-
-    Returns:
-        Array of shape (9,) in the fixed row order.
-
-    Raises:
-        ValueError: if the operator is not Hermitian, or carries identity or
-            single-body components above 1e-10.
-    """
-    h_op = _check_hermitian(h_op, 4, "operator")
-    ident = np.trace(h_op).real / 4.0
-    if abs(ident) > CORRELATOR_CONTENT_TOL:
-        raise ValueError(
-            f"not a correlator operator: identity component {ident!r}"
-        )
-    for k_a, k_b in zip(*EMBEDDED_PAULIS):
-        one_a = np.trace(k_a @ h_op).real / 4.0
-        one_b = np.trace(k_b @ h_op).real / 4.0
-        if abs(one_a) > CORRELATOR_CONTENT_TOL or abs(one_b) > CORRELATOR_CONTENT_TOL:
-            raise ValueError(
-                "not a correlator operator: single-body component "
-                f"({one_a!r}, {one_b!r})"
-            )
-    return np.einsum("kab,ba->k", _PAULI_PAIRS, h_op).real / 4.0
-
-
-def operator_from_pauli_coeffs(h) -> np.ndarray:
-    """Assemble sum_ij h_ij sigma_i x sigma_j from a 9-component vector."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (9,):
-        raise ValueError(f"coefficient vector must have shape (9,), got {h.shape}")
-    return np.einsum("k,kab->ab", h, _PAULI_PAIRS)
 
 
 def min_eigenvalue(h_op) -> float:

@@ -1,24 +1,20 @@
-"""Reference operators, measurement settings, and coefficient families.
+"""Reference operators and measurement settings.
 
 These encode the concrete instances the package reproduces end to end: the
-Gisin-variant Hamiltonian H_G with its tetrahedron/axes settings, the
-two-CHSH-games inequality with its own settings, and the elegant-inequality
-operator used for the extended bound searches.
+Gisin-variant Hamiltonian H_G with its tetrahedron/axes settings, and the
+elegant-inequality operator used for the extended bound searches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellCoeffs
 from .mapping import MeasurementSettings
 
 __all__ = [
     "H_G_COEFFS",
     "ELEGANT_COEFFS",
     "tetrahedron_axes_settings",
-    "two_chsh_settings",
-    "two_chsh_coeffs",
     "operator_preset",
     "OPERATOR_PRESETS",
 ]
@@ -65,32 +61,3 @@ def tetrahedron_axes_settings() -> MeasurementSettings:
         ]
     )
     return MeasurementSettings(party_a, _AXES_B)
-
-
-def two_chsh_settings() -> MeasurementSettings:
-    """A settings of the two-CHSH-games inequality, with axis B settings.
-
-    A0 = (Y+Z)/sqrt2, A1 = (-X-Z)/sqrt2, A2 = (X-Z)/sqrt2, A3 = (-Y+Z)/sqrt2.
-    """
-    party_a = np.array(
-        [
-            [np.pi / 2, np.pi / 4],
-            [3 * np.pi / 4, 3 * np.pi / 2],
-            [np.pi / 4, 3 * np.pi / 2],
-            [np.pi / 2, 3 * np.pi / 4],
-        ]
-    )
-    return MeasurementSettings(party_a, _AXES_B)
-
-
-def two_chsh_coeffs() -> BellCoeffs:
-    """Coefficients of the inequality that plays two CHSH games at once."""
-    alpha = np.array(
-        [
-            [0.0, 1.0, -1.0],
-            [-1.0, 0.0, 1.0],
-            [1.0, 0.0, 1.0],
-            [0.0, -1.0, -1.0],
-        ]
-    )
-    return BellCoeffs(alpha)

@@ -56,22 +56,16 @@ from bellbounce.optimize import (
     run_search,
     sweep_minima,
 )
-from bellbounce.pauli import (
-    check_state,
-    correlator_vector,
-    min_eigenvalue,
+from bellbounce.pauli import check_state, correlator_vector, min_eigenvalue
+from bellbounce.presets import ELEGANT_COEFFS, H_G_COEFFS, tetrahedron_axes_settings
+from finite_diff import finite_diff_gradient
+from lattice_edges import rows, spec
+from reference_ops import (
     operator_from_pauli_coeffs,
     pauli_coeffs_from_operator,
-)
-from bellbounce.presets import (
-    ELEGANT_COEFFS,
-    H_G_COEFFS,
-    tetrahedron_axes_settings,
     two_chsh_coeffs,
     two_chsh_settings,
 )
-from finite_diff import finite_diff_gradient
-from lattice_edges import rows, spec
 
 RESTARTS = 32
 SEED = 0

@@ -21,15 +21,19 @@ CHSH = BellCoeffs([[1.0, 1.0], [1.0, -1.0]])
 
 
 def _reference_bound(alpha):
-    # Independent oracle: enumerate every strategy pair in lexicographic
-    # order (-1 before +1, b outranks a) and keep the first minimizer.
+    # Independent oracle: enumerate the smaller side's sign patterns (party B's when
+    # m1 = m2) in lexicographic order (-1 before +1), answer each with the signs it
+    # induces on the other side (-1 on a zero row sum), and keep the first minimizer.
     m1, m2 = alpha.shape
+    wide = m2 > m1
     best = None
-    for b in itertools.product((-1, 1), repeat=m2):
-        for a in itertools.product((-1, 1), repeat=m1):
-            v = float(np.asarray(a) @ alpha @ np.asarray(b))
-            if best is None or v < best[0] - 1e-12:
-                best = (v, b, a)
+    for pattern in itertools.product((-1, 1), repeat=min(m1, m2)):
+        rows = np.asarray(pattern) @ alpha if wide else alpha @ np.asarray(pattern)
+        induced = tuple(1 if r < 0 else -1 for r in rows)
+        a, b = (pattern, induced) if wide else (induced, pattern)
+        v = float(np.asarray(a) @ alpha @ np.asarray(b))
+        if best is None or v < best[0] - 1e-12:
+            best = (v, b, a)
     return best
 
 
@@ -224,19 +228,16 @@ def test_blocked_half_set_matches_full_table(shape):
     for alpha in alphas:
         patterns, rows, values = _full_table_reference(alpha)
         low = values.min()
-        # classical_bound: the lexicographically smallest b of an optimal pair, and its a
-        candidates = _induced(rows[values == low]) if wide else patterns[values == low]
-        b = min(candidates.tolist())  # lists compare lexicographically
-        beta, witness = classical_bound(BellCoeffs(alpha))
-        assert beta == low
-        assert witness.b.tolist() == b
-        assert witness.a.tolist() == _induced(alpha @ b).tolist()
-        # _enumerated_bounds: the first optimal pattern of the smaller side, and its induced signs
+        # the first optimal pattern of the smaller side, and its induced signs
         k = int(values.argmin())
         want_a, want_b = (patterns[k], _induced(rows[k])) if wide else (_induced(rows[k]), patterns[k])
         bounds, a, b = bell._enumerated_bounds(alpha[None])
         assert bounds.tolist() == [low]
         assert a.tolist() == [want_a.tolist()] and b.tolist() == [want_b.tolist()]
+        # classical_bound reports that witness
+        beta, witness = classical_bound(BellCoeffs(alpha))
+        assert beta == low
+        assert witness.a.tolist() == want_a.tolist() and witness.b.tolist() == want_b.tolist()
 
 
 def test_pattern_blocks_tile_the_table_in_order():

@@ -23,9 +23,9 @@ from bellbounce.lattice import (
     parse_lattice,
     recouple_honeycomb,
 )
-from bellbounce.pauli import operator_from_pauli_coeffs
 from bellbounce.presets import H_G_COEFFS
 from lattice_edges import rows, spec
+from reference_ops import operator_from_pauli_coeffs
 
 CHSH = BellCoeffs([[1.0, 1.0], [1.0, -1.0]])
 

@@ -15,7 +15,7 @@ from bellbounce.mapping import (
     residual_norm,
     solve_alpha,
 )
-from bellbounce.pauli import pauli_coeffs_from_operator
+from reference_ops import pauli_coeffs_from_operator
 
 
 def _random_settings(rng, m1, m2):

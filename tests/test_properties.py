@@ -1,6 +1,7 @@
 """Property tests: the factored solve against the full transfer-matrix solve,
 the value objective's exact gradient against probed central differences,
-the symmetries of the classical bound, and the bounce loop's contracts."""
+the symmetries of the classical bound and its witness's tie rule, and the
+bounce loop's contracts."""
 
 from dataclasses import replace
 
@@ -210,6 +211,22 @@ def test_bound_symmetries(case, scale):
     for variant, factor in variants:
         got = classical_bound(BellCoeffs(variant))[0]
         assert got == pytest.approx(factor * beta, rel=1e-12, abs=1e-12)
+
+
+@PROPERTY
+@given(case=bound_cases())
+def test_bound_witness_is_the_engines(case):
+    # One tie rule: the engine's first optimal pattern of the smaller side, so on exact
+    # entries transposing a non-square alpha swaps the parties' answers.
+    alpha, _ = case
+    beta, witness = classical_bound(BellCoeffs(alpha))
+    _, (a,), (b,) = _enumerated_bounds(alpha[None])
+    assert witness.a.tolist() == a.tolist() and witness.b.tolist() == b.tolist()
+    if alpha.shape[0] != alpha.shape[1] and np.array_equal(alpha, np.round(alpha)):
+        beta_t, witness_t = classical_bound(BellCoeffs(alpha.T))
+        assert beta_t == beta
+        assert witness_t.a.tolist() == witness.b.tolist()
+        assert witness_t.b.tolist() == witness.a.tolist()
 
 
 def oracle_central_difference(values, thetas: np.ndarray, step: float) -> np.ndarray:

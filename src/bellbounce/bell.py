@@ -27,10 +27,12 @@ __all__ = [
 BRUTEFORCE_MAX_SETTINGS = 24
 # The enumerator forms n * max(m1, m2) * 2^(min(m1, m2) - 1) products for a batch of n
 # coefficient matrices; it refuses batches beyond those of one 20x20 matrix (20 * 2^20
-# entries by the full count). Blocks keep its memory bounded, so this bounds time.
+# entries by the full count). Its memory is bounded by one low-bit table, so this bounds time.
 ENUMERATION_MAX_SIDE = 20
-# Sign patterns per enumeration block, as a power of two: a 20-column block of products
-# holds 20 * 2^13 floats (1.3 MB).
+# The enumerator's low-bit table: beyond PATTERN_BLOCK_BITS + 1 settings, the other side's
+# products with every pattern of the smaller side's last PATTERN_BLOCK_BITS settings are
+# formed once (20 x 2^13 floats, 1.3 MB, against 20 settings) and reused for each prefix
+# of the rest. Measured at 13-20 settings, 10-12 bits were no faster.
 PATTERN_BLOCK_BITS = 13
 
 
@@ -136,17 +138,14 @@ def _check_enumeration(n: int, m1: int, m2: int):
     _check_batch_budget(n, big * 2**small, "{} x 2^{} products", big, small)
 
 
-def _side_products(amats: np.ndarray, patterns: np.ndarray):
+def _side_products(amats: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     # For a batch (n, m1, m2) and K sign patterns of the smaller side: the other side's
-    # products with each (n, max(m1, m2), K), a view if m2 > m1, and each one's value
-    # -sum|products| (n, K).
+    # products with each, (n, max(m1, m2), K), a view if m2 > m1.
     n, m1, m2 = amats.shape
     if m2 <= m1:
-        products = (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
-    else:
-        columns = amats.transpose(1, 0, 2).reshape(m1, -1)
-        products = (patterns @ columns).reshape(-1, n, m2).transpose(1, 2, 0)
-    return products, -np.abs(products).sum(axis=1)
+        return (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
+    columns = amats.transpose(1, 0, 2).reshape(m1, -1)
+    return (patterns @ columns).reshape(-1, n, m2).transpose(1, 2, 0)
 
 
 def _signs_from_rows(rows: np.ndarray) -> np.ndarray:
@@ -159,24 +158,48 @@ def _enumerated_bounds(amats: np.ndarray):
     # Exact classical bounds (n,) of a batch of coefficient matrices (n, m1, m2) and
     # a winning strategy a (n, m1), b (n, m2): the first optimal pattern of the
     # smaller side and the signs it induces on the other. That pattern starts with -1,
-    # since its flip is optimal too, and a later block replaces a row only if strictly lower.
-    # Callers check the budget first (_check_enumeration): the engine once per batch size.
-    # A smaller side of up to 14 settings has one block, and no generator runs.
-    m, idx = min(amats.shape[1:]), np.arange(len(amats))
-    blocks = iter(_pattern_blocks(m, m - 1))
-    patterns = next(blocks)
-    products, values = _side_products(amats, patterns)
-    k = values.argmin(axis=1)
-    bounds, a, b = values[idx, k], _signs_from_rows(products[idx, :, k]), patterns[k]
-    for patterns in blocks:
-        products, values = _side_products(amats, patterns)
+    # since its flip is optimal too. Callers check the budget first (_check_enumeration):
+    # the engine once per batch size. A smaller side of up to PATTERN_BLOCK_BITS + 1
+    # settings is one table and one matmul.
+    n, m1, m2 = amats.shape
+    m, idx, wide = min(m1, m2), np.arange(n), m2 > m1
+    if m - 1 <= PATTERN_BLOCK_BITS:
+        patterns = _sign_patterns(m)[: 2 ** (m - 1)]
+        products = _side_products(amats, patterns)
+        values = -np.abs(products).sum(axis=1)
         k = values.argmin(axis=1)
-        lower = values[idx, k] < bounds
-        bounds[lower] = values[lower, k[lower]]
-        a[lower] = _signs_from_rows(products[lower, :, k[lower]])
-        b[lower] = patterns[k[lower]]
-    if amats.shape[2] > amats.shape[1]:
+        bounds, a, b = values[idx, k], _signs_from_rows(products[idx, :, k]), patterns[k]
+    else:
+        bounds, a, b = _enumerated_by_prefix(amats.transpose(0, 2, 1) if wide else amats)
+    if wide:
         a, b = b, a
+    return bounds, a, b
+
+
+def _enumerated_by_prefix(amats: np.ndarray):
+    # _enumerated_bounds for a batch (n, M, m) whose smaller side is its last m settings,
+    # the first h = m - PATTERN_BLOCK_BITS of them a prefix: a product is the sum of the
+    # prefix's and the low settings' products, each part formed once, with the
+    # 2^(h - 1) prefixes that start with -1 and with all 2^PATTERN_BLOCK_BITS low patterns.
+    # Prefixes run in lexicographic order, and a later one replaces a row only where
+    # strictly lower, so each row keeps its first optimal pattern.
+    n, big, m = amats.shape
+    h, idx = m - PATTERN_BLOCK_BITS, np.arange(n)
+    prefixes, low = _sign_patterns(h)[: 2 ** (h - 1)], _sign_patterns(PATTERN_BLOCK_BITS)
+    prefix_products = _side_products(amats[:, :, :h], prefixes)
+    low_products = _side_products(amats[:, :, h:], low)
+    # a nan row (an infeasible engine point) is never lower: it keeps -1 signs, as in one table
+    bounds, a, b = np.full(n, np.inf), np.full((n, big), -1.0), np.full((n, m), -1.0)
+    total = np.empty_like(low_products)
+    for j, prefix in enumerate(prefixes):
+        np.add(low_products, prefix_products[:, :, j, None], out=total)
+        values = -np.abs(total, out=total).sum(axis=1)
+        k = values.argmin(axis=1)
+        rows = idx[values[idx, k] < bounds]
+        k = k[rows]
+        bounds[rows] = values[rows, k]
+        a[rows] = _signs_from_rows(low_products[rows, :, k] + prefix_products[rows, :, j])
+        b[rows, :h], b[rows, h:] = prefix, low[k]
     return bounds, a, b
 
 
@@ -206,8 +229,10 @@ def classical_bound(bc: BellCoeffs) -> tuple[float, DeterministicStrategy]:
 def classical_bound_bruteforce(bc: BellCoeffs) -> float:
     """Classical bound by full enumeration of all 2^(m1+m2) strategies.
 
-    Testing oracle; refuses scenarios with m1 + m2 > 24. Both sides are walked
-    in blocks, so that no more than 2^9 x 2^13 values are held at once.
+    Testing oracle; refuses scenarios with m1 + m2 > 24. It shares no product
+    table with the enumerator: both sides are walked in blocks of whole sign
+    patterns (_pattern_blocks), 2^9 of party A's and 2^13 of party B's, so that
+    no more than 2^9 x 2^13 values are held at once.
     """
     m1, m2 = bc.alpha.shape
     if m1 + m2 > BRUTEFORCE_MAX_SETTINGS:
@@ -217,7 +242,7 @@ def classical_bound_bruteforce(bc: BellCoeffs) -> float:
     best = np.inf
     for a_block in _pattern_blocks(m1, m1, block_bits=9):
         rows = a_block @ bc.alpha
-        for b_block in _pattern_blocks(m2, m2):
+        for b_block in _pattern_blocks(m2, m2, block_bits=13):
             best = min(best, float((rows @ b_block.T).min()))
     return best
 

@@ -214,30 +214,54 @@ def _induced(rows):
     return np.where(rows < 0, 1.0, -1.0)
 
 
-# shapes of several blocks on either side of the m2 <= m1 branch, and one block for contrast
+def _first_optimum(alpha):
+    # (bound, a, b) from the full table: the first optimal pattern of the smaller side and
+    # the signs it induces on the other.
+    patterns, rows, values = _full_table_reference(alpha)
+    k = int(values.argmin())
+    smaller, other = patterns[k].tolist(), _induced(rows[k]).tolist()
+    return (values[k], smaller, other) if alpha.shape[1] > alpha.shape[0] else (values[k], other, smaller)
+
+
+def _assert_rows_match(amats, wants):
+    # One batch: each row's result must be its own full table's, whatever the other rows do.
+    bounds, a, b = bell._enumerated_bounds(amats)
+    assert bounds.shape == (len(amats),)
+    for want, got in zip(wants, zip(bounds, a.tolist(), b.tolist())):
+        assert got == want
+
+
+# shapes of several prefixes on either side of the m2 <= m1 branch, and one table for contrast
 BLOCKED_SHAPES = [(16, 15), (17, 16), (15, 16), (16, 17), (4, 3), (3, 5)]
 
 
 @pytest.mark.parametrize("shape", BLOCKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_blocked_half_set_matches_full_table(shape):
-    # Integer entries put exact ties in different blocks; the all-zero matrix ties every pattern.
+    # Integer entries put exact ties in different prefixes; the all-zero matrix ties every
+    # pattern. All four run as one batch too, so a row that improves must not move the others.
     rng = np.random.default_rng(sum(shape))
     alphas = [rng.integers(-1, 2, size=shape).astype(float) for _ in range(3)]
     alphas.append(np.zeros(shape))
-    wide = shape[1] > shape[0]
-    for alpha in alphas:
-        patterns, rows, values = _full_table_reference(alpha)
-        low = values.min()
-        # the first optimal pattern of the smaller side, and its induced signs
-        k = int(values.argmin())
-        want_a, want_b = (patterns[k], _induced(rows[k])) if wide else (_induced(rows[k]), patterns[k])
-        bounds, a, b = bell._enumerated_bounds(alpha[None])
-        assert bounds.tolist() == [low]
-        assert a.tolist() == [want_a.tolist()] and b.tolist() == [want_b.tolist()]
+    wants = [_first_optimum(alpha) for alpha in alphas]
+    _assert_rows_match(np.stack(alphas), wants)
+    for alpha, want in zip(alphas, wants):
+        _assert_rows_match(alpha[None], [want])
         # classical_bound reports that witness
         beta, witness = classical_bound(BellCoeffs(alpha))
-        assert beta == low
-        assert witness.a.tolist() == want_a.tolist() and witness.b.tolist() == want_b.tolist()
+        assert (beta, witness.a.tolist(), witness.b.tolist()) == want
+
+
+@pytest.mark.parametrize("block_bits", [2, 3])
+@pytest.mark.parametrize("shape", [(5, 5), (6, 5), (5, 6), (8, 7), (7, 8)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_small_low_table_batch_matches_full_table(monkeypatch, shape, block_bits):
+    # A low table of 2^2 or 2^3 patterns splits these sides into 2 to 16 prefixes. Integer
+    # rows tie within and across prefixes, and the all-zero row ties every pattern.
+    monkeypatch.setattr(bell, "PATTERN_BLOCK_BITS", block_bits)
+    rng = np.random.default_rng(10 * sum(shape) + block_bits)
+    amats = rng.integers(-2, 3, size=(12, *shape)).astype(float)
+    amats[5] = 0.0
+    _assert_rows_match(amats, [_first_optimum(alpha) for alpha in amats])
 
 
 def test_pattern_blocks_tile_the_table_in_order():

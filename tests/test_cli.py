@@ -457,7 +457,8 @@ def test_lattice_of_2_20_vertices_runs_in_bounded_memory(tmp_path):
 
 
 def test_classical_bound_of_20x20_runs_in_bounded_memory(tmp_path):
-    # the largest accepted side: 2^19 sign patterns, walked in blocks (all at once, 525 MB)
+    # the largest accepted side: 2^19 sign patterns, as 2^6 prefixes over one 2^13-pattern
+    # table (all at once, 525 MB)
     alpha = np.random.default_rng(22).integers(-3, 4, size=(20, 20)).astype(float)
     path = tmp_path / "alpha.json"
     path.write_text(json.dumps(alpha.tolist()))

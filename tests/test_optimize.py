@@ -104,8 +104,8 @@ def test_finite_diff_rejects_nonfinite():
 def _kink_free(alpha_row, m1, m2, margin=1e-6):
     # The winning strategy is unique (up to the global flip) by more than margin.
     amats, m = alpha_row.reshape(1, m1, m2), min(m1, m2)
-    blocks = bell._pattern_blocks(m, m - 1)
-    values = np.unique(np.concatenate([bell._side_products(amats, p)[1][0] for p in blocks]))
+    (patterns,) = bell._pattern_blocks(m, m - 1)
+    values = np.unique(-np.abs(bell._side_products(amats, patterns)).sum(axis=1))
     return values[1] - values[0] > margin
 
 

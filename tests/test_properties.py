@@ -1,6 +1,7 @@
 """Property tests: the factored solve against the full transfer-matrix solve,
 the value objective's exact gradient against probed central differences,
-the symmetries of the classical bound and its witness's tie rule, and the
+the symmetries of the classical bound and its witness's tie rule, the bound
+objective's settings-independent ceiling and rotation invariance, and the
 bounce loop's contracts."""
 
 from dataclasses import replace
@@ -15,6 +16,7 @@ from bellbounce.mapping import (
     RANK_RCOND,
     LinearSolveError,
     MeasurementSettings,
+    _residual_gate,
     _solve_min_norm_batch,
     _solve_unique_batch,
     build_transfer_matrix,
@@ -29,8 +31,8 @@ from bellbounce.optimize import (
     bound_objective,
     value_objective,
 )
-from bellbounce.pauli import correlator_vector
-from bellbounce.presets import H_G_COEFFS
+from bellbounce.pauli import _bloch_batch, correlator_vector
+from bellbounce.presets import ELEGANT_COEFFS, H_G_COEFFS
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -227,6 +229,50 @@ def test_bound_witness_is_the_engines(case):
         assert beta_t == beta
         assert witness_t.a.tolist() == witness.b.tolist()
         assert witness_t.b.tolist() == witness.a.tolist()
+
+
+def _rotation(rng) -> np.ndarray:
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return q * np.linalg.det(q)  # det +1
+
+
+@st.composite
+def ceiling_cases(draw):
+    # An operator (H_G, elegant or random) and 128 random angle vectors of a 3x3, 4x3 or
+    # 3x4 scenario, with a rotation for each party.
+    m1, m2 = draw(st.sampled_from([(3, 3), (4, 3), (3, 4)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    operator = draw(st.sampled_from(["H_G", "elegant", "random"]))
+    h = {"H_G": H_G_COEFFS, "elegant": ELEGANT_COEFFS}.get(operator)
+    h = rng.normal(size=9) if h is None else h
+    thetas = rng.uniform(0, 2 * np.pi, size=(128, 2 * (m1 + m2)))
+    return Scenario(m1, m2), h, thetas, _rotation(rng), _rotation(rng)
+
+
+@PROPERTY
+@given(case=ceiling_cases())
+def test_bound_objective_ceiling_and_rotation_invariance(case):
+    # Where NA^T alpha NB = H holds within the residual gate g, a product state with unit Bloch
+    # vectors r and s has correlators (n_a . r)(n_b . s), so beta_C <= r^T H s + g; with
+    # (r, -s) H's top singular pair, beta_C <= -sigma_max(H) + g, whatever the settings.
+    scenario, h, thetas, rot_a, rot_b = case
+    m1, n = scenario.m1, len(thetas)
+    hmat = h.reshape(3, 3)
+    values = bound_objective(h, scenario).evaluate(thetas)[0]
+    feasible = np.isfinite(values)
+    assert np.all(values[feasible] <= -np.linalg.norm(hmat, 2) + _residual_gate(h))
+    # Settings (R n_a, S n_b) with operator R H S^T solve for the same alpha, so the same beta_C.
+    # The solve's rounding grows with cond(NA) cond(NB) (measured: up to about 3 eps times
+    # that product), so the comparison takes the points where the product is at most 1e3.
+    bloch = _bloch_batch(thetas.reshape(n, -1, 2))
+    moved = np.concatenate([bloch[:, :m1] @ rot_a.T, bloch[:, m1:] @ rot_b.T], axis=1)
+    polar = np.arctan2(np.hypot(moved[..., 1], moved[..., 2]), moved[..., 0])
+    rotated = np.stack([polar, np.arctan2(moved[..., 2], moved[..., 1])], axis=-1).reshape(n, -1)
+    turned = bound_objective((rot_a @ hmat @ rot_b.T).ravel(), scenario).evaluate(rotated)[0]
+    tame = np.linalg.cond(bloch[:, :m1]) * np.linalg.cond(bloch[:, m1:]) <= 1e3
+    assert np.array_equal(np.isfinite(turned[tame]), feasible[tame])
+    both = tame & feasible
+    assert np.all(np.abs(turned[both] - values[both]) <= 1e-12 * np.abs(values[both]))
 
 
 def oracle_central_difference(values, thetas: np.ndarray, step: float) -> np.ndarray:

@@ -139,13 +139,10 @@ def _check_enumeration(n: int, m1: int, m2: int):
 
 
 def _side_products(amats: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    # For a batch (n, m1, m2) and K sign patterns of the smaller side: the other side's
-    # products with each, (n, max(m1, m2), K), a view if m2 > m1.
-    n, m1, m2 = amats.shape
-    if m2 <= m1:
-        return (amats.reshape(-1, m2) @ patterns.T).reshape(n, m1, -1)
-    columns = amats.transpose(1, 0, 2).reshape(m1, -1)
-    return (patterns @ columns).reshape(-1, n, m2).transpose(1, 2, 0)
+    # For a batch (n, M, m) and K sign patterns of its last m settings: the first
+    # M settings' products with each, (n, M, K).
+    n, big, m = amats.shape
+    return (amats.reshape(-1, m) @ patterns.T).reshape(n, big, -1)
 
 
 def _signs_from_rows(rows: np.ndarray) -> np.ndarray:
@@ -160,9 +157,12 @@ def _enumerated_bounds(amats: np.ndarray):
     # smaller side and the signs it induces on the other. That pattern starts with -1,
     # since its flip is optimal too. Callers check the budget first (_check_enumeration):
     # the engine once per batch size. A smaller side of up to PATTERN_BLOCK_BITS + 1
-    # settings is one table and one matmul.
+    # settings is one table and one matmul. A wide batch (m2 > m1) is transposed
+    # once, so that the smaller side is always the last axis.
     n, m1, m2 = amats.shape
     m, idx, wide = min(m1, m2), np.arange(n), m2 > m1
+    if wide:
+        amats = amats.transpose(0, 2, 1)
     if m - 1 <= PATTERN_BLOCK_BITS:
         patterns = _sign_patterns(m)[: 2 ** (m - 1)]
         products = _side_products(amats, patterns)
@@ -170,7 +170,7 @@ def _enumerated_bounds(amats: np.ndarray):
         k = values.argmin(axis=1)
         bounds, a, b = values[idx, k], _signs_from_rows(products[idx, :, k]), patterns[k]
     else:
-        bounds, a, b = _enumerated_by_prefix(amats.transpose(0, 2, 1) if wide else amats)
+        bounds, a, b = _enumerated_by_prefix(amats)
     if wide:
         a, b = b, a
     return bounds, a, b

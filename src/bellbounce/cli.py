@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -85,7 +86,7 @@ _OPTIONS = {
     "seed": (int, {}),
     "out": (str, {"help": "output directory"}),
     "restarts": (int, {}),
-    "steps": (int, {}),
+    "steps": (int, {"help": "step budget: a start not improved by half of it stops"}),
     "lr": (float, {}),
     "noise_placement": (str, {"choices": PLACEMENTS}),
     "gisin_delta": (float, {}),
@@ -287,7 +288,7 @@ def _cmd_ham2ineq(cfg: dict):
     _print_kv("best classical bound", best.value)
     _print_kv("winning restart", best.best_index)
     out = _out_dir(cfg)
-    curve = [(step, v) for step, v in enumerate(best.history) if np.isfinite(v)]
+    curve = [(step, v) for step, v in enumerate(best.history.tolist()) if math.isfinite(v)]
     write_csv(out / "ham2ineq_curve.csv", ("step", "value"), curve)
     write_json(
         out / "ham2ineq_summary.json",

@@ -28,6 +28,10 @@ not depend on the rest of the batch, nor on the other rows' correlators.
 sweep_minima relies on that to run a whole noise sweep, every point's starts
 with that point's c, as one batch. random_starts draws start i of seed s from
 a stream seeded by (s, i), so it does not depend on how many are drawn.
+
+max_steps is a budget, not a count: a start that has not improved on its
+step-0 value by step ceil(max_steps / 2) is abandoned with that value, and a
+batch whose starts are all abandoned stops there.
 """
 
 from __future__ import annotations
@@ -165,7 +169,8 @@ def adam_step(
 @dataclass(frozen=True)
 class OptimizeResult:
     """The winning row best_index (its solved alpha in a bound search, else None),
-    and every row's best value (n,) and angles (n, dim)."""
+    every row's best value (n,) and angles (n, dim), and the steps the engine ran:
+    max_steps, or ceil(max_steps / 2) if no row improved on its start by then."""
 
     settings: MeasurementSettings
     value: float
@@ -174,6 +179,7 @@ class OptimizeResult:
     best_index: int
     values: np.ndarray
     thetas: np.ndarray
+    steps_run: int
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +287,26 @@ def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
 
 
 def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig):
+    # An abandoned row (see run_search) is still evaluated while other rows run, but
+    # its best is frozen, so its result does not depend on the batch.
     maximize = objective.maximize
     n_runs = theta0.shape[0]
-    steps = cfg.max_steps
+    steps, half = cfg.max_steps, (cfg.max_steps + 1) // 2
     pick = np.ndarray.argmax if maximize else np.ndarray.argmin
     state = adam_init(theta0)
     batch_best = -np.inf if maximize else np.inf
     best_value = np.full(n_runs, batch_best)
     best_theta = theta0.copy()
     best_payload = None
+    stalled = np.ones(n_runs, dtype=bool)  # not improved on step 0 (yet, or for good)
+    live = None  # after step half: the rows not abandoned
     history = np.empty(steps + 1)
     for t in range(steps + 1):
         values, payload, grad = objective.evaluate(state.theta)
         improved = (values > best_value) if maximize else (values < best_value)
         improved &= np.isfinite(values)
+        if live is not None:
+            improved &= live
         if improved.any():
             np.copyto(best_value, values, where=improved)
             rows = improved[:, None]
@@ -304,11 +316,18 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
                     best_payload = np.zeros((n_runs, payload.shape[-1]))
                 np.copyto(best_payload, payload, where=rows)
             batch_best = best_value[pick(best_value)]
+            if 0 < t <= half:
+                stalled &= ~improved
         history[t] = batch_best
         if t == steps:
             break
+        if t == half and stalled.any():
+            if stalled.all():
+                history[t + 1 :] = batch_best
+                break
+            live = ~stalled
         state = adam_step(state, grad, cfg, maximize=maximize)
-    return best_value, best_theta, best_payload, history
+    return best_value, best_theta, best_payload, history, t
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +403,13 @@ def run_search(
 ) -> OptimizeResult:
     """Run the engine from every row of theta0s in one lockstep batch; keep the best.
 
-    A row's result does not depend on the rest of the batch; ties go to the
-    lowest row. history is the batch's best-so-far value at each step
-    0..max_steps, so it ends at value. Raises ValueError on an empty batch,
-    and NoFeasiblePointError if a maximizing search finds no feasible point.
+    cfg.max_steps is a budget: a row that has not improved on its start's value
+    by step ceil(max_steps / 2) keeps its start, and once every row has, the
+    search stops (steps_run says where). A row's result does not depend on the
+    rest of the batch; ties go to the lowest row. history is the batch's
+    best-so-far value at each step 0..max_steps, so it ends at value; after a
+    stop it stays flat. Raises ValueError on an empty batch, and
+    NoFeasiblePointError if a maximizing search finds no feasible point.
     """
     cfg = cfg or (DEFAULT_ASCENT if objective.maximize else DEFAULT_DESCENT)
     sc = objective.scenario
@@ -397,13 +419,13 @@ def run_search(
     n = len(theta0s)
     if n == 0:
         raise ValueError("need at least one start")
-    values, thetas, payload, history = _run_lockstep(objective, theta0s, cfg)
+    values, thetas, payload, history, steps_run = _run_lockstep(objective, theta0s, cfg)
     i = int(np.argmax(values) if objective.maximize else np.argmin(values))
     if objective.maximize and not np.isfinite(values[i]):
         raise NoFeasiblePointError("no start found a feasible point")
     settings = MeasurementSettings.from_vector(sc.m1, sc.m2, thetas[i])
     alpha = None if payload is None else BellCoeffs(payload[i].reshape(sc.m1, sc.m2))
-    return OptimizeResult(settings, float(values[i]), alpha, history, i, values, thetas)
+    return OptimizeResult(settings, float(values[i]), alpha, history, i, values, thetas, steps_run)
 
 
 def sweep_minima(
@@ -492,6 +514,10 @@ def bounce_loop(
     The recorded trajectory keeps the half-step contracts exact: a minimize
     half-step never raises beta_Q, and a maximize half-step keeps the current
     inequality and settings unless the search finds a strictly higher beta_C.
+    Each half-step is a run_search whose config's max_steps is a budget (see
+    run_search). A bound ascent is not run when the last one kept alpha and the
+    descent since returned its start settings: its inputs would be the last
+    one's, so it would keep alpha again, and its record is written as if it ran.
     Every solve, at the start and in each bound ascent, takes solve_alpha's
     kernel (see bound_objective). Each recorded beta_Q is
     quantum_value_from_data at the current settings, and each bound ascent
@@ -522,6 +548,7 @@ def bounce_loop(
     records = [BounceRecord(0, "init", beta_c, beta_q, beta_q - beta_c)]
     gap_prev = records[-1].gap
     converged = False
+    kept = False  # the last bound ascent kept alpha and the settings it started from
     for _ in range(max_loops):
         theta = ms.to_vector()[None, :]
         res_min = run_search(value_objective(alpha, c), theta, min_cfg)
@@ -531,11 +558,15 @@ def bounce_loop(
             BounceRecord(len(records), "minimize-quantum-value", beta_c, beta_q, beta_q - beta_c)
         )
 
-        h_cur = build_transfer_matrix(ms) @ alpha.alpha.ravel()
-        theta = ms.to_vector()[None, :]
-        res_max = run_search(bound_objective(h_cur, scenario), theta, max_cfg)
-        if res_max.value > beta_c:
-            ms, alpha, beta_c = res_max.settings, res_max.alpha, res_max.value
+        # After a kept ascent, a descent that returns its start leaves this ascent the
+        # last one's inputs (h, settings, config), so it would keep alpha again.
+        if not (kept and np.array_equal(res_min.thetas[0], theta[0])):
+            h_cur = build_transfer_matrix(ms) @ alpha.alpha.ravel()
+            theta = ms.to_vector()[None, :]
+            res_max = run_search(bound_objective(h_cur, scenario), theta, max_cfg)
+            kept = res_max.value <= beta_c
+            if not kept:
+                ms, alpha, beta_c = res_max.settings, res_max.alpha, res_max.value
         beta_q = quantum_value_from_data(c, ms, alpha)
         records.append(
             BounceRecord(len(records), "maximize-classical-bound", beta_c, beta_q, beta_q - beta_c)

@@ -9,6 +9,7 @@ written float reads back within a relative 5e-12 (12 significant digits).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -19,7 +20,7 @@ FLOAT_FORMAT = "%.12g"
 
 def format_float(x: float) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     if x == 0.0:
         x = 0.0  # -0.0 renders as 0, not -0

@@ -200,6 +200,17 @@ def test_engine_witness_attains_each_row_bound(shape):
         assert classical_bound(BellCoeffs(alpha))[0] == bound
 
 
+@pytest.mark.parametrize("shape", [(3, 9), (5, 12), (13, 14), (14, 16)])
+def test_wide_batch_is_enumerated_as_its_transpose(shape):
+    # A wide batch is transposed before it is enumerated, so on real entries its bounds
+    # are its transpose's bit for bit (not just to rounding), with the parties swapped.
+    amats = np.random.default_rng(21).normal(size=(3, *shape))
+    bounds, a, b = bell._enumerated_bounds(amats)
+    bounds_t, a_t, b_t = bell._enumerated_bounds(amats.transpose(0, 2, 1).copy())
+    assert bounds.tolist() == bounds_t.tolist()
+    assert a.tolist() == b_t.tolist() and b.tolist() == a_t.tolist()
+
+
 def _full_table_reference(alpha):
     # Every pattern of the smaller side, from itertools.product in lexicographic order:
     # the patterns, the other side's row sums with each, and each one's value -sum|rows|.

@@ -211,6 +211,89 @@ def test_engine_memory_does_not_grow_with_rows_times_steps():
     assert peak < n * (steps + 1) * 8 / 4
 
 
+@pytest.mark.parametrize("steps", [7, 8])
+def test_search_that_never_improves_stops_at_half_budget(steps):
+    # the angles move every step, but no value beats step 0's
+    calls = []
+
+    def evaluate(thetas):
+        calls.append(len(thetas))
+        return np.full(len(thetas), 1.5), None, np.ones_like(thetas)
+
+    objective = optimize.Objective(Scenario(2, 2), True, evaluate)
+    starts = random_starts(objective.dim, 2, seed=0)
+    res = run_search(objective, starts, OptimizerConfig(learning_rate=0.1, max_steps=steps))
+    assert len(calls) == 4 + 1 and res.steps_run == 4  # ceil(steps / 2) = 4
+    assert res.history.tolist() == [1.5] * (steps + 1)
+    assert res.value == 1.5 and np.array_equal(res.thetas, starts)
+
+
+def test_row_is_abandoned_only_if_not_improved_by_half_budget():
+    # with 6 steps (half = 3), row 0 first improves at step 3 and runs on; row 1 first
+    # improves at step 4, too late: its step-0 value and angles are its result
+    table = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
+    calls = iter(table)
+
+    def evaluate(thetas):
+        return next(calls).copy(), None, np.ones_like(thetas)
+
+    objective = optimize.Objective(Scenario(2, 2), True, evaluate)
+    starts = np.zeros((2, objective.dim))
+    res = run_search(objective, starts, OptimizerConfig(learning_rate=0.1, max_steps=6))
+    assert res.values.tolist() == [2.0, 0.0] and res.steps_run == 6
+    assert res.history.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0]
+    assert np.array_equal(res.thetas[1], starts[1]) and res.thetas[0, 0] > 0.5
+
+
+def test_stalled_row_stacked_gets_its_result_alone():
+    # row 0's value rises only once its first angle passes 1, at about step 10 of 16:
+    # it is abandoned at step 8 alone, and stacked it keeps being evaluated past 1
+    def evaluate(thetas):
+        x = thetas[:, 0]
+        return np.where(x >= 1.0, x, 0.0), None, np.ones_like(thetas)
+
+    objective = optimize.Objective(Scenario(2, 2), True, evaluate)
+    starts = np.zeros((2, objective.dim))
+    starts[1, 0] = 2.0
+    cfg = OptimizerConfig(learning_rate=0.1, max_steps=16)
+    # the maximally mixed state's correlators (all 0) never move the value either
+    cs = np.stack([np.zeros(9), SINGLET * 0.92])
+    values = value_objective(GISIN_2, cs)
+    cases = [
+        (objective, starts, lambda i: objective, cfg),
+        (values, random_starts(values.dim, 2, seed=4), lambda i: value_objective(GISIN_2, cs[i]), FAST_DOWN),
+    ]
+    for stacked_objective, rows, alone_objective, cfg in cases:
+        stacked = run_search(stacked_objective, rows, cfg)
+        assert stacked.steps_run == cfg.max_steps
+        for i, row in enumerate(rows):
+            solo = run_search(alone_objective(i), row[None, :], cfg)
+            assert solo.steps_run == (cfg.max_steps // 2 if i == 0 else cfg.max_steps)
+            assert solo.value == stacked.values[i]
+            assert np.array_equal(solo.thetas[0], stacked.thetas[i])
+        assert np.array_equal(stacked.thetas[0], rows[0])
+
+
+def test_all_infeasible_bound_batch_stops_at_half_budget_and_raises():
+    objective = bound_objective(
+        np.array([1.0, 0.7, -0.3, 0.2, -1.0, 0.4, 0.9, -0.6, 0.5]), Scenario(2, 2)
+    )
+    calls = []
+
+    def evaluate(thetas):
+        calls.append(len(thetas))
+        return objective.evaluate(thetas)
+
+    counted = optimize.Objective(objective.scenario, True, evaluate)
+    with pytest.raises(NoFeasiblePointError):
+        run_search(
+            counted,
+            random_starts(objective.dim, 3, seed=0),
+            OptimizerConfig(learning_rate=0.02, max_steps=41),
+        )
+    assert calls == [3] * (21 + 1)
+
+
 AXES = tetrahedron_axes_settings().party_b  # x, y and z
 
 
@@ -387,6 +470,58 @@ def test_bounce_contracts_exact():
         assert cur.gap == cur.beta_q - cur.beta_c
     assert res.loops <= 3
     assert res.records[-1].gap == res.final_gap
+
+
+def _bounce_every_half_step(alpha, ms, c, cfg, max_loops=10, gap_tol=1e-6):
+    # bounce_loop's records, with an optimize.run_search for every half-step
+    beta_c = float(bell._enumerated_bounds(alpha.alpha[None])[0][0])
+    records = [("init", beta_c, quantum_value_from_data(c, ms, alpha))]
+    gap_prev = records[-1][2] - beta_c
+    for _ in range(max_loops):
+        res = optimize.run_search(value_objective(alpha, c), ms.to_vector()[None, :], cfg)
+        ms = res.settings
+        records.append(("minimize-quantum-value", beta_c, res.value))
+        h = build_transfer_matrix(ms) @ alpha.alpha.ravel()
+        res = optimize.run_search(bound_objective(h, alpha.scenario), ms.to_vector()[None, :], cfg)
+        if res.value > beta_c:
+            ms, alpha, beta_c = res.settings, res.alpha, res.value
+        records.append(("maximize-classical-bound", beta_c, quantum_value_from_data(c, ms, alpha)))
+        gap = records[-1][2] - beta_c
+        if gap_prev - gap < gap_tol:
+            break
+        gap_prev = gap
+    return records
+
+
+NOISY_SINGLET = correlator_vector(prepare_noisy_singlet(NoiseModel(0.010)))
+
+
+@pytest.mark.parametrize(
+    "start, c, steps, skips",
+    [(GISIN_2, NOISY_SINGLET, 100, 1), (H_G_COEFFS, NOISY_SINGLET, 60, 1), (GISIN_2, np.zeros(9), 40, 0)],
+    ids=["gisin", "H_G", "mixed"],
+)
+def test_bounce_skips_a_repeated_bound_ascent_with_the_same_records(monkeypatch, start, c, steps, skips):
+    # At p = 0.010 the last descent returns its start after an ascent that kept alpha,
+    # so the ascent after it would repeat that one; the gisin loop also has ascents
+    # that raise the bound. With maximally mixed data (all correlators 0) no descent
+    # moves, and every ascent before the last raises the bound: none may be skipped.
+    ms = tetrahedron_axes_settings()
+    cfg = OptimizerConfig(learning_rate=0.01, max_steps=steps)
+    search, calls = optimize.run_search, []
+
+    def counted(*args):
+        calls.append(args[0].maximize)
+        return search(*args)
+
+    monkeypatch.setattr(optimize, "run_search", counted)
+    res = bounce_loop(start, ms, c, min_cfg=cfg, max_cfg=cfg)
+    ran = len(calls)
+    alpha = start if isinstance(start, BellCoeffs) else solve_alpha(ms, start)
+    want = _bounce_every_half_step(alpha, ms, c, cfg)
+    assert [(r.kind, r.beta_c, r.beta_q) for r in res.records] == want
+    assert len(calls) - ran == len(want) - 1 and ran == len(want) - 1 - skips
+    assert calls[ran - 1] == (skips == 0)  # after a skip, the last search run is a descent
 
 
 def test_bounce_accepts_operator_start():

@@ -298,7 +298,6 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
     best_value = np.full(n_runs, batch_best)
     best_theta = theta0.copy()
     best_payload = None
-    stalled = np.ones(n_runs, dtype=bool)  # not improved on step 0 (yet, or for good)
     live = None  # after step half: the rows not abandoned
     history = np.empty(steps + 1)
     for t in range(steps + 1):
@@ -316,16 +315,19 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
                     best_payload = np.zeros((n_runs, payload.shape[-1]))
                 np.copyto(best_payload, payload, where=rows)
             batch_best = best_value[pick(best_value)]
-            if 0 < t <= half:
-                stalled &= ~improved
         history[t] = batch_best
         if t == steps:
             break
-        if t == half and stalled.any():
+        if t == 0:
+            start_value = best_value.copy()
+        elif t == half:
+            # Improvements are strict, so a row's best moved iff it improved on step 0.
+            stalled = best_value == start_value
             if stalled.all():
                 history[t + 1 :] = batch_best
                 break
-            live = ~stalled
+            if stalled.any():
+                live = ~stalled
         state = adam_step(state, grad, cfg, maximize=maximize)
     return best_value, best_theta, best_payload, history, t
 

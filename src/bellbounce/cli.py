@@ -50,6 +50,7 @@ from .mapping import (
     bell_operator,
     quantum_value_from_data,
     residual_norm,
+    solve_alpha,
 )
 from .noise import (
     NoiseModel,
@@ -284,7 +285,8 @@ def _cmd_ham2ineq(cfg: dict):
     _check_bound_batch(cfg["restarts"], scenario.m1, scenario.m2)
     starts = random_starts(objective.dim, cfg["restarts"], cfg["seed"])
     best = run_search(objective, starts, opt_cfg)
-    resid = residual_norm(best.settings, best.alpha.alpha.ravel(), h)
+    alpha = solve_alpha(best.settings, h).alpha
+    resid = residual_norm(best.settings, alpha.ravel(), h)
     _print_kv("best classical bound", best.value)
     _print_kv("winning restart", best.best_index)
     out = _out_dir(cfg)
@@ -302,7 +304,7 @@ def _cmd_ham2ineq(cfg: dict):
             "best_beta_c": best.value,
             "winning_restart": best.best_index,
             "settings": best.settings.to_vector().tolist(),
-            "alpha": best.alpha.alpha.tolist(),
+            "alpha": alpha.tolist(),
             "residual": resid,
         },
     )
@@ -371,7 +373,7 @@ def _cmd_ineq2ham(cfg: dict):
 
 
 def _cmd_bounce(cfg: dict):
-    ineq_given = any(cfg.get(k) is not None for k in ("gisin_delta", "alpha", "alpha_file"))
+    ineq_given = any(cfg.get(k) is not None for k in ("gisin_delta", "alpha_file"))
     op_given = any(cfg.get(k) is not None for k in ("preset", "h"))
     if ineq_given and op_given:
         raise ValueError("start from an inequality or an operator, not both")

@@ -4,14 +4,17 @@ Both search directions are an Objective run by one engine (run_search):
   maximize beta_C(solve(T(theta), h))   -- Hamiltonian fixed, Adam ascent
   minimize c . T(theta) . alpha         -- inequality fixed, Adam descent
 
-Each objective returns values, payloads and gradients at the engine's points;
-the engine tracks the best and takes Adam steps. The bound objective solves
+Each objective returns values and gradients at the engine's points; the
+engine keeps each row's best value and angles and takes Adam steps, written
+into the angles and moments in place. The bound objective solves
 NA^T alpha NB = H on the Kronecker factors of T with mapping's batch kernel,
 and its gradient is analytic: the bound is a minimum over strategies, so the
 winning strategy's correlators a* b*^T are its subgradient in alpha, chained
-through the derivative of the factors' pseudo-inverses to the angles. The
-value objective is linear in each Bloch vector, so its gradient is exact and
-analytic, one point per restart per step, and by Euler's identity its value is
+through the derivative of the factors' pseudo-inverses to the angles. A bound
+search returns angles only; its inequality is solve_alpha at the winning
+settings, the same kernel on the same angles. The value objective is linear
+in each Bloch vector, so its gradient is exact and analytic, one point per
+restart per step, and by Euler's identity its value is
 sum_a nA_a . d beta_Q/d nA_a: the gradient's party-A half scores the point. It
 takes one correlator vector c for the whole batch or one per row.
 
@@ -59,13 +62,11 @@ from .pauli import _bloch_batch
 
 __all__ = [
     "OptimizerConfig",
-    "AdamState",
     "Objective",
     "OptimizeResult",
     "BounceRecord",
     "BounceResult",
     "NoFeasiblePointError",
-    "adam_init",
     "adam_step",
     "bound_objective",
     "value_objective",
@@ -120,30 +121,10 @@ DEFAULT_ASCENT = OptimizerConfig(learning_rate=0.02)
 DEFAULT_DESCENT = OptimizerConfig(learning_rate=0.01)
 
 
-@dataclass(frozen=True)
-class AdamState:
-    theta: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-
-
-def adam_init(theta0) -> AdamState:
-    theta0 = np.asarray(theta0, dtype=float)
-    return AdamState(theta0.copy(), np.zeros_like(theta0), np.zeros_like(theta0))
-
-
-def adam_step(
-    state: AdamState, gradient, cfg: OptimizerConfig, maximize: bool = False
-) -> AdamState:
-    """One bias-corrected Adam update; sign of motion set by maximize.
-
-    The update is written into state's arrays, which the returned state shares,
-    so the state passed in is spent. adam_init copies the start it is given.
-    """
+def adam_step(theta, m, v, t: int, gradient, cfg: OptimizerConfig, maximize: bool = False):
+    """Bias-corrected Adam update number t (from 1), written into theta and its
+    moments m and v, which start at zero; sign of motion set by maximize."""
     g = np.asarray(gradient, dtype=float)
-    t = state.step + 1
-    theta, m, v = state.theta, state.m, state.v
     # m = beta1 m + (1 - beta1) g and v = beta2 v + ((1 - beta2) g) g, in place
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
@@ -163,18 +144,17 @@ def adam_step(
         theta += delta
     else:
         theta -= delta
-    return AdamState(theta, m, v, t)
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """The winning row best_index (its solved alpha in a bound search, else None),
-    every row's best value (n,) and angles (n, dim), and the steps the engine ran:
-    max_steps, or ceil(max_steps / 2) if no row improved on its start by then."""
+    """The winning row best_index's settings and value, every row's best value (n,)
+    and angles (n, dim), and the steps the engine ran: max_steps, or
+    ceil(max_steps / 2) if no row improved on its start by then. A bound search's
+    inequality is solve_alpha(settings, h)."""
 
     settings: MeasurementSettings
     value: float
-    alpha: BellCoeffs | None
     history: np.ndarray  # the batch's best-so-far objective, indexed by step
     best_index: int
     values: np.ndarray
@@ -251,7 +231,7 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
             finite &= feasible[:, None]
         if not finite.all():
             np.copyto(grad, 0.0, where=~finite)
-        return bounds, alpha.reshape(n, m1 * m2), grad
+        return bounds, grad
 
     return objective
 
@@ -277,7 +257,7 @@ def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
         finite = np.isfinite(grad)
         if not finite.all():
             np.copyto(grad, 0.0, where=~finite)
-        return values, None, grad
+        return values, grad
 
     return objective
 
@@ -290,30 +270,23 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
     # An abandoned row (see run_search) is still evaluated while other rows run, but
     # its best is frozen, so its result does not depend on the batch.
     maximize = objective.maximize
-    n_runs = theta0.shape[0]
     steps, half = cfg.max_steps, (cfg.max_steps + 1) // 2
     pick = np.ndarray.argmax if maximize else np.ndarray.argmin
-    state = adam_init(theta0)
+    theta, m, v = theta0.copy(), np.zeros_like(theta0), np.zeros_like(theta0)
     batch_best = -np.inf if maximize else np.inf
-    best_value = np.full(n_runs, batch_best)
+    best_value = np.full(theta0.shape[0], batch_best)
     best_theta = theta0.copy()
-    best_payload = None
     live = None  # after step half: the rows not abandoned
     history = np.empty(steps + 1)
     for t in range(steps + 1):
-        values, payload, grad = objective.evaluate(state.theta)
+        values, grad = objective.evaluate(theta)
         improved = (values > best_value) if maximize else (values < best_value)
         improved &= np.isfinite(values)
         if live is not None:
             improved &= live
         if improved.any():
             np.copyto(best_value, values, where=improved)
-            rows = improved[:, None]
-            np.copyto(best_theta, state.theta, where=rows)
-            if payload is not None:
-                if best_payload is None:
-                    best_payload = np.zeros((n_runs, payload.shape[-1]))
-                np.copyto(best_payload, payload, where=rows)
+            np.copyto(best_theta, theta, where=improved[:, None])
             batch_best = best_value[pick(best_value)]
         history[t] = batch_best
         if t == steps:
@@ -328,8 +301,8 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
                 break
             if stalled.any():
                 live = ~stalled
-        state = adam_step(state, grad, cfg, maximize=maximize)
-    return best_value, best_theta, best_payload, history, t
+        adam_step(theta, m, v, t + 1, grad, cfg, maximize=maximize)
+    return best_value, best_theta, history, t
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +313,9 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
 class Objective:
     """One search direction for the engine.
 
-    evaluate maps a batch of angle vectors (n, dim) to (values, payload,
-    gradient): payload is the solved coefficient rows of a bound objective
-    and None for a value objective; gradient (n, dim) is 0 where it is not
-    finite or the point is infeasible.
+    evaluate maps a batch of angle vectors (n, dim) to (values, gradient):
+    values (n,), and gradient (n, dim), 0 where it is not finite or the point
+    is infeasible.
     """
 
     scenario: Scenario
@@ -421,13 +393,12 @@ def run_search(
     n = len(theta0s)
     if n == 0:
         raise ValueError("need at least one start")
-    values, thetas, payload, history, steps_run = _run_lockstep(objective, theta0s, cfg)
+    values, thetas, history, steps_run = _run_lockstep(objective, theta0s, cfg)
     i = int(np.argmax(values) if objective.maximize else np.argmin(values))
     if objective.maximize and not np.isfinite(values[i]):
         raise NoFeasiblePointError("no start found a feasible point")
     settings = MeasurementSettings.from_vector(sc.m1, sc.m2, thetas[i])
-    alpha = None if payload is None else BellCoeffs(payload[i].reshape(sc.m1, sc.m2))
-    return OptimizeResult(settings, float(values[i]), alpha, history, i, values, thetas, steps_run)
+    return OptimizeResult(settings, float(values[i]), history, i, values, thetas, steps_run)
 
 
 def sweep_minima(
@@ -510,7 +481,7 @@ def bounce_loop(
         ms0: initial measurement settings.
         c: measured Pauli correlator vector driving the quantum value.
         gap_tol: stop once a full loop improves the gap beta_Q - beta_C by
-            less than this; must be finite and non-negative.
+            at most this; must be finite and non-negative.
         max_loops: hard loop budget; must be positive.
 
     The recorded trajectory keeps the half-step contracts exact: a minimize
@@ -520,17 +491,19 @@ def bounce_loop(
     run_search). A bound ascent is not run when the last one kept alpha and the
     descent since returned its start settings: its inputs would be the last
     one's, so it would keep alpha again, and its record is written as if it ran.
-    Every solve, at the start and in each bound ascent, takes solve_alpha's
-    kernel (see bound_objective). Each recorded beta_Q is
-    quantum_value_from_data at the current settings, and each bound ascent
-    starts from h = T . alpha, with T built from the current settings by
-    build_transfer_matrix. The result's loops, final_gap and violation are
-    read from its records.
+    The inequality is solve_alpha's: from h at ms0 for an operator start, and
+    from the ascent's h at its winning settings after a strictly higher bound.
+    Each recorded beta_Q is quantum_value_from_data at the current settings,
+    and each bound ascent starts from h = T . alpha, with T built from the
+    current settings by build_transfer_matrix. The result's loops, final_gap
+    and violation are read from its records.
 
     Raises:
         ValueError: on a bad budget or tolerance, correlators outside [-1, 1]
             (nan or inf included), or settings that do not match the
             inequality's scenario; each before any search starts.
+        LinearSolveError: if solve_alpha refuses the operator start or a winning
+            ascent's settings (a 3x3 T with cond(T) >= 1e10, for one).
     """
     if max_loops < 1:
         raise ValueError("loop budget must be positive")
@@ -568,14 +541,15 @@ def bounce_loop(
             res_max = run_search(bound_objective(h_cur, scenario), theta, max_cfg)
             kept = res_max.value <= beta_c
             if not kept:
-                ms, alpha, beta_c = res_max.settings, res_max.alpha, res_max.value
+                ms, beta_c = res_max.settings, res_max.value
+                alpha = solve_alpha(ms, h_cur)
         beta_q = quantum_value_from_data(c, ms, alpha)
         records.append(
             BounceRecord(len(records), "maximize-classical-bound", beta_c, beta_q, beta_q - beta_c)
         )
 
         gap = records[-1].gap
-        if gap_prev - gap < gap_tol:
+        if gap_prev - gap <= gap_tol:
             converged = True
             break
         gap_prev = gap

@@ -67,18 +67,13 @@ def write_json_lines(path, rows):
 
 
 def _cell(value) -> str:
+    # a string is written as is, any other value as its stable JSON scalar
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    value = str(value)
-    if any(ch in value for ch in ',"\n'):
+    text = value if isinstance(value, str) else dumps_stable(value)
+    if any(ch in text for ch in ',"\n'):
         raise ValueError(f"CSV cell needs quoting, refusing: {value!r}")
-    return value
+    return text
 
 
 def write_csv(path, header, rows):

@@ -12,10 +12,8 @@ from bellbounce.mapping import (
     solve_alpha,
 )
 from bellbounce.optimize import (
-    AdamState,
     NoFeasiblePointError,
     OptimizerConfig,
-    adam_init,
     adam_step,
     bounce_loop,
     bound_objective,
@@ -61,29 +59,30 @@ def test_config_validation():
 def test_adam_step_reference():
     # follow the textbook recursion for a few steps and compare
     cfg = OptimizerConfig(learning_rate=0.1)
-    theta = np.array([1.0, -2.0])
-    state = adam_init(theta)
+    theta, m_run, v_run = np.array([1.0, -2.0]), np.zeros(2), np.zeros(2)
     m = np.zeros(2)
     v = np.zeros(2)
     for t in range(1, 6):
-        g = 2 * state.theta  # gradient of |theta|^2
+        g = 2 * theta  # gradient of |theta|^2
         m = 0.9 * m + (1 - 0.9) * g
         v = 0.999 * v + (1 - 0.999) * g**2
-        expected = state.theta - cfg.learning_rate * (m / (1 - 0.9**t)) / (
+        expected = theta - cfg.learning_rate * (m / (1 - 0.9**t)) / (
             np.sqrt(v / (1 - 0.999**t)) + 1e-8
         )
-        state = adam_step(state, g, cfg)
-        assert state.step == t
-        assert np.allclose(state.theta, expected, atol=1e-15)
+        assert adam_step(theta, m_run, v_run, t, g, cfg) is None
+        assert np.allclose(theta, expected, atol=1e-15)
+        assert np.allclose(m_run, m, atol=1e-15) and np.allclose(v_run, v, atol=1e-15)
 
 
 def test_adam_first_step_is_signed_learning_rate():
     cfg = OptimizerConfig(learning_rate=0.05)
-    state = adam_step(adam_init(np.zeros(3)), np.array([4.0, -1.0, 0.0]), cfg)
+    g = np.array([4.0, -1.0, 0.0])
+    down, up = np.zeros(3), np.zeros(3)
+    adam_step(down, np.zeros(3), np.zeros(3), 1, g, cfg)
     # bias correction makes the first move lr * sign(g) up to epsilon
-    assert np.allclose(state.theta, [-0.05, 0.05, 0.0], atol=1e-8)
-    up = adam_step(adam_init(np.zeros(3)), np.array([4.0, -1.0, 0.0]), cfg, maximize=True)
-    assert np.allclose(up.theta, [0.05, -0.05, 0.0], atol=1e-8)
+    assert np.allclose(down, [-0.05, 0.05, 0.0], atol=1e-8)
+    adam_step(up, np.zeros(3), np.zeros(3), 1, g, cfg, maximize=True)
+    assert np.allclose(up, [0.05, -0.05, 0.0], atol=1e-8)
 
 
 def test_finite_diff_on_quadratics():
@@ -119,9 +118,10 @@ def test_bound_gradient_matches_finite_differences(m1, operator):
     checked = 0
     for _ in range(40):
         theta = _random_settings(rng, m1, 3).to_vector()
-        values, alpha, grad = objective.evaluate(theta[None])
+        values, grad = objective.evaluate(theta[None])
         assert np.isfinite(values[0])  # generic settings are feasible
-        if not _kink_free(alpha[0], m1, 3):
+        alpha = solve_alpha(MeasurementSettings.from_vector(m1, 3, theta), h).alpha
+        if not _kink_free(alpha, m1, 3):
             continue
         ref = finite_diff_gradient(lambda x: objective.evaluate(x[None])[0][0], theta, 1e-6)
         assert np.linalg.norm(grad[0] - ref) <= 1e-5 * np.linalg.norm(ref)
@@ -134,24 +134,25 @@ def test_bound_gradient_zero_when_infeasible():
     h = np.array([1.0, 0.7, -0.3, 0.2, -1.0, 0.4, 0.9, -0.6, 0.5])
     objective = bound_objective(h, Scenario(2, 2))
     theta = _random_settings(np.random.default_rng(55), 2, 2).to_vector()
-    values, _, grad = objective.evaluate(theta[None])
+    values, grad = objective.evaluate(theta[None])
     assert values[0] == -np.inf
     assert np.array_equal(grad, np.zeros((1, 8)))
 
 
 def test_maximize_bound_consistency():
     rng = np.random.default_rng(52)
-    start = _random_settings(rng, 3, 3).to_vector()[None, :]
-    res = run_search(bound_objective(H_G_COEFFS, Scenario(3, 3)), start, FAST)
-    # reported alpha reproduces h at the reported settings
-    t = build_transfer_matrix(res.settings)
-    resid = np.linalg.norm(t @ res.alpha.alpha.ravel() - H_G_COEFFS)
-    assert resid <= 1e-8 * np.linalg.norm(H_G_COEFFS)
-    # reported value is the exact enumerated bound of the reported alpha
-    assert abs(res.value - classical_bound(res.alpha)[0]) < 1e-12
-    # best-so-far history never decreases
-    finite = res.history[np.isfinite(res.history)]
-    assert np.all(np.diff(finite) >= 0)
+    for h, m1, m2 in ((H_G_COEFFS, 3, 3), (ELEGANT_COEFFS, 3, 3), (H_G_COEFFS, 3, 4)):
+        start = _random_settings(rng, m1, m2).to_vector()[None, :]
+        res = run_search(bound_objective(h, Scenario(m1, m2)), start, FAST)
+        # the inequality solved at the reported settings reproduces h
+        alpha = solve_alpha(res.settings, h).alpha
+        t = build_transfer_matrix(res.settings)
+        assert np.linalg.norm(t @ alpha.ravel() - h) <= 1e-8 * np.linalg.norm(h)
+        # reported value is exactly the enumerated bound of that inequality
+        assert bell._enumerated_bounds(alpha[None])[0][0] == res.value
+        # best-so-far history never decreases
+        finite = res.history[np.isfinite(res.history)]
+        assert np.all(np.diff(finite) >= 0)
 
 
 def test_minimize_value_descends():
@@ -179,7 +180,7 @@ def test_history_is_the_batch_best_so_far():
     calls = iter(table)
 
     def evaluate(thetas):
-        return next(calls).copy(), None, np.zeros_like(thetas)
+        return next(calls).copy(), np.zeros_like(thetas)
 
     objective = optimize.Objective(Scenario(2, 2), True, evaluate)
     cfg = OptimizerConfig(learning_rate=0.1, max_steps=len(table) - 1)
@@ -196,7 +197,7 @@ def test_engine_memory_does_not_grow_with_rows_times_steps():
     n, steps = 1000, 1000
 
     def evaluate(thetas):
-        return thetas[:, 0].copy(), None, np.ones_like(thetas)
+        return thetas[:, 0].copy(), np.ones_like(thetas)
 
     objective = optimize.Objective(Scenario(2, 2), True, evaluate)
     starts = np.zeros((n, objective.dim))
@@ -218,7 +219,7 @@ def test_search_that_never_improves_stops_at_half_budget(steps):
 
     def evaluate(thetas):
         calls.append(len(thetas))
-        return np.full(len(thetas), 1.5), None, np.ones_like(thetas)
+        return np.full(len(thetas), 1.5), np.ones_like(thetas)
 
     objective = optimize.Objective(Scenario(2, 2), True, evaluate)
     starts = random_starts(objective.dim, 2, seed=0)
@@ -235,7 +236,7 @@ def test_row_is_abandoned_only_if_not_improved_by_half_budget():
     calls = iter(table)
 
     def evaluate(thetas):
-        return next(calls).copy(), None, np.ones_like(thetas)
+        return next(calls).copy(), np.ones_like(thetas)
 
     objective = optimize.Objective(Scenario(2, 2), True, evaluate)
     starts = np.zeros((2, objective.dim))
@@ -250,7 +251,7 @@ def test_stalled_row_stacked_gets_its_result_alone():
     # it is abandoned at step 8 alone, and stacked it keeps being evaluated past 1
     def evaluate(thetas):
         x = thetas[:, 0]
-        return np.where(x >= 1.0, x, 0.0), None, np.ones_like(thetas)
+        return np.where(x >= 1.0, x, 0.0), np.ones_like(thetas)
 
     objective = optimize.Objective(Scenario(2, 2), True, evaluate)
     starts = np.zeros((2, objective.dim))
@@ -378,14 +379,14 @@ def test_value_objective_correlator_shapes():
         # one row that every batch row shares, or one row per batch row
         for stack in (c[None, :], np.stack([c] * 3)):
             got = value_objective(bc, stack).evaluate(thetas)
-            assert np.array_equal(got[0], shared[0]) and np.array_equal(got[2], shared[2])
+            assert np.array_equal(got[0], shared[0]) and np.array_equal(got[1], shared[1])
         # a row alone gets the bits it gets in the batch, with c shared or its own
         cs = rng.uniform(-1, 1, size=(3, 9))
         mixed = value_objective(bc, cs).evaluate(thetas)
         for i in range(3):
             for ci, batch in ((c, shared), (cs[i], mixed)):
                 alone = value_objective(bc, ci).evaluate(thetas[i : i + 1])
-                assert alone[0][0] == batch[0][i] and np.array_equal(alone[2][0], batch[2][i])
+                assert alone[0][0] == batch[0][i] and np.array_equal(alone[1][0], batch[1][i])
     for bad in (c.reshape(3, 3), c[:8], np.zeros((2, 3, 9))):
         with pytest.raises(ValueError, match="shape"):
             value_objective(GISIN_2, bad)
@@ -406,8 +407,8 @@ def test_value_objective_evaluates_the_factory_closure(monkeypatch):
     objective = value_objective(gisin_variant(2.0), SINGLET)
     assert len(made) == 1 and objective.evaluate is made[0]
     thetas = np.stack([_random_settings(np.random.default_rng(58), 4, 3).to_vector()] * 5)
-    values, payload, grad = objective.evaluate(thetas)
-    assert values.shape == (5,) and payload is None and grad.shape == (5, objective.dim)
+    values, grad = objective.evaluate(thetas)
+    assert values.shape == (5,) and grad.shape == (5, objective.dim)
 
 
 
@@ -484,10 +485,10 @@ def _bounce_every_half_step(alpha, ms, c, cfg, max_loops=10, gap_tol=1e-6):
         h = build_transfer_matrix(ms) @ alpha.alpha.ravel()
         res = optimize.run_search(bound_objective(h, alpha.scenario), ms.to_vector()[None, :], cfg)
         if res.value > beta_c:
-            ms, alpha, beta_c = res.settings, res.alpha, res.value
+            ms, alpha, beta_c = res.settings, solve_alpha(res.settings, h), res.value
         records.append(("maximize-classical-bound", beta_c, quantum_value_from_data(c, ms, alpha)))
         gap = records[-1][2] - beta_c
-        if gap_prev - gap < gap_tol:
+        if gap_prev - gap <= gap_tol:
             break
         gap_prev = gap
     return records
@@ -522,6 +523,17 @@ def test_bounce_skips_a_repeated_bound_ascent_with_the_same_records(monkeypatch,
     assert [(r.kind, r.beta_c, r.beta_q) for r in res.records] == want
     assert len(calls) - ran == len(want) - 1 and ran == len(want) - 1 - skips
     assert calls[ran - 1] == (skips == 0)  # after a skip, the last search run is a descent
+
+
+def test_bounce_with_zero_gap_tolerance_stops_on_an_unchanged_gap():
+    # from loop 8 at p = 0.010 a loop leaves the gap exactly as it was; gap_tol = 0
+    # stops there, with the records the default tolerance gives
+    ms = tetrahedron_axes_settings()
+    cfgs = dict(min_cfg=OptimizerConfig(0.01, 100), max_cfg=OptimizerConfig(0.02, 100))
+    exact = bounce_loop(GISIN_2, ms, NOISY_SINGLET, gap_tol=0.0, **cfgs)
+    assert exact.converged and exact.loops == 8 and len(exact.records) == 17
+    assert exact.records[-1].gap == exact.records[-3].gap
+    assert exact.records == bounce_loop(GISIN_2, ms, NOISY_SINGLET, **cfgs).records
 
 
 def test_bounce_accepts_operator_start():
@@ -567,10 +579,3 @@ def test_bounce_rejects_nonfinite_correlators_before_searching(monkeypatch, bad)
     c[0] = bad
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         bounce_loop(gisin_variant(2.0), tetrahedron_axes_settings(), c)
-
-
-def test_adam_state_is_immutable():
-    state = adam_init(np.zeros(2))
-    assert isinstance(state, AdamState)
-    with pytest.raises(AttributeError):
-        state.step = 3

@@ -174,7 +174,7 @@ def test_unique_kernel_singular_batch_falls_back():
 
 def test_bound_objective_row_ignores_singular_neighbour():
     # a neighbour whose first two A settings are both (0, 0) has an exactly
-    # singular NA; a generic row's value, payload and gradient keep their bits
+    # singular NA; a generic row's value and gradient keep their bits
     objective = bound_objective(H_G_COEFFS, Scenario(3, 3))
     generic = np.random.default_rng(6).uniform(0, np.pi, objective.dim)
     singular = generic.copy()
@@ -310,7 +310,7 @@ def test_value_gradient_matches_central_difference(step, case):
     # the tolerance, so it is divided out rather than ignored.
     alpha, c, thetas = case
     objective = value_objective(alpha, c)
-    grad = objective.evaluate(thetas)[2]
+    grad = objective.evaluate(thetas)[1]
     ref = oracle_central_difference(lambda x: objective.evaluate(x)[0], thetas, step)
     ref /= np.sin(step) / step
     assert grad.shape == thetas.shape

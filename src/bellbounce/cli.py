@@ -57,6 +57,7 @@ from .noise import (
     PLACEMENT_AFTER_EACH_GATE,
     PLACEMENTS,
     prepare_noisy_singlet,
+    prepare_noisy_singlets,
 )
 from .optimize import (
     DEFAULT_ASCENT,
@@ -76,9 +77,9 @@ from .serialize import format_float, write_csv, write_json, write_json_lines
 
 __all__ = ["main"]
 
-# Each grid point runs a noisy-singlet simulation and adds its starts' rows to
-# the sweep's shared search; 10,000 points is far above the paper's 15-point
-# grid and still a bounded run.
+# Each grid point adds one state to the noisy-singlet circuit's stack and its
+# starts' rows to the sweep's shared search; 10,000 points is far above the
+# paper's 15-point grid and still a bounded run.
 MAX_P_GRID_POINTS = 10_000
 
 # Every option, declared once: its type and its argparse extras. A flag's text
@@ -320,11 +321,12 @@ def _parse_p_grid(text: str) -> np.ndarray:
     if step <= 0 or stop < start:
         raise ValueError(f"bad p grid {text!r}")
     # clamped first: the quotient is inf for a tiny enough step; the tolerance keeps
-    # a stop the steps reach up to rounding (14 steps for 0:0.014:0.001)
+    # a stop the steps reach up to rounding (14 steps for 0:0.014:0.001), and the
+    # points are clamped to the stop, which such a last point may overshoot
     n = int(np.floor(min((stop - start) / step, MAX_P_GRID_POINTS) + 1e-9))
     if n + 1 > MAX_P_GRID_POINTS:
         raise ValueError(f"p grid {text!r} has more than {MAX_P_GRID_POINTS} points")
-    return start + step * np.arange(n + 1)
+    return np.minimum(start + step * np.arange(n + 1), stop)
 
 
 def _cmd_ineq2ham(cfg: dict):
@@ -340,12 +342,9 @@ def _cmd_ineq2ham(cfg: dict):
     if cfg["data_file"] is not None:
         sources = [(None, _load_correlator_file(cfg["data_file"]))]
     else:
-        grid = _parse_p_grid(cfg["p_grid"])
-        placement = cfg["noise_placement"]
-        sources = [
-            (float(p), correlator_vector(prepare_noisy_singlet(NoiseModel(float(p), placement))))
-            for p in grid
-        ]
+        models = [NoiseModel(p, cfg["noise_placement"]) for p in _parse_p_grid(cfg["p_grid"]).tolist()]
+        cs = correlator_vector(prepare_noisy_singlets(models))
+        sources = [(nm.p, c) for nm, c in zip(models, cs)]
     minima = sweep_minima(bc, [c for _, c in sources], starts, opt_cfg)
     rows = []
     for (p, c), best in zip(sources, minima.tolist()):

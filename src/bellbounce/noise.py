@@ -6,8 +6,10 @@ N_p(rho) = (1-3p) rho + p (X rho X + Y rho Y + Z rho Z) applied on one qubit;
 it is a valid probability mixture for 0 <= p <= 1/3 and contracts that
 qubit's Bloch components by (1 - 4p).
 
-Every gate and every channel validates its output state (trace, Hermiticity,
-positivity), so CPTP violations surface immediately rather than as corrupted
+The circuit runs on a stack of states, one per noise model, so a whole noise
+sweep is one pass. Every gate and every channel validates every state in its
+output stack (finite entries, trace, Hermiticity, positivity), once per gate or
+channel, so CPTP violations surface immediately rather than as corrupted
 correlators downstream.
 """
 
@@ -27,6 +29,7 @@ __all__ = [
     "SINGLET_CIRCUIT",
     "apply_depolarizing",
     "prepare_noisy_singlet",
+    "prepare_noisy_singlets",
 ]
 
 PLACEMENT_AFTER_EACH_GATE = "after-each-gate-on-touched-qubits"
@@ -71,9 +74,13 @@ def apply_depolarizing(rho, qubit: int, p: float) -> np.ndarray:
         raise ValueError(f"noise strength must lie in [0, 1/3], got {p!r}")
     if qubit not in (0, 1):
         raise ValueError(f"qubit index must be 0 or 1, got {qubit!r}")
-    rho = np.asarray(rho, dtype=complex)
+    return _depolarize(np.asarray(rho, dtype=complex), int(qubit), p)
+
+
+def _depolarize(rho: np.ndarray, qubit: int, p) -> np.ndarray:
+    # p is a strength or an array of them that broadcasts against the stack rho
     out = (1.0 - 3.0 * p) * rho
-    for k in EMBEDDED_PAULIS[int(qubit)]:
+    for k in EMBEDDED_PAULIS[qubit]:
         out += p * (k @ rho @ k.conj().T)
     return check_state(out)
 
@@ -86,14 +93,35 @@ def prepare_noisy_singlet(nm: NoiseModel) -> np.ndarray:
     two). Final-state-only runs the circuit noiselessly and applies one
     channel per qubit at the end. At p = 0 both give the exact singlet.
     """
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
+    return _singlet_circuit(nm.p, nm.placement, ())
+
+
+def prepare_noisy_singlets(models) -> np.ndarray:
+    """Run the singlet circuit once on a stack of states, one per noise model (k, 4, 4).
+
+    The models share one placement. Each state in the stack has the bits that
+    prepare_noisy_singlet gives its model.
+
+    Raises:
+        ValueError: on an empty stack, or models with different placements.
+    """
+    placements = {nm.placement for nm in models}
+    if len(placements) != 1:
+        raise ValueError(f"need noise models with one placement, got {sorted(placements)}")
+    p = np.array([nm.p for nm in models])
+    return _singlet_circuit(p[:, None, None], placements.pop(), p.shape)
+
+
+def _singlet_circuit(p, placement: str, shape: tuple) -> np.ndarray:
+    # the circuit on a stack of the given shape from |00>; p broadcasts against it
+    rho = np.zeros(shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = 1.0
     for u, touched in SINGLET_CIRCUIT:
         rho = check_state(u @ rho @ u.conj().T)
-        if nm.placement == PLACEMENT_AFTER_EACH_GATE:
+        if placement == PLACEMENT_AFTER_EACH_GATE:
             for qubit in touched:
-                rho = apply_depolarizing(rho, qubit, nm.p)
-    if nm.placement == PLACEMENT_FINAL_ONLY:
+                rho = _depolarize(rho, qubit, p)
+    if placement == PLACEMENT_FINAL_ONLY:
         for qubit in (0, 1):
-            rho = apply_depolarizing(rho, qubit, nm.p)
+            rho = _depolarize(rho, qubit, p)
     return rho

@@ -10,13 +10,15 @@ into the angles and moments in place. The bound objective solves
 NA^T alpha NB = H on the Kronecker factors of T with mapping's batch kernel,
 and its gradient is analytic: the bound is a minimum over strategies, so the
 winning strategy's correlators a* b*^T are its subgradient in alpha, chained
-through the derivative of the factors' pseudo-inverses to the angles. A bound
-search returns angles only; its inequality is solve_alpha at the winning
-settings, the same kernel on the same angles. The value objective is linear
-in each Bloch vector, so its gradient is exact and analytic, one point per
-restart per step, and by Euler's identity its value is
+through the derivative of the factors' pseudo-inverses to the Bloch vectors.
+A bound search returns angles only; its inequality is solve_alpha at the
+winning settings, the same kernel on the same angles. The value objective is
+linear in each Bloch vector, so its gradient is exact and analytic, one point
+per restart per step, and by Euler's identity its value is
 sum_a nA_a . d beta_Q/d nA_a: the gradient's party-A half scores the point. It
-takes one correlator vector c for the whole batch or one per row.
+takes one correlator vector c for the whole batch or one per row. Both
+objectives chain their gradient in the Bloch vectors to the angles in closed
+form (pauli._bloch_chain), from the cosines and sines of the angles.
 
 The classical bound is only piecewise smooth, so correctness rests on
 best-so-far tracking, not smooth convergence: the reported optimum is always
@@ -58,7 +60,7 @@ from .mapping import (
     quantum_value_from_data,
     solve_alpha,
 )
-from .pauli import _bloch_batch
+from .pauli import _bloch_batch, _bloch_chain
 
 __all__ = [
     "OptimizerConfig",
@@ -214,7 +216,7 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
         if n not in checked:
             _check_bound_batch(n, m1, m2)
             checked.add(n)
-        bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
+        bloch, trig = _bloch_batch(thetas.reshape(n, m1 + m2, 2), trig=True)
         na, nb = bloch[:, :m1], bloch[:, m1:]
         with np.errstate(all="ignore"):
             alpha, pa, pbt = _solve_unique_batch(na, nb, hmat)
@@ -222,8 +224,9 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
             feasible = _residual_batch(na, nb, alpha, hmat) <= gate
             bounds, a, b = _enumerated_bounds(alpha)
             g = a[:, :, None] * b[:, None, :]
+            # the bound's gradient in each Bloch vector, chained to that vector's angles
             ga, gb = _factor_gradients(na, nb, alpha, pa, pbt, hmat, g)
-            grad = (dbloch @ np.concatenate([ga, gb], axis=1)[..., None]).reshape(n, -1)
+            grad = _bloch_chain(trig, np.concatenate([ga, gb], axis=1)).reshape(n, -1)
         # an infeasible point scores -inf; its gradient, and any non-finite entry, is 0
         finite = np.isfinite(grad)
         if not feasible.all():
@@ -238,22 +241,23 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
 
 def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
     # d beta_Q/d nA_a = C sum_b alpha_ab nB_b and d beta_Q/d nB_b = C^T sum_a alpha_ab nA_a,
-    # chained to the angles. The value comes from the first half: beta_Q is linear
-    # in each nA_a, so by Euler's identity it is sum_a nA_a . d beta_Q/d nA_a, and
-    # _quantum_values returns that half with it.
+    # chained to each vector's angles by _bloch_chain's closed form. The value comes
+    # from the first half: beta_Q is linear in each nA_a, so by Euler's identity it is
+    # sum_a nA_a . d beta_Q/d nA_a, and _quantum_values returns that half with it.
     # c holds one correlator row per batch row, or one row that every row shares.
     cmats = np.asarray(c, dtype=float).reshape(-1, 3, 3)
     alpha_mat = np.asarray(alpha_mat, dtype=float)
+    alpha_t = alpha_mat.T
 
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
         if len(cmats) not in (1, n):
             raise ValueError(f"{len(cmats)} correlator rows for a batch of {n}")
-        bloch, dbloch = _bloch_batch(thetas.reshape(n, m1 + m2, 2), derivatives=True)
+        bloch, trig = _bloch_batch(thetas.reshape(n, m1 + m2, 2), trig=True)
         na, nb = bloch[:, :m1], bloch[:, m1:]
         values, ga = _quantum_values(na, nb, cmats, alpha_mat)
-        g = np.concatenate([ga, alpha_mat.T @ na @ cmats], axis=1)
-        grad = (dbloch @ g[..., None]).reshape(n, -1)
+        g = np.concatenate([ga, alpha_t @ na @ cmats], axis=1)
+        grad = _bloch_chain(trig, g).reshape(n, -1)
         finite = np.isfinite(grad)
         if not finite.all():
             np.copyto(grad, 0.0, where=~finite)

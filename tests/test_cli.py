@@ -300,6 +300,20 @@ def test_p_grid_stays_inside_its_stop():
     assert cli._parse_p_grid("0:0.012:0.004").tolist() == [0.0, 0.004, 0.008, 0.012]
     assert cli._parse_p_grid("0:0.014:0.001").tolist() == (0.001 * np.arange(15)).tolist()
     assert cli._parse_p_grid("0.01:0.01:0.001").tolist() == [0.01]
+    # a last point that rounds past its stop is clamped to it: 2/15 + 3 * (1/15)
+    # is 0.33333333333333337, above NoiseModel's 1/3
+    third = cli._parse_p_grid("0.13333333333333333:0.3333333333333333:0.06666666666666667")
+    assert len(third) == 4 and third[-1] == 1 / 3 and np.all(third <= 1 / 3)
+
+
+def test_ineq2ham_grid_ending_at_one_third(capsys, tmp_path):
+    argv = ["ineq2ham", "--p-grid", "0.13333333333333333:0.3333333333333333:0.06666666666666667",
+            "--restarts", "0", "--steps", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = json.loads((tmp_path / "ineq2ham_summary.json").read_text())["rows"]
+    # the files carry 12 digits, so the last p reads as 1/3 rounded
+    assert len(rows) == 4 and rows[-1][0] == float(format_float(1 / 3))
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"p={format_float(1 / 3)} ")
 
 
 def test_bound_search_beyond_budget_refused_before_any_start(capsys, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from bellbounce.noise import (
     NoiseModel,
     apply_depolarizing,
     prepare_noisy_singlet,
+    prepare_noisy_singlets,
 )
 from bellbounce.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, check_state, correlator_vector
 from bellbounce.presets import tetrahedron_axes_settings
@@ -114,6 +115,32 @@ def test_every_gate_and_channel_is_checked(monkeypatch):
         checked.clear()
         rho = prepare_noisy_singlet(NoiseModel(0.01, placement))
         assert len(checked) == count and checked[-1] is rho
+        # a stacked run checks each gate's and channel's whole stack once
+        for k in (1, 2, 15):
+            checked.clear()
+            rho = prepare_noisy_singlets([NoiseModel(0.001 * i, placement) for i in range(k)])
+            assert len(checked) == count and checked[-1] is rho
+            assert all(state.shape == (k, 4, 4) for state in checked)
+
+
+def test_stacked_run_keeps_each_states_bits():
+    # the benchmark grid, plus both ends of the valid range
+    ps = [*(0.001 * np.arange(15)).tolist(), 0.0, P_MAX]
+    for placement in (PLACEMENT_AFTER_EACH_GATE, PLACEMENT_FINAL_ONLY):
+        rhos = prepare_noisy_singlets([NoiseModel(p, placement) for p in ps])
+        cs = correlator_vector(rhos)
+        assert rhos.shape == (len(ps), 4, 4) and cs.shape == (len(ps), 9)
+        for p, rho, c in zip(ps, rhos, cs):
+            alone = prepare_noisy_singlet(NoiseModel(p, placement))
+            assert np.array_equal(rho, alone)
+            assert np.array_equal(np.signbit(rho.view(float)), np.signbit(alone.view(float)))
+            assert np.array_equal(c, correlator_vector(alone))
+
+
+def test_stacked_run_needs_one_placement():
+    for models in ([], [NoiseModel(0.01), NoiseModel(0.01, PLACEMENT_FINAL_ONLY)]):
+        with pytest.raises(ValueError, match="one placement"):
+            prepare_noisy_singlets(models)
 
 
 def test_states_stay_physical():

@@ -8,6 +8,7 @@ from bellbounce.pauli import (
     SIGMA_Y,
     SIGMA_Z,
     _bloch_batch,
+    _bloch_chain,
     check_state,
     correlator_vector,
     min_eigenvalue,
@@ -61,17 +62,21 @@ def _textbook_bloch(angles, derivatives=False):
 
 
 def test_bloch_batch_keeps_the_textbook_bits():
+    # n keeps the textbook bits; the closed-form chain rounds differently from the
+    # textbook's dn @ g, so it is held to 4 ulps of the summed term magnitudes
     rng = np.random.default_rng(7)
     batch = rng.uniform(-7, 7, size=(5, 7, 2))
     wide = rng.uniform(-7, 7, size=(5, 7, 5))
+    eps = np.finfo(float).eps
     for angles in (rng.uniform(-7, 7, size=2), batch, wide[:, ::2, 1:4:2], batch[::-1, 1:]):
         assert np.array_equal(_bloch_batch(angles), _textbook_bloch(angles))
-        n, dn = _bloch_batch(angles, derivatives=True)
-        want_n, want_dn = _textbook_bloch(angles, derivatives=True)
-        assert n.shape == want_n.shape and dn.shape == want_dn.shape
-        assert np.array_equal(n, want_n) and np.array_equal(dn, want_dn)
-        # the zeros too, sign included
-        assert np.array_equal(np.signbit(dn), np.signbit(want_dn))
+        n, trig = _bloch_batch(angles, trig=True)
+        want_n, dn = _textbook_bloch(angles, derivatives=True)
+        assert n.shape == want_n.shape and np.array_equal(n, want_n)
+        g = rng.normal(size=n.shape)
+        got = _bloch_chain(trig, g).reshape(angles.shape)
+        want = (dn @ g[..., None])[..., 0]
+        assert np.all(np.abs(got - want) <= 4 * eps * np.abs(dn * g[..., None, :]).sum(axis=-1))
 
 
 def test_observable_from_bloch():
@@ -119,6 +124,52 @@ def test_check_state():
     bad[0, 1] = 1j
     with pytest.raises(ValueError):
         check_state(bad)
+
+
+def test_non_finite_entries_are_refused():
+    # every comparison with nan is False, so only an explicit rule catches them
+    singlet = np.zeros((4, 4), dtype=complex)
+    singlet[1, 1] = singlet[2, 2] = 0.5
+    singlet[1, 2] = singlet[2, 1] = -0.5
+    bad = singlet.copy()
+    bad[0, 3] = bad[3, 0] = np.nan
+    for rho in (bad, np.stack([singlet, bad]), np.stack([[singlet], [singlet + np.inf]])):
+        with pytest.raises(ValueError, match="^state has a non-finite entry$"):
+            check_state(rho)
+        with pytest.raises(ValueError, match="^state has a non-finite entry$"):
+            correlator_vector(rho)
+    for op in (np.full((4, 4), np.nan), np.stack([np.eye(4), np.diag([1.0, np.inf, 0.0, 0.0])])):
+        with pytest.raises(ValueError, match="^operator has a non-finite entry$"):
+            min_eigenvalue(op)
+
+
+def test_stacks_are_checked_state_by_state():
+    rng = np.random.default_rng(10)
+    g = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    rhos = g @ g.conj().swapaxes(-1, -2)
+    rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
+    assert check_state(rhos).shape == (2, 3, 4, 4)
+    lam = min_eigenvalue(rhos)
+    c = correlator_vector(rhos)
+    assert lam.shape == (2, 3) and c.shape == (2, 3, 9)
+    for i in np.ndindex(2, 3):
+        assert lam[i] == min_eigenvalue(rhos[i])
+        assert np.array_equal(c[i], correlator_vector(rhos[i]))
+    # one failing state fails the stack, with that state's figure
+    bad = rhos.copy()
+    bad[1, 2] *= 2.0
+    with pytest.raises(ValueError, match="^state trace is 2.0, expected 1$"):
+        check_state(bad)
+    bad = rhos.copy()
+    bad[0, 1] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^state has negative eigenvalue -0.5$"):
+        check_state(bad)
+    bad = rhos.copy()
+    bad[1, 0, 0, 1] += 1j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_state(bad)
+    with pytest.raises(ValueError, match="must be 4x4"):
+        check_state(rhos[..., :3])
 
 
 def test_correlator_vector_singlet():

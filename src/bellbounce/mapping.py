@@ -50,7 +50,7 @@ MAX_COND_SQUARED = 1e12
 
 
 class LinearSolveError(RuntimeError):
-    """T . alpha = h could not be solved to tolerance (rank or residual)."""
+    """T . alpha = h could not be solved within the residual gate."""
 
 
 @dataclass(frozen=True)
@@ -151,13 +151,6 @@ def _quantum_values(na, nb, cmats, alpha) -> tuple[np.ndarray, np.ndarray]:
     return np.add.reduce((na * ga).reshape(len(na), -1), axis=1), ga
 
 
-def _rank_deficient(na, nb) -> np.ndarray:
-    # cond(T) = cond(NA) cond(NB), since T's singular values are the products;
-    # a product that overflows to inf is deficient.
-    with np.errstate(over="ignore"):
-        return np.linalg.cond(na) * np.linalg.cond(nb) >= 1.0 / RANK_RCOND
-
-
 def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     """Minimum-norm alpha of NA^T alpha NB = H for batches na (n, m1, 3), nb (n, m2, 3).
 
@@ -206,9 +199,10 @@ def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     Returns (alpha, pa, pbt), the same triple as _solve_min_norm_batch. Rows
     whose inversion fails, or (unless both factors are 3x3) whose inverted
     matrices are not finite or may be badly conditioned (see
-    MAX_COND_SQUARED), take _solve_min_norm_batch's values instead; at 3x3,
-    where the solution is unique, a rank-deficient row's alpha is nan. hmat is
-    (3, 3) or (n, 3, 3); a row gets the same bits alone as in any batch.
+    MAX_COND_SQUARED), take _solve_min_norm_batch's values instead. No row is
+    refused here: the residual gate decides whether a row's alpha solves its
+    system. hmat is (3, 3) or (n, 3, 3); a row gets the same bits alone as in
+    any batch.
     """
     n, m1, m2 = len(na), na.shape[1], nb.shape[1]
     square, stacked = m1 == m2 == 3, m1 >= 3 and m2 >= 3
@@ -222,10 +216,7 @@ def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
             hs = np.broadcast_to(hmat, (n, 3, 3))
             rows = [_solve_unique_batch(a, b, h) for a, b, h in zip(na[:, None], nb[:, None], hs)]
             return tuple(np.concatenate(parts) for parts in zip(*rows))
-        alpha, pa, pbt = _solve_min_norm_batch(na, nb, hmat)
-        if square:
-            alpha[_rank_deficient(na, nb)] = np.nan
-        return alpha, pa, pbt
+        return _solve_min_norm_batch(na, nb, hmat)
     pa, pbt = _pinv_from(na, invs[0]).swapaxes(-1, -2), _pinv_from(nb, invs[1])
     alpha = pa @ hmat @ pbt
     alpha += pa @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ pbt
@@ -273,17 +264,19 @@ def solve_alpha(ms: MeasurementSettings, h) -> BellCoeffs:
 
     Raises:
         ValueError: if h does not have shape (9,).
-        LinearSolveError: if a 3x3 T is numerically rank-deficient, or the
-            residual exceeds 1e-8 * max(1, ||h||) (h not representable).
+        LinearSolveError: if the residual exceeds 1e-8 * max(1, ||h||) or is
+            not finite (h not representable at these settings). This is the
+            optimizer's feasibility gate, so a point the bound objective
+            scores finite is always solved.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (9,):
         raise ValueError(f"h must have shape (9,), got {h.shape}")
     na, nb, hmat = ms.bloch_a()[None], ms.bloch_b()[None], h.reshape(3, 3)
-    if ms.m1 == ms.m2 == 3 and _rank_deficient(na, nb)[0]:
-        raise LinearSolveError("transfer matrix is numerically rank-deficient")
-    alpha = _solve_unique_batch(na, nb, hmat)[0][0]
-    res = float(_residual_batch(na[0], nb[0], alpha, hmat))
+    # as in the optimizer: a nearly singular T may overflow, and the gate refuses it
+    with np.errstate(all="ignore"):
+        alpha = _solve_unique_batch(na, nb, hmat)[0][0]
+        res = float(_residual_batch(na[0], nb[0], alpha, hmat))
     if not np.isfinite(res) or res > _residual_gate(h):
         raise LinearSolveError(
             f"inconsistent system: residual {res!r} for these settings"

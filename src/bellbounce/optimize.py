@@ -220,7 +220,7 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
         na, nb = bloch[:, :m1], bloch[:, m1:]
         with np.errstate(all="ignore"):
             alpha, pa, pbt = _solve_unique_batch(na, nb, hmat)
-            # a nan alpha (rank-deficient 3x3 T) fails the gate
+            # the one feasibility rule, solve_alpha's too: a nan residual fails it
             feasible = _residual_batch(na, nb, alpha, hmat) <= gate
             bounds, a, b = _enumerated_bounds(alpha)
             g = a[:, :, None] * b[:, None, :]
@@ -506,8 +506,9 @@ def bounce_loop(
         ValueError: on a bad budget or tolerance, correlators outside [-1, 1]
             (nan or inf included), or settings that do not match the
             inequality's scenario; each before any search starts.
-        LinearSolveError: if solve_alpha refuses the operator start or a winning
-            ascent's settings (a 3x3 T with cond(T) >= 1e10, for one).
+        LinearSolveError: if solve_alpha refuses the operator start: its h
+            leaves a residual above the gate at ms0. A winning ascent's settings
+            passed the same gate, so solve_alpha does not refuse them.
     """
     if max_loops < 1:
         raise ValueError("loop budget must be positive")

@@ -153,7 +153,8 @@ def check_state(rho) -> np.ndarray:
     bad = np.abs(tr - 1.0) > TRACE_TOL
     if bad.any():
         raise ValueError(f"state trace is {float(tr[bad][0])!r}, expected 1")
-    lam = np.min(min_eigenvalue(rho))
+    # min_eigenvalue would check rho a second time
+    lam = np.min(np.linalg.eigvalsh(rho)[..., 0])
     if lam < -POSITIVITY_TOL:
         raise ValueError(f"state has negative eigenvalue {float(lam)!r}")
     return rho

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bellbounce import pauli
 from bellbounce.pauli import (
     EMBEDDED_PAULIS,
     IDENTITY_2,
@@ -9,6 +10,7 @@ from bellbounce.pauli import (
     SIGMA_Z,
     _bloch_batch,
     _bloch_chain,
+    _check_hermitian,
     check_state,
     correlator_vector,
     min_eigenvalue,
@@ -170,6 +172,26 @@ def test_stacks_are_checked_state_by_state():
         check_state(bad)
     with pytest.raises(ValueError, match="must be 4x4"):
         check_state(rhos[..., :3])
+
+
+def test_check_state_checks_each_state_once(monkeypatch):
+    # one Hermiticity check per call, single state or stack, and the same bits
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    rhos = g @ g.conj().swapaxes(-1, -2)
+    rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
+    want = [check_state(rhos), check_state(rhos[0])]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _check_hermitian(*args)
+
+    monkeypatch.setattr(pauli, "_check_hermitian", counted)
+    for rho, ref in zip((rhos, rhos[0]), want):
+        calls.clear()
+        assert np.array_equal(check_state(rho), ref)
+        assert calls == ["state"]
 
 
 def test_correlator_vector_singlet():

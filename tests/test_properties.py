@@ -110,8 +110,13 @@ def test_factored_solve_matches_full_solve(mode, data):
     shape_mode = "unique" if (ms.m1, ms.m2) == (3, 3) else "min_norm"  # solve_alpha's kernel
     if solve_tolerance(t) is not None:
         if oracle_solve(t, h, shape_mode) is None:
-            with pytest.raises(LinearSolveError):
+            # T is rank-deficient: solve_alpha refuses exactly what the engine scores -inf
+            objective = bound_objective(h, Scenario(ms.m1, ms.m2))
+            if np.isfinite(objective.evaluate(ms.to_vector()[None])[0][0]):
                 solve_alpha(ms, h)
+            else:
+                with pytest.raises(LinearSolveError):
+                    solve_alpha(ms, h)
         else:
             assert_matches_oracle(t, h, shape_mode, solve_alpha(ms, h).alpha)
     # the pseudo-inverse kernel against its shape's oracle, and the SVD kernel
@@ -143,7 +148,9 @@ def test_unique_kernel_singular_batch_falls_back():
     h = t @ rng.normal(size=9)
     alpha, pa, pbt = _solve_unique_batch(na, nb, h.reshape(3, 3))
     assert_matches_oracle(t, h, "unique", alpha[0])
-    assert np.all(np.isnan(alpha[1]))
+    # the singular row gets the SVD solve, as at any other shape
+    for got, want in zip((alpha, pa, pbt), _solve_min_norm_batch(na[1:], nb[1:], h.reshape(3, 3))):
+        assert np.array_equal(got[1:], want)
     # the good row gets, bit for bit, what it gets alone
     solo = _solve_unique_batch(na[:1], nb[:1], h.reshape(3, 3))
     for got, want in zip((alpha, pa, pbt), solo):
@@ -183,6 +190,33 @@ def test_bound_objective_row_ignores_singular_neighbour():
     batched = objective.evaluate(np.stack([generic, singular]))
     for got, want in zip(batched, alone):
         assert np.array_equal(got[:1], want)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("operator", ["H_G", "elegant", "random"])
+def test_solve_alpha_refuses_exactly_what_the_engine_scores_infeasible(operator, shape):
+    # Near-degenerate points: party A's third setting within 10^-k of its first, k = 5..9,
+    # where T's condition number climbs past 1e10 and the residual gate starts refusing.
+    # One feasibility rule: solve_alpha returns exactly where the bound objective scores a
+    # point finite, and the alpha it returns has the engine's bound to the bit.
+    m1, m2 = shape
+    rng = np.random.default_rng(31)
+    h = {"H_G": H_G_COEFFS, "elegant": ELEGANT_COEFFS}.get(operator)
+    h = rng.normal(size=9) if h is None else h
+    objective = bound_objective(h, Scenario(m1, m2))
+    for k in range(5, 10):
+        thetas = rng.uniform(0, 2 * np.pi, size=(400, objective.dim))
+        step = rng.normal(size=(len(thetas), 2))
+        thetas[:, 4:6] = thetas[:, :2] + 10.0**-k * step / np.linalg.norm(step, axis=1, keepdims=True)
+        values = objective.evaluate(thetas)[0]
+        for theta, value in zip(thetas, values):
+            ms = MeasurementSettings.from_vector(m1, m2, theta)
+            if np.isfinite(value):
+                alpha = solve_alpha(ms, h).alpha
+                assert _enumerated_bounds(alpha[None])[0][0] == value
+            else:
+                with pytest.raises(LinearSolveError):
+                    solve_alpha(ms, h)
 
 
 @st.composite

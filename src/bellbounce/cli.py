@@ -47,6 +47,7 @@ from .mapping import (
     RANK_RCOND,
     RESIDUAL_RTOL,
     LinearSolveError,
+    _residual_gate,
     bell_operator,
     quantum_value_from_data,
     residual_norm,
@@ -281,6 +282,14 @@ def _cmd_classical_bound(cfg: dict):
 def _cmd_ham2ineq(cfg: dict):
     h = _resolve_h(cfg)
     scenario = Scenario(cfg["m1"], cfg["m2"])
+    # NA^T alpha NB has rank at most k = min(m1, m2), so no settings leave a residual below
+    # H's best rank-k one (Eckart-Young); at k = 3 that is 0, and no SVD need run
+    k = min(scenario.m1, scenario.m2)
+    if k < 3:
+        floor = float(np.linalg.norm(np.linalg.svd(h.reshape(3, 3), compute_uv=False)[k:]))
+        if floor > _residual_gate(h):
+            raise ValueError(f"h has no representation with {k} settings for a party: "
+                             f"its best rank-{k} residual {floor:.3g} exceeds the residual gate")
     opt_cfg = _search_cfg(DEFAULT_ASCENT, cfg)
     objective = bound_objective(h, scenario)
     _check_bound_batch(cfg["restarts"], scenario.m1, scenario.m2)

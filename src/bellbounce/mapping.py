@@ -11,11 +11,12 @@ the explicit 9 x (m1*m2) array when one is wanted.
 
 T = NA^T (x) NB^T, so T . alpha = h is NA^T alpha NB = H (H = h as 3x3), solved
 on the 3-column factors (pinv(A (x) B) = pinv(A) (x) pinv(B), Van Loan 2000) by
-one batch kernel shared with the optimizer: a square factor is inverted, any
-other through its Gram matrix, and a badly conditioned row falls back to an SVD
-solve. T's singular values are the products of the factors', so that solve's
-rank cutoff applies to those products. The kernel also returns the factors'
-pseudo-inverses, which the optimizer's bound gradient reuses.
+one batch kernel shared with the optimizer. It inverts only 3x3 matrices, in
+one call: a factor of 3 settings itself, one of more its Gram matrix. A party
+with fewer than 3 settings, or a singular or badly conditioned row, takes an
+SVD solve. T's singular values are the products of the factors', so that
+solve's rank cutoff applies to those products. The kernel also returns the
+factors' pseudo-inverses, which the optimizer's bound gradient reuses.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8
 # Relative singular-value cutoff for rank decisions and pseudo-inversion.
 RANK_RCOND = 1e-10
-# Outside 3x3 a row is solved by SVD instead when a matrix the kernel inverts
-# may have a condition number above 1e6: the factor itself if square, else its
-# Gram matrix, whose condition number is the factor's squared (Golub & Van
-# Loan, Matrix Computations, 5.3).
+# Unless both factors are 3x3, a row is solved by SVD instead when a 3x3 matrix
+# the kernel inverts may have a condition number above 1e6: the factor itself at
+# 3 settings, else its Gram matrix, whose condition number is the factor's
+# squared (Golub & Van Loan, Matrix Computations, 5.3).
 MAX_COND_SQUARED = 1e12
 
 
@@ -172,45 +173,34 @@ def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
 
 
 def _inverted(f: np.ndarray) -> np.ndarray:
-    # The matrix inverted for pinv(F) of factors F (n, m, 3): F itself at m = 3, F^T F
-    # at m > 3 and F F^T at m < 3; 3x3 unless m < 3.
-    m = f.shape[-2]
-    if m == 3:
-        return f
-    ft = f.swapaxes(-1, -2)
-    return ft @ f if m > 3 else f @ ft
+    # The 3x3 matrix inverted for pinv(F) of factors F (n, m, 3), m >= 3: F itself at
+    # m = 3, F^T F at m > 3.
+    return f if f.shape[-2] == 3 else f.swapaxes(-1, -2) @ f
 
 
 def _pinv_from(f: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    # pinv(F) (n, 3, m) from the inverse of _inverted(F): F^-1 at m = 3,
-    # (F^T F)^-1 F^T at m > 3 and F^T (F F^T)^-1 at m < 3.
-    m = f.shape[-2]
-    if m == 3:
-        return inv
-    ft = f.swapaxes(-1, -2)
-    return inv @ ft if m > 3 else ft @ inv
+    # pinv(F) (n, 3, m) from the inverse of _inverted(F): F^-1 at m = 3, (F^T F)^-1 F^T at m > 3.
+    return inv if f.shape[-2] == 3 else inv @ f.swapaxes(-1, -2)
 
 
 def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     """alpha = pinv(T) h plus one refinement step, for batches na (n, m1, 3), nb (n, m2, 3).
 
     pinv(T) = pinv(NA^T) (x) pinv(NB^T), each factor's taken from the inverse of
-    _inverted(F); when both inverted matrices are 3x3, one call inverts both.
-    Returns (alpha, pa, pbt), the same triple as _solve_min_norm_batch. Rows
-    whose inversion fails, or (unless both factors are 3x3) whose inverted
-    matrices are not finite or may be badly conditioned (see
-    MAX_COND_SQUARED), take _solve_min_norm_batch's values instead. No row is
-    refused here: the residual gate decides whether a row's alpha solves its
-    system. hmat is (3, 3) or (n, 3, 3); a row gets the same bits alone as in
-    any batch.
+    the 3x3 matrix _inverted(F); one call inverts both factors' for every row.
+    Returns (alpha, pa, pbt), the same triple as _solve_min_norm_batch. A party
+    with fewer than 3 settings has no 3x3 matrix to invert, so such a batch
+    takes _solve_min_norm_batch's values, and so do rows whose inversion fails
+    or (unless both factors are 3x3) whose inverted matrices are not finite or
+    may be badly conditioned (see MAX_COND_SQUARED). No row is refused here:
+    the residual gate decides whether a row's alpha solves its system. hmat is
+    (3, 3) or (n, 3, 3); a row gets the same bits alone as in any batch.
     """
     n, m1, m2 = len(na), na.shape[1], nb.shape[1]
-    square, stacked = m1 == m2 == 3, m1 >= 3 and m2 >= 3
+    if min(m1, m2) < 3:  # NA^T alpha NB has rank below 3 (and T below 9)
+        return _solve_min_norm_batch(na, nb, hmat)
     try:
-        if stacked:
-            invs = np.linalg.inv(np.concatenate((_inverted(na), _inverted(nb)))).reshape(2, n, 3, 3)
-        else:  # a party of m < 3 settings inverts an m x m matrix
-            invs = [np.linalg.inv(_inverted(f)) for f in (na, nb)]
+        invs = np.linalg.inv(np.concatenate((_inverted(na), _inverted(nb)))).reshape(2, n, 3, 3)
     except np.linalg.LinAlgError:
         if n > 1:  # an exactly singular matrix: solve each row alone
             hs = np.broadcast_to(hmat, (n, 3, 3))
@@ -220,15 +210,12 @@ def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     pa, pbt = _pinv_from(na, invs[0]).swapaxes(-1, -2), _pinv_from(nb, invs[1])
     alpha = pa @ hmat @ pbt
     alpha += pa @ (hmat - na.swapaxes(-1, -2) @ alpha @ nb) @ pbt
-    if not square:
+    if not m1 == m2 == 3:
         # Bound on the squared Frobenius condition number of each inverted matrix X,
         # for factors of m unit rows (||F||_F^2 = m): ||X||_F^2 is m for X = F and at
         # most m^2 for a Gram matrix, times ||X^-1||_F^2. A nan or inf inverse fails
         # the test too; bounded ones give a finite alpha.
-        if stacked:
-            sq = np.einsum("knij,knij->kn", invs, invs)
-        else:
-            sq = np.stack([np.einsum("nij,nij->n", x, x) for x in invs])
+        sq = np.einsum("knij,knij->kn", invs, invs)
         sq[0] *= m1 if m1 == 3 else m1 * m1
         sq[1] *= m2 if m2 == 3 else m2 * m2
         ok = sq <= MAX_COND_SQUARED
@@ -250,10 +237,10 @@ def solve_alpha(ms: MeasurementSettings, h) -> BellCoeffs:
     """Solve T . alpha = h for the inequality coefficients.
 
     alpha is pinv(T) h, the least-squares solution of minimal Euclidean norm,
-    by the optimizer's kernel: each setting factor is inverted directly when
-    square and through its 3x3 or smaller Gram matrix otherwise, then one
-    iterative-refinement step is taken; badly conditioned factors fall back to
-    an SVD solve (cutoff 1e-10 relative on the singular values of T).
+    by the optimizer's kernel: it inverts each factor, or its 3x3 Gram matrix
+    at more than 3 settings, and takes one iterative-refinement step; a party
+    with fewer than 3 settings, or badly conditioned factors, take an SVD solve
+    (cutoff 1e-10 relative on the singular values of T).
 
     Args:
         ms: measurement settings; T is their transfer matrix.

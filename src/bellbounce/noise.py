@@ -93,14 +93,14 @@ def prepare_noisy_singlet(nm: NoiseModel) -> np.ndarray:
     two). Final-state-only runs the circuit noiselessly and applies one
     channel per qubit at the end. At p = 0 both give the exact singlet.
     """
-    return _singlet_circuit(nm.p, nm.placement, ())
+    return prepare_noisy_singlets([nm])[0]
 
 
 def prepare_noisy_singlets(models) -> np.ndarray:
     """Run the singlet circuit once on a stack of states, one per noise model (k, 4, 4).
 
-    The models share one placement. Each state in the stack has the bits that
-    prepare_noisy_singlet gives its model.
+    The models share one placement. A state's bits do not depend on the other
+    models in the stack.
 
     Raises:
         ValueError: on an empty stack, or models with different placements.
@@ -109,12 +109,12 @@ def prepare_noisy_singlets(models) -> np.ndarray:
     if len(placements) != 1:
         raise ValueError(f"need noise models with one placement, got {sorted(placements)}")
     p = np.array([nm.p for nm in models])
-    return _singlet_circuit(p[:, None, None], placements.pop(), p.shape)
+    return _singlet_circuit(p[:, None, None], placements.pop())
 
 
-def _singlet_circuit(p, placement: str, shape: tuple) -> np.ndarray:
-    # the circuit on a stack of the given shape from |00>; p broadcasts against it
-    rho = np.zeros(shape + (4, 4), dtype=complex)
+def _singlet_circuit(p: np.ndarray, placement: str) -> np.ndarray:
+    # the circuit on a stack of len(p) states from |00>, state i at strength p[i, 0, 0]
+    rho = np.zeros((len(p), 4, 4), dtype=complex)
     rho[..., 0, 0] = 1.0
     for u, touched in SINGLET_CIRCUIT:
         rho = check_state(u @ rho @ u.conj().T)

@@ -219,11 +219,28 @@ def test_unphysical_data_file_rejected_before_search(capsys, tmp_path):
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path):
-    # a generic 9-vector is unreachable in a 2x2 scenario
-    argv = ["ham2ineq", "--h", "1 .7 -.3 .2 -1 .4 .9 -.6 .5", "--m1", "2", "--m2", "2",
+    # a rank-2 H passes the rank screen at 2x2, but random settings miss the
+    # measure-zero set that represents it, so no start is feasible
+    argv = ["ham2ineq", "--h", "1 0 0 0 1 0 0 0 0", "--m1", "2", "--m2", "2",
             "--restarts", "2", "--steps", "30", "--out", str(tmp_path)]
     assert main(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "H_G", "--m1", "2"],
+    ["--preset", "gisin_elegant", "--m1", "4", "--m2", "2"],
+    ["--h", "1 .7 -.3 .2 -1 .4 .9 -.6 .5", "--m1", "2", "--m2", "2"],
+])
+def test_ham2ineq_refuses_an_unrepresentable_operator(argv, capsys, tmp_path, monkeypatch):
+    # NA^T alpha NB has rank at most min(m1, m2): an H whose best approximation of
+    # that rank misses the residual gate is bad input, refused before any start
+    monkeypatch.setattr(cli, "random_starts", None)
+    out = tmp_path / "out"
+    assert main(["ham2ineq", *argv, "--restarts", "2", "--steps", "30", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: h has no representation") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_ham2ineq_outputs(capsys, tmp_path):

@@ -114,7 +114,9 @@ def test_every_gate_and_channel_is_checked(monkeypatch):
     for placement, count in ((PLACEMENT_AFTER_EACH_GATE, 9), (PLACEMENT_FINAL_ONLY, 6)):
         checked.clear()
         rho = prepare_noisy_singlet(NoiseModel(0.01, placement))
-        assert len(checked) == count and checked[-1] is rho
+        # one state runs as a stack of one, and rho is that stack's row 0
+        assert len(checked) == count and checked[-1].shape == (1, 4, 4)
+        assert rho.base is checked[-1]
         # a stacked run checks each gate's and channel's whole stack once
         for k in (1, 2, 15):
             checked.clear()

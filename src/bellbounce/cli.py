@@ -35,7 +35,6 @@ from .bell import (
     gisin_variant,
 )
 from .lattice import (
-    HoneycombParams,
     bundled_lattice_path,
     improved_bound_scaling,
     lattice_classical_bound,
@@ -427,7 +426,7 @@ def _cmd_lattice(cfg: dict):
     path = cfg["file"] if cfg["file"] is not None else bundled_lattice_path()
     ls = load_lattice(path)
     if cfg["epsilon"] is not None:
-        ls = recouple_honeycomb(ls, HoneycombParams(cfg["epsilon"]))
+        ls = recouple_honeycomb(ls, cfg["epsilon"])
     local = _resolve_alpha(cfg, default_delta=2.0)
     if local.alpha.shape != (4, 3):
         raise ValueError("lattice quantum floor is wired for (4, 3) local coefficients")

@@ -26,8 +26,6 @@ __all__ = [
     "EDGE_COLORS",
     "LatticeSpec",
     "LatticeCertificate",
-    "HoneycombParams",
-    "honeycomb_coupling",
     "recouple_honeycomb",
     "check_bipartite",
     "lattice_classical_bound",
@@ -123,31 +121,17 @@ class LatticeCertificate:
         return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class HoneycombParams:
-    """Coupling anisotropy of the three-colored honeycomb model."""
+def recouple_honeycomb(ls: LatticeSpec, epsilon: float) -> LatticeSpec:
+    """The lattice with the honeycomb model's anisotropic couplings.
 
-    epsilon: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
-
-
-def honeycomb_coupling(params: HoneycombParams, color: str) -> float:
-    """Edge coupling by color: 1+epsilon on red links, (1-epsilon)/2 on green/blue."""
-    if color == "red":
-        return 1.0 + params.epsilon
-    if color in ("green", "blue"):
-        return (1.0 - params.epsilon) / 2.0
-    raise ValueError(f"unknown color {color!r} for honeycomb coupling")
-
-
-def recouple_honeycomb(ls: LatticeSpec, params: HoneycombParams) -> LatticeSpec:
-    """The lattice with honeycomb couplings on its colored edges; "other" edges keep theirs."""
-    other = EDGE_COLORS.index("other")
-    by_color = np.array([honeycomb_coupling(params, c) for c in EDGE_COLORS[:other]] + [np.nan])
-    return replace(ls, coupling=np.where(ls.color == other, ls.coupling, by_color[ls.color]))
+    Red edges take 1 + epsilon and green and blue edges (1 - epsilon)/2;
+    "other" edges keep theirs. Raises ValueError unless epsilon lies in [0, 1].
+    """
+    if not (0.0 <= epsilon <= 1.0):
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    by_color = np.array([1.0 + epsilon, (1.0 - epsilon) / 2.0, (1.0 - epsilon) / 2.0, np.nan])
+    other = ls.color == EDGE_COLORS.index("other")
+    return replace(ls, coupling=np.where(other, ls.coupling, by_color[ls.color]))
 
 
 def _adjacency(ls: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -245,8 +229,6 @@ def lattice_certificate_value(
 def lattice_quantum_floor(ls: LatticeSpec, local_op) -> float:
     """(sum_e J_e) * lambda_min(local_op): a ground-energy lower bound."""
     _require_nonnegative(ls)
-    if not ls.coupling.size:
-        return 0.0
     return _scaled_by_coupling(ls, min_eigenvalue(local_op), "quantum floor")
 
 

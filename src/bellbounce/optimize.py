@@ -36,7 +36,9 @@ a stream seeded by (s, i), so it does not depend on how many are drawn.
 
 max_steps is a budget, not a count: a start that has not improved on its
 step-0 value by step ceil(max_steps / 2) is abandoned with that value, and a
-batch whose starts are all abandoned stops there.
+batch whose starts are all abandoned stops there. A batch with no finite
+step-0 value (no feasible start) stops at step 0: each start has gradient 0
+and zero moments, so none would move.
 """
 
 from __future__ import annotations
@@ -151,9 +153,9 @@ def adam_step(theta, m, v, t: int, gradient, cfg: OptimizerConfig, maximize: boo
 @dataclass(frozen=True)
 class OptimizeResult:
     """The winning row best_index's settings and value, every row's best value (n,)
-    and angles (n, dim), and the steps the engine ran: max_steps, or
-    ceil(max_steps / 2) if no row improved on its start by then. A bound search's
-    inequality is solve_alpha(settings, h)."""
+    and angles (n, dim), and the steps the engine ran: max_steps,
+    ceil(max_steps / 2) if no row improved on its start by then, or 0 if no start
+    had a finite value. A bound search's inequality is solve_alpha(settings, h)."""
 
     settings: MeasurementSettings
     value: float
@@ -296,6 +298,9 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
         if t == steps:
             break
         if t == 0:
+            if not np.isfinite(batch_best):  # no start scored: each has gradient 0 and stays
+                history[1:] = batch_best
+                break
             start_value = best_value.copy()
         elif t == half:
             # Improvements are strict, so a row's best moved iff it improved on step 0.
@@ -384,11 +389,12 @@ def run_search(
 
     cfg.max_steps is a budget: a row that has not improved on its start's value
     by step ceil(max_steps / 2) keeps its start, and once every row has, the
-    search stops (steps_run says where). A row's result does not depend on the
-    rest of the batch; ties go to the lowest row. history is the batch's
-    best-so-far value at each step 0..max_steps, so it ends at value; after a
-    stop it stays flat. Raises ValueError on an empty batch, and
-    NoFeasiblePointError if a maximizing search finds no feasible point.
+    search stops (steps_run says where). A batch with no finite start value stops
+    at step 0, after one evaluation. A row's result does not depend on the rest
+    of the batch; ties go to the lowest row. history is the batch's best-so-far
+    value at each step 0..max_steps, so it ends at value; after a stop it stays
+    flat. Raises ValueError on an empty batch, and NoFeasiblePointError if a
+    maximizing search finds no feasible point.
     """
     cfg = cfg or (DEFAULT_ASCENT if objective.maximize else DEFAULT_DESCENT)
     sc = objective.scenario

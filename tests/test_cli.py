@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from bellbounce import cli, optimize
-from bellbounce.bell import BellCoeffs, classical_bound
+from bellbounce.bell import BellCoeffs, classical_bound, gisin_variant
 from bellbounce.cli import main
+from bellbounce.lattice import lattice_quantum_floor, load_lattice
+from bellbounce.mapping import bell_operator
 from bellbounce.noise import NoiseModel, prepare_noisy_singlet
 from bellbounce.optimize import DEFAULT_ASCENT, DEFAULT_DESCENT, OptimizerConfig, run_search
 from bellbounce.pauli import correlator_vector
+from bellbounce.presets import tetrahedron_axes_settings
 from bellbounce.serialize import format_float
 
 CERT_SHA = "402455be3535bd7f61760cb7e0ccf0679b0cd281b97936dde814e90d1f348443"
@@ -413,6 +416,16 @@ def test_lattice_epsilon_recoupling(capsys):
     assert main(["lattice", "--epsilon", "1"]) == 0
     out = capsys.readouterr().out
     assert "total coupling: 66.02" in out
+
+
+def test_edgeless_lattice_floor_is_zero(capsys, tmp_path):
+    path = tmp_path / "edgeless.lattice"
+    path.write_text("vertices 3\n")
+    local_op = bell_operator(tetrahedron_axes_settings(), gisin_variant(2.0))
+    assert lattice_quantum_floor(load_lattice(path), local_op) == 0
+    assert main(["lattice", "--file", str(path), "--out", str(tmp_path)]) == 0
+    assert "quantum floor: 0\n" in capsys.readouterr().out
+    assert '"quantum_floor": 0,' in (tmp_path / "lattice_summary.json").read_text()
 
 
 # One lattice file per fault, and the one line a run of it prints.

@@ -9,12 +9,10 @@ from bellbounce.bell import BellCoeffs, classical_bound, gisin_variant
 from bellbounce.lattice import (
     DIGEST_CHUNK_VERTICES,
     MAX_LATTICE_VERTICES,
-    HoneycombParams,
     LatticeSpec,
     _adjacency,
     bundled_lattice_path,
     check_bipartite,
-    honeycomb_coupling,
     improved_bound_scaling,
     lattice_certificate_value,
     lattice_classical_bound,
@@ -159,14 +157,14 @@ def test_adjacency_keeps_the_stable_sorts_order():
 
 
 def test_honeycomb_coupling():
-    params = HoneycombParams(0.94)
-    assert abs(honeycomb_coupling(params, "red") - 1.94) < 1e-15
-    assert abs(honeycomb_coupling(params, "green") - 0.03) < 1e-15
-    assert abs(honeycomb_coupling(params, "blue") - 0.03) < 1e-15
-    with pytest.raises(ValueError):
-        honeycomb_coupling(params, "other")
-    with pytest.raises(ValueError):
-        HoneycombParams(1.5)
+    ls = spec(5, ((0, 1, 2.0, "red"), (1, 2, 0.5, "green"), (2, 3, 0.75, "blue"),
+                  (3, 4, 0.25, "other")))
+    eps = 0.94
+    recoupled = recouple_honeycomb(ls, eps)
+    assert recoupled.coupling.tolist() == [1.0 + eps, (1.0 - eps) / 2.0, (1.0 - eps) / 2.0, 0.25]
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\], got"):
+            recouple_honeycomb(ls, bad)
 
 
 def test_spec_holds_read_only_edge_arrays():
@@ -182,11 +180,8 @@ def test_spec_holds_read_only_edge_arrays():
     with pytest.raises(ValueError, match="1-d and of one length"):
         LatticeSpec(3, [0], [1, 2], [1.0], ["red"])
     # each colored edge takes its color's coupling, bit for bit; "other" keeps its own
-    params = HoneycombParams(0.3)
-    recoupled = recouple_honeycomb(names, params)
-    assert recoupled.coupling.tolist() == [
-        honeycomb_coupling(params, "red"), honeycomb_coupling(params, "green"), 0.25
-    ]
+    recoupled = recouple_honeycomb(names, 0.3)
+    assert recoupled.coupling.tolist() == [1.0 + 0.3, (1.0 - 0.3) / 2.0, 0.25]
     assert recoupled.color.tolist() == [0, 1, 3] and names.coupling.tolist() == [2.0, 0.5, 0.25]
 
 

@@ -275,7 +275,7 @@ def test_stalled_row_stacked_gets_its_result_alone():
         assert np.array_equal(stacked.thetas[0], rows[0])
 
 
-def test_all_infeasible_bound_batch_stops_at_half_budget_and_raises():
+def test_all_infeasible_bound_batch_stops_at_step_zero_and_raises():
     objective = bound_objective(
         np.array([1.0, 0.7, -0.3, 0.2, -1.0, 0.4, 0.9, -0.6, 0.5]), Scenario(2, 2)
     )
@@ -292,7 +292,7 @@ def test_all_infeasible_bound_batch_stops_at_half_budget_and_raises():
             random_starts(objective.dim, 3, seed=0),
             OptimizerConfig(learning_rate=0.02, max_steps=41),
         )
-    assert calls == [3] * (21 + 1)
+    assert calls == [3]
 
 
 AXES = tetrahedron_axes_settings().party_b  # x, y and z

@@ -56,7 +56,6 @@ from .noise import (
     NoiseModel,
     PLACEMENT_AFTER_EACH_GATE,
     PLACEMENTS,
-    prepare_noisy_singlet,
     prepare_noisy_singlets,
 )
 from .optimize import (
@@ -389,7 +388,8 @@ def _cmd_bounce(cfg: dict):
     if cfg["data_file"] is not None:
         c = _load_correlator_file(cfg["data_file"])
     else:
-        c = correlator_vector(prepare_noisy_singlet(NoiseModel(cfg["p"], cfg["noise_placement"])))
+        nm = NoiseModel(cfg["p"], cfg["noise_placement"])
+        c = correlator_vector(prepare_noisy_singlets([nm]))[0]
     result = bounce_loop(
         start,
         ms0,

@@ -6,11 +6,11 @@ N_p(rho) = (1-3p) rho + p (X rho X + Y rho Y + Z rho Z) applied on one qubit;
 it is a valid probability mixture for 0 <= p <= 1/3 and contracts that
 qubit's Bloch components by (1 - 4p).
 
-The circuit runs on a stack of states, one per noise model, so a whole noise
-sweep is one pass. Every gate and every channel validates every state in its
-output stack (finite entries, trace, Hermiticity, positivity), once per gate or
-channel, so CPTP violations surface immediately rather than as corrupted
-correlators downstream.
+`prepare_noisy_singlets` runs the circuit on a stack of states, one per noise
+model: a noise sweep is one pass, and one state is a stack of one. Every gate
+and every channel validates every state in its output stack (finite entries,
+trace, Hermiticity, positivity), once per gate or channel, so CPTP violations
+surface immediately rather than as corrupted correlators downstream.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "PLACEMENT_FINAL_ONLY",
     "PLACEMENTS",
     "SINGLET_CIRCUIT",
-    "apply_depolarizing",
-    "prepare_noisy_singlet",
     "prepare_noisy_singlets",
 ]
 
@@ -68,15 +66,6 @@ _CNOT01.flags.writeable = False
 SINGLET_CIRCUIT = ((_X1, (1,)), (_H0, (0,)), (_CNOT01, (0, 1)), (_Z0, (0,)))
 
 
-def apply_depolarizing(rho, qubit: int, p: float) -> np.ndarray:
-    """Apply the single-qubit depolarizing mixture on the given qubit."""
-    if not (0.0 <= p <= P_MAX):
-        raise ValueError(f"noise strength must lie in [0, 1/3], got {p!r}")
-    if qubit not in (0, 1):
-        raise ValueError(f"qubit index must be 0 or 1, got {qubit!r}")
-    return _depolarize(np.asarray(rho, dtype=complex), int(qubit), p)
-
-
 def _depolarize(rho: np.ndarray, qubit: int, p) -> np.ndarray:
     # p is a strength or an array of them that broadcasts against the stack rho
     out = (1.0 - 3.0 * p) * rho
@@ -85,19 +74,13 @@ def _depolarize(rho: np.ndarray, qubit: int, p) -> np.ndarray:
     return check_state(out)
 
 
-def prepare_noisy_singlet(nm: NoiseModel) -> np.ndarray:
-    """Run the singlet circuit under the noise model's placement policy.
+def prepare_noisy_singlets(models) -> np.ndarray:
+    """Run the singlet circuit once on a stack of states, one per noise model (k, 4, 4).
 
     Default placement inserts the channel on every qubit a gate touches,
     immediately after that gate (so qubit 0 sees three channels and qubit 1
     two). Final-state-only runs the circuit noiselessly and applies one
     channel per qubit at the end. At p = 0 both give the exact singlet.
-    """
-    return prepare_noisy_singlets([nm])[0]
-
-
-def prepare_noisy_singlets(models) -> np.ndarray:
-    """Run the singlet circuit once on a stack of states, one per noise model (k, 4, 4).
 
     The models share one placement. A state's bits do not depend on the other
     models in the stack.
@@ -108,12 +91,8 @@ def prepare_noisy_singlets(models) -> np.ndarray:
     placements = {nm.placement for nm in models}
     if len(placements) != 1:
         raise ValueError(f"need noise models with one placement, got {sorted(placements)}")
-    p = np.array([nm.p for nm in models])
-    return _singlet_circuit(p[:, None, None], placements.pop())
-
-
-def _singlet_circuit(p: np.ndarray, placement: str) -> np.ndarray:
-    # the circuit on a stack of len(p) states from |00>, state i at strength p[i, 0, 0]
+    (placement,) = placements
+    p = np.array([nm.p for nm in models])[:, None, None]  # state i at strength p[i, 0, 0]
     rho = np.zeros((len(p), 4, 4), dtype=complex)
     rho[..., 0, 0] = 1.0
     for u, touched in SINGLET_CIRCUIT:

@@ -29,16 +29,15 @@ H_G_COEFFS.flags.writeable = False
 ELEGANT_COEFFS = (4.0 / _SQRT3) * np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0])
 ELEGANT_COEFFS.flags.writeable = False
 
-OPERATOR_PRESETS = ("H_G", "gisin_elegant")
+_OPERATORS = {"H_G": H_G_COEFFS, "gisin_elegant": ELEGANT_COEFFS}
+OPERATOR_PRESETS = tuple(_OPERATORS)
 
 
 def operator_preset(name: str) -> np.ndarray:
     """Pauli coefficient vector of a named operator preset."""
-    if name == "H_G":
-        return H_G_COEFFS.copy()
-    if name == "gisin_elegant":
-        return ELEGANT_COEFFS.copy()
-    raise ValueError(f"unknown operator preset {name!r}; choose from {OPERATOR_PRESETS}")
+    if name not in _OPERATORS:
+        raise ValueError(f"unknown operator preset {name!r}; choose from {OPERATOR_PRESETS}")
+    return _OPERATORS[name].copy()
 
 
 # Coordinate axes as (theta, phi): x = (0, 0), y = (pi/2, 0), z = (pi/2, pi/2).

@@ -45,8 +45,7 @@ from bellbounce.noise import (
     PLACEMENTS,
     SINGLET_CIRCUIT,
     NoiseModel,
-    apply_depolarizing,
-    prepare_noisy_singlet,
+    prepare_noisy_singlets,
 )
 from bellbounce.optimize import (
     OptimizerConfig,
@@ -56,7 +55,14 @@ from bellbounce.optimize import (
     run_search,
     sweep_minima,
 )
-from bellbounce.pauli import check_state, correlator_vector, min_eigenvalue
+from bellbounce.pauli import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    check_state,
+    correlator_vector,
+    min_eigenvalue,
+)
 from bellbounce.presets import ELEGANT_COEFFS, H_G_COEFFS, tetrahedron_axes_settings
 from finite_diff import finite_diff_gradient
 from lattice_edges import rows, spec
@@ -194,7 +200,7 @@ def test_criterion_09_noise_sweep():
     grid = np.arange(15) / 1000.0
     ms0 = tetrahedron_axes_settings()
     bc = gisin_variant(2.0)
-    cs = [correlator_vector(prepare_noisy_singlet(NoiseModel(float(p)))) for p in grid]
+    cs = [correlator_vector(prepare_noisy_singlets([NoiseModel(float(p))])[0]) for p in grid]
     original = np.array([quantum_value_from_data(c, ms0, bc) for c in cs])
     cfg = OptimizerConfig(learning_rate=0.01, max_steps=2000)
     theta0 = ms0.to_vector()
@@ -210,7 +216,7 @@ def test_criterion_09_noise_sweep():
 
 
 def test_criterion_10_bounce_loop():
-    c = correlator_vector(prepare_noisy_singlet(NoiseModel(0.010)))
+    c = correlator_vector(prepare_noisy_singlets([NoiseModel(0.010)])[0])
     res = bounce_loop(gisin_variant(2.0), tetrahedron_axes_settings(), c)
     assert res.final_gap < 0.0
     assert res.converged
@@ -241,6 +247,15 @@ def test_criterion_11a_bound_oracle_equivalence():
     _report(11, "200 random instances match the brute-force oracle")
 
 
+def _depolarized(rho, qubit, p):
+    # (1 - 3p) rho + p sum_k s_k rho s_k, with s_k the Pauli k on the qubit, qubit 0 first
+    out = (1.0 - 3.0 * p) * rho
+    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+        s = np.kron(sigma, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), sigma)
+        out = out + p * (s @ rho @ s)
+    return out
+
+
 def test_criterion_11b_cptp_every_step():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
@@ -252,13 +267,13 @@ def test_criterion_11b_cptp_every_step():
                 check_state(rho)
                 if placement == PLACEMENT_AFTER_EACH_GATE:
                     for qubit in touched:
-                        rho = apply_depolarizing(rho, qubit, p)
+                        rho = _depolarized(rho, qubit, p)
                         check_state(rho)
             if placement == PLACEMENT_FINAL_ONLY:
                 for qubit in (0, 1):
-                    rho = apply_depolarizing(rho, qubit, p)
+                    rho = _depolarized(rho, qubit, p)
                     check_state(rho)
-            ref = prepare_noisy_singlet(NoiseModel(p, placement))
+            ref = prepare_noisy_singlets([NoiseModel(p, placement)])[0]
             assert np.max(np.abs(rho - ref)) < 1e-13
     _report(11, "state stays physical after every gate and channel")
 

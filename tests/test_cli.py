@@ -13,7 +13,7 @@ from bellbounce.bell import BellCoeffs, classical_bound, gisin_variant
 from bellbounce.cli import main
 from bellbounce.lattice import lattice_quantum_floor, load_lattice
 from bellbounce.mapping import bell_operator
-from bellbounce.noise import NoiseModel, prepare_noisy_singlet
+from bellbounce.noise import NoiseModel, prepare_noisy_singlets
 from bellbounce.optimize import DEFAULT_ASCENT, DEFAULT_DESCENT, OptimizerConfig, run_search
 from bellbounce.pauli import correlator_vector
 from bellbounce.presets import tetrahedron_axes_settings
@@ -162,6 +162,50 @@ def test_validation_exit_codes(capsys, tmp_path):
             assert not out.exists()
 
 
+_A33 = "[[1, 2, 3], [4, 5, 6], [7, 8, 9]]"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(["ineq2ham", "--data-file", "FILE"], "[1, 2]",
+                 "correlator data file must hold 9 numbers, got shape (2,)", id="data-shape"),
+    pytest.param(["classical-bound", "--alpha", "1 2 3 4"], None,
+                 "inline alpha needs --m1 and --m2", id="alpha-no-shape"),
+    pytest.param(["classical-bound", "--alpha", "1 2 3", "--m1", "2", "--m2", "2"], None,
+                 "alpha has 3 entries, expected 4", id="alpha-size"),
+    pytest.param(["ham2ineq", "--preset", "H_G", "--h", "1,0,0,0,1,0,0,0,1"], None,
+                 "choose either --preset or --h, not both", id="preset-and-h"),
+    pytest.param(["ham2ineq", "--h", "1,2,3"], None, "h must have 9 entries, got 3", id="h-size"),
+    pytest.param(["ham2ineq"], None, "no operator given: use --preset or --h", id="no-operator"),
+    pytest.param(["ineq2ham", "--p-grid", "0:1"], None,
+                 "p grid must be start:stop:step, got '0:1'", id="grid-parts"),
+    pytest.param(["ineq2ham", "--p-grid", "0.02:0.01:0.001"], None,
+                 "bad p grid '0.02:0.01:0.001'", id="grid-descending"),
+    pytest.param(["ineq2ham", "--alpha-file", "FILE"], _A33,
+                 "settings optimization is wired for (4, 3) coefficient matrices", id="ineq2ham-3x3"),
+    pytest.param(["lattice", "--alpha-file", "FILE"], _A33,
+                 "lattice quantum floor is wired for (4, 3) local coefficients", id="lattice-3x3"),
+    pytest.param(["bounce", "--gisin-delta", "2", "--preset", "H_G"], None,
+                 "start from an inequality or an operator, not both", id="bounce-two-starts"),
+    pytest.param(["ham2ineq", "--config", "FILE"], "[1]",
+                 "config must be a JSON object keyed by subcommand", id="config-list"),
+    pytest.param(["ham2ineq", "--config", "FILE"], '{"ham2ineq": 3}',
+                 "config section 'ham2ineq' must be an object", id="config-section"),
+    pytest.param(["lattice", "--file", "FILE"], "vertices x\n0 1 1.0 red\n",
+                 "line 1: bad vertex count 'x'", id="lattice-header"),
+])
+def test_refusals_exit_2_with_one_line(argv, text, message, capsys, tmp_path):
+    # FILE in argv names a file holding text
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_nonfinite_data_file_rejected_before_search(capsys, tmp_path):
     # a nan entry, and correlators outside [-1, 1] that no state produces
     bad = {"nan": ("[NaN,0,0,0,0,0,0,0,0]", "finite"),
@@ -210,7 +254,7 @@ def test_unphysical_data_file_rejected_before_search(capsys, tmp_path):
             assert len(captured.err.splitlines()) == 1 and "tetrahedron" in captured.err
             assert not out.exists()
     # the p = 0 singlet is a vertex of the tetrahedron; all-zero data is its centre
-    singlet = correlator_vector(prepare_noisy_singlet(NoiseModel(0.0)))
+    singlet = correlator_vector(prepare_noisy_singlets([NoiseModel(0.0)])[0])
     for i, c in enumerate((singlet.tolist(), [0] * 9)):
         data = tmp_path / f"good{i}.json"
         data.write_text(json.dumps(c))

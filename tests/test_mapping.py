@@ -34,6 +34,8 @@ def test_settings_roundtrip_and_validation():
         MeasurementSettings(party_a=np.zeros((3, 3)), party_b=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         MeasurementSettings(party_a=np.full((2, 2), np.nan), party_b=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"expected 14 angles for \(4, 3\), got \(12,\)"):
+        MeasurementSettings.from_vector(4, 3, ms.to_vector()[:12])
 
 
 def test_transfer_matrix_entries():
@@ -80,6 +82,8 @@ def test_two_path_agreement():
             bc = BellCoeffs(rng.normal(size=(m1, m2)))
             direct = pauli_coeffs_from_operator(bell_operator(ms, bc))
             assert np.allclose(direct, build_transfer_matrix(ms) @ bc.alpha.ravel(), atol=1e-12)
+    with pytest.raises(ValueError, match=r"settings \(2, 2\) do not match alpha \(3, 2\)"):
+        bell_operator(_random_settings(rng, 2, 2), BellCoeffs(np.ones((3, 2))))
 
 
 def _factor_pinv_reference(f):

@@ -10,8 +10,6 @@ from bellbounce.noise import (
     PLACEMENT_FINAL_ONLY,
     SINGLET_CIRCUIT,
     NoiseModel,
-    apply_depolarizing,
-    prepare_noisy_singlet,
     prepare_noisy_singlets,
 )
 from bellbounce.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, check_state, correlator_vector
@@ -77,7 +75,7 @@ def test_singlet_circuit_matches_independent_gates():
 
 
 def test_ideal_circuit_gives_singlet():
-    rho = prepare_noisy_singlet(NoiseModel(0.0, PLACEMENT_AFTER_EACH_GATE))
+    rho = prepare_noisy_singlets([NoiseModel(0.0, PLACEMENT_AFTER_EACH_GATE)])[0]
     assert np.allclose(rho, SINGLET, atol=1e-14)
     c = correlator_vector(rho)
     expected = np.zeros(9)
@@ -88,7 +86,7 @@ def test_ideal_circuit_gives_singlet():
 def test_simulator_matches_superoperator_oracle():
     for p in (0.0, 0.007, 0.013, 0.3):
         for placement in (PLACEMENT_AFTER_EACH_GATE, PLACEMENT_FINAL_ONLY):
-            rho = prepare_noisy_singlet(NoiseModel(p, placement))
+            rho = prepare_noisy_singlets([NoiseModel(p, placement)])[0]
             assert np.allclose(rho, _oracle_prepare(p, placement), atol=1e-13)
 
 
@@ -97,13 +95,13 @@ def test_noisy_correlator_closed_forms():
     # contraction than x and z from the final Z gate's channel
     for p in (0.001, 0.005, 0.010, 0.014):
         f = 1 - 4 * p
-        c = correlator_vector(prepare_noisy_singlet(NoiseModel(p, PLACEMENT_AFTER_EACH_GATE)))
+        c = correlator_vector(prepare_noisy_singlets([NoiseModel(p, PLACEMENT_AFTER_EACH_GATE)])[0])
         assert abs(c[0] + f**4) < 1e-12
         assert abs(c[4] + f**5) < 1e-12
         assert abs(c[8] + f**4) < 1e-12
         off = np.delete(c, [0, 4, 8])
         assert np.all(np.abs(off) < 1e-12)
-        c2 = correlator_vector(prepare_noisy_singlet(NoiseModel(p, PLACEMENT_FINAL_ONLY)))
+        c2 = correlator_vector(prepare_noisy_singlets([NoiseModel(p, PLACEMENT_FINAL_ONLY)])[0])
         assert np.allclose(c2[[0, 4, 8]], -(f**2), atol=1e-12)
 
 
@@ -113,7 +111,7 @@ def test_every_gate_and_channel_is_checked(monkeypatch):
     # four gates, then five channels on touched qubits or two on the final state
     for placement, count in ((PLACEMENT_AFTER_EACH_GATE, 9), (PLACEMENT_FINAL_ONLY, 6)):
         checked.clear()
-        rho = prepare_noisy_singlet(NoiseModel(0.01, placement))
+        rho = prepare_noisy_singlets([NoiseModel(0.01, placement)])[0]
         # one state runs as a stack of one, and rho is that stack's row 0
         assert len(checked) == count and checked[-1].shape == (1, 4, 4)
         assert rho.base is checked[-1]
@@ -133,7 +131,7 @@ def test_stacked_run_keeps_each_states_bits():
         cs = correlator_vector(rhos)
         assert rhos.shape == (len(ps), 4, 4) and cs.shape == (len(ps), 9)
         for p, rho, c in zip(ps, rhos, cs):
-            alone = prepare_noisy_singlet(NoiseModel(p, placement))
+            alone = prepare_noisy_singlets([NoiseModel(p, placement)])[0]
             assert np.array_equal(rho, alone)
             assert np.array_equal(np.signbit(rho.view(float)), np.signbit(alone.view(float)))
             assert np.array_equal(c, correlator_vector(alone))
@@ -150,13 +148,13 @@ def test_states_stay_physical():
     for _ in range(20):
         p = rng.uniform(0, P_MAX)
         placement = rng.choice([PLACEMENT_AFTER_EACH_GATE, PLACEMENT_FINAL_ONLY])
-        rho = prepare_noisy_singlet(NoiseModel(float(p), str(placement)))
+        rho = prepare_noisy_singlets([NoiseModel(float(p), str(placement))])[0]
         check_state(rho)
         assert np.all(np.abs(correlator_vector(rho)) <= 1 + 1e-12)
 
 
 def test_full_depolarization_kills_correlations():
-    rho = apply_depolarizing(SINGLET, 0, 0.25)  # Bloch contraction 1 - 4p = 0
+    rho = prepare_noisy_singlets([NoiseModel(0.25, PLACEMENT_FINAL_ONLY)])[0]  # 1 - 4p = 0
     assert np.allclose(correlator_vector(rho), 0, atol=1e-14)
 
 
@@ -181,27 +179,13 @@ def test_noise_model_validation():
     NoiseModel(P_MAX, PLACEMENT_FINAL_ONLY)  # boundary is allowed
 
 
-def test_depolarizing_validation():
-    for qubit in (2, -1, 0.5):
-        with pytest.raises(ValueError, match="qubit index"):
-            apply_depolarizing(SINGLET, qubit, 0.01)
-    for p in (-0.01, P_MAX + 1e-6):
-        with pytest.raises(ValueError, match="noise strength"):
-            apply_depolarizing(SINGLET, 0, p)
-    # an integral float or a bool names the same qubit as the int
-    assert np.array_equal(apply_depolarizing(SINGLET, 1.0, 0.01), apply_depolarizing(SINGLET, 1, 0.01))
-    assert np.array_equal(apply_depolarizing(SINGLET, True, 0.01), apply_depolarizing(SINGLET, 1, 0.01))
-
-
 def test_noise_sweep_order_and_monotonicity():
     # the `original` column of ineq2ham: c(p) . T(ms) . alpha per noise strength
     ms = tetrahedron_axes_settings()
     bc = gisin_variant(2.0)
     ps = [0.0, 0.004, 0.008, 0.012]
-    rows = [
-        (p, quantum_value_from_data(correlator_vector(prepare_noisy_singlet(NoiseModel(p))), ms, bc))
-        for p in ps
-    ]
+    cs = [correlator_vector(prepare_noisy_singlets([NoiseModel(p)])[0]) for p in ps]
+    rows = [(p, quantum_value_from_data(c, ms, bc)) for p, c in zip(ps, cs)]
     assert [r[0] for r in rows] == ps
     values = [r[1] for r in rows]
     assert abs(values[0] - (-16 / np.sqrt(3))) < 1e-12

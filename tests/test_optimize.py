@@ -21,7 +21,7 @@ from bellbounce.optimize import (
     run_search,
     value_objective,
 )
-from bellbounce.noise import NoiseModel, prepare_noisy_singlet
+from bellbounce.noise import NoiseModel, prepare_noisy_singlets
 from bellbounce.pauli import correlator_vector
 from bellbounce.presets import (
     ELEGANT_COEFFS,
@@ -30,7 +30,7 @@ from bellbounce.presets import (
 )
 from finite_diff import finite_diff_gradient
 
-SINGLET = correlator_vector(prepare_noisy_singlet(NoiseModel(0.0)))
+SINGLET = correlator_vector(prepare_noisy_singlets([NoiseModel(0.0)])[0])
 FAST = OptimizerConfig(learning_rate=0.02, max_steps=120)
 FAST_DOWN = OptimizerConfig(learning_rate=0.01, max_steps=120)
 GISIN_2 = gisin_variant(2.0)
@@ -337,6 +337,10 @@ def test_harness_determinism_and_seeding(objective, canonical, cfg):
         random_starts(objective.dim, -1, seed=1)
     with pytest.raises(ValueError):
         run_search(objective, random_starts(objective.dim, 0, seed=1), cfg)
+    # starts of another width, or one start not stacked as a row, are refused
+    for bad in (random_starts(objective.dim + 1, 2, seed=1), starts[0]):
+        with pytest.raises(ValueError, match=rf"starts must have shape \(n, {objective.dim}\)"):
+            run_search(objective, bad, cfg)
 
 
 def test_infeasible_target_raises():
@@ -494,7 +498,7 @@ def _bounce_every_half_step(alpha, ms, c, cfg, max_loops=10, gap_tol=1e-6):
     return records
 
 
-NOISY_SINGLET = correlator_vector(prepare_noisy_singlet(NoiseModel(0.010)))
+NOISY_SINGLET = correlator_vector(prepare_noisy_singlets([NoiseModel(0.010)])[0])
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from bellbounce.pauli import (
     min_eigenvalue,
     observable_from_bloch,
 )
-from bellbounce.presets import ELEGANT_COEFFS, H_G_COEFFS
+from bellbounce.presets import ELEGANT_COEFFS, H_G_COEFFS, OPERATOR_PRESETS, operator_preset
 from reference_ops import operator_from_pauli_coeffs
 
 
@@ -93,6 +93,8 @@ def test_observable_from_bloch():
         observable_from_bloch([1, 1, 0])
     with pytest.raises(ValueError):
         observable_from_bloch([0, 0, 0])
+    with pytest.raises(ValueError, match=r"shape \(3,\), got \(2,\)"):
+        observable_from_bloch([1, 0])
 
 
 def test_min_eigenvalue_against_lapack():
@@ -106,6 +108,17 @@ def test_min_eigenvalue_against_lapack():
 def test_known_ground_energies():
     assert abs(min_eigenvalue(operator_from_pauli_coeffs(H_G_COEFFS)) - (-16 / np.sqrt(3))) < 1e-9
     assert abs(min_eigenvalue(operator_from_pauli_coeffs(ELEGANT_COEFFS)) - (-4 * np.sqrt(3))) < 1e-9
+
+
+def test_operator_presets_are_fresh_copies():
+    assert OPERATOR_PRESETS == ("H_G", "gisin_elegant")
+    for name, coeffs in zip(OPERATOR_PRESETS, (H_G_COEFFS, ELEGANT_COEFFS)):
+        h = operator_preset(name)
+        assert np.array_equal(h, coeffs) and h.flags.writeable
+        h[0] = 7.0
+        assert np.array_equal(operator_preset(name), coeffs)
+    with pytest.raises(ValueError, match="unknown operator preset 'nope'; choose from"):
+        operator_preset("nope")
 
 
 def test_min_eigenvalue_diagonal_exact():

@@ -22,7 +22,7 @@ from bellbounce.mapping import (
     build_transfer_matrix,
     solve_alpha,
 )
-from bellbounce.noise import P_MAX, PLACEMENTS, NoiseModel, prepare_noisy_singlet
+from bellbounce.noise import P_MAX, PLACEMENTS, NoiseModel, prepare_noisy_singlets
 from bellbounce.optimize import (
     DEFAULT_ASCENT,
     DEFAULT_DESCENT,
@@ -364,7 +364,7 @@ def bounce_cases(draw):
     if draw(st.booleans()):
         start = BellCoeffs(x)
     noise = NoiseModel(draw(st.floats(0.0, P_MAX)), draw(st.sampled_from(PLACEMENTS)))
-    return start, ms, correlator_vector(prepare_noisy_singlet(noise))
+    return start, ms, correlator_vector(prepare_noisy_singlets([noise])[0])
 
 
 @settings(PROPERTY, max_examples=40)

@@ -88,7 +88,8 @@ _OPTIONS = {
     "out": (str, {"help": "output directory"}),
     "restarts": (int, {}),
     "steps": (int, {"help": "step budget: a start not improved by half of it stops"}),
-    "lr": (float, {}),
+    "lr": (float, {"help": "learning rate: the bound ascent's decays from it to 1%% over the "
+                           "step budget; the value descent's is constant"}),
     "noise_placement": (str, {"choices": PLACEMENTS}),
     "gisin_delta": (float, {}),
     "alpha": (str, {"help": "inline coefficients"}),

@@ -4,6 +4,13 @@ Both search directions are an Objective run by one engine (run_search):
   maximize beta_C(solve(T(theta), h))   -- Hamiltonian fixed, Adam ascent
   minimize c . T(theta) . alpha         -- inequality fixed, Adam descent
 
+The ascent's learning rate decays over the step budget T, from the configured
+rate to 1% of it: the update after evaluation t uses
+lr (0.01 + 0.99 (1 + cos(pi t / T)) / 2) (cosine annealing, Loshchilov & Hutter
+2017). At a constant rate Adam stalls short of the bound's local maximum, and
+where it stalls depends on the last bits of the gradient. The descent's rate
+is constant.
+
 Each objective returns values and gradients at the engine's points; the
 engine keeps each row's best value and angles and takes Adam steps, written
 into the angles and moments in place. The bound objective solves
@@ -44,6 +51,7 @@ and zero moments, so none would move.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,14 +128,17 @@ class OptimizerConfig:
             raise ValueError(f"step budget must be at most {MAX_STEPS}, got {self.max_steps}")
 
 
-# Ascent on the classical bound / descent on the quantum value.
+# Ascent on the classical bound / descent on the quantum value. The ascent's rate
+# is where it starts: it decays to 1% of it over the step budget (see
+# _run_lockstep). The descent's rate is constant.
 DEFAULT_ASCENT = OptimizerConfig(learning_rate=0.02)
 DEFAULT_DESCENT = OptimizerConfig(learning_rate=0.01)
 
 
-def adam_step(theta, m, v, t: int, gradient, cfg: OptimizerConfig, maximize: bool = False):
-    """Bias-corrected Adam update number t (from 1), written into theta and its
-    moments m and v, which start at zero; sign of motion set by maximize."""
+def adam_step(theta, m, v, t: int, gradient, lr: float, maximize: bool = False):
+    """Bias-corrected Adam update number t (from 1) at learning rate lr, written
+    into theta and its moments m and v, which start at zero; sign of motion set
+    by maximize."""
     g = np.asarray(gradient, dtype=float)
     # m = beta1 m + (1 - beta1) g and v = beta2 v + ((1 - beta2) g) g, in place
     m *= ADAM_BETA1
@@ -139,7 +150,7 @@ def adam_step(theta, m, v, t: int, gradient, cfg: OptimizerConfig, maximize: boo
     # delta = (lr m_hat) / (sqrt(v_hat) + epsilon), with m_hat = m / (1 - beta1^t) and
     # v_hat = v / (1 - beta2^t)
     delta = m / (1.0 - ADAM_BETA1**t)
-    delta *= cfg.learning_rate
+    delta *= lr
     den = np.divide(v, 1.0 - ADAM_BETA2**t, out=gg)
     np.sqrt(den, out=den)
     den += ADAM_EPSILON
@@ -276,7 +287,7 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
     # An abandoned row (see run_search) is still evaluated while other rows run, but
     # its best is frozen, so its result does not depend on the batch.
     maximize = objective.maximize
-    steps, half = cfg.max_steps, (cfg.max_steps + 1) // 2
+    steps, half, lr = cfg.max_steps, (cfg.max_steps + 1) // 2, cfg.learning_rate
     pick = np.ndarray.argmax if maximize else np.ndarray.argmin
     theta, m, v = theta0.copy(), np.zeros_like(theta0), np.zeros_like(theta0)
     batch_best = -np.inf if maximize else np.inf
@@ -310,7 +321,10 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
                 break
             if stalled.any():
                 live = ~stalled
-        adam_step(theta, m, v, t + 1, grad, cfg, maximize=maximize)
+        rate = lr
+        if maximize:  # the ascent's rate decays over the budget (see the module docstring)
+            rate *= 0.01 + 0.99 * (0.5 * (1.0 + math.cos(math.pi * t / steps)))
+        adam_step(theta, m, v, t + 1, grad, rate, maximize=maximize)
     return best_value, best_theta, history, t
 
 

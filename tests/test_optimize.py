@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_config_validation():
 
 def test_adam_step_reference():
     # follow the textbook recursion for a few steps and compare
-    cfg = OptimizerConfig(learning_rate=0.1)
+    lr = 0.1
     theta, m_run, v_run = np.array([1.0, -2.0]), np.zeros(2), np.zeros(2)
     m = np.zeros(2)
     v = np.zeros(2)
@@ -66,22 +67,21 @@ def test_adam_step_reference():
         g = 2 * theta  # gradient of |theta|^2
         m = 0.9 * m + (1 - 0.9) * g
         v = 0.999 * v + (1 - 0.999) * g**2
-        expected = theta - cfg.learning_rate * (m / (1 - 0.9**t)) / (
+        expected = theta - lr * (m / (1 - 0.9**t)) / (
             np.sqrt(v / (1 - 0.999**t)) + 1e-8
         )
-        assert adam_step(theta, m_run, v_run, t, g, cfg) is None
+        assert adam_step(theta, m_run, v_run, t, g, lr) is None
         assert np.allclose(theta, expected, atol=1e-15)
         assert np.allclose(m_run, m, atol=1e-15) and np.allclose(v_run, v, atol=1e-15)
 
 
 def test_adam_first_step_is_signed_learning_rate():
-    cfg = OptimizerConfig(learning_rate=0.05)
     g = np.array([4.0, -1.0, 0.0])
     down, up = np.zeros(3), np.zeros(3)
-    adam_step(down, np.zeros(3), np.zeros(3), 1, g, cfg)
+    adam_step(down, np.zeros(3), np.zeros(3), 1, g, 0.05)
     # bias correction makes the first move lr * sign(g) up to epsilon
     assert np.allclose(down, [-0.05, 0.05, 0.0], atol=1e-8)
-    adam_step(up, np.zeros(3), np.zeros(3), 1, g, cfg, maximize=True)
+    adam_step(up, np.zeros(3), np.zeros(3), 1, g, 0.05, maximize=True)
     assert np.allclose(up, [0.05, -0.05, 0.0], atol=1e-8)
 
 
@@ -240,10 +240,21 @@ def test_row_is_abandoned_only_if_not_improved_by_half_budget():
 
     objective = optimize.Objective(Scenario(2, 2), True, evaluate)
     starts = np.zeros((2, objective.dim))
-    res = run_search(objective, starts, OptimizerConfig(learning_rate=0.1, max_steps=6))
+    lr, steps = 0.1, 6
+    cfg = OptimizerConfig(learning_rate=lr, max_steps=steps)
+    res = run_search(objective, starts, cfg)
     assert res.values.tolist() == [2.0, 0.0] and res.steps_run == 6
     assert res.history.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0]
-    assert np.array_equal(res.thetas[1], starts[1]) and res.thetas[0, 0] > 0.5
+    assert np.array_equal(res.thetas[1], starts[1])
+    # Under a constant gradient Adam's normalised step is the rate (up to its epsilon),
+    # so the ascent's row 0 moves by the sum of its decaying rates...
+    factors = [0.01 + 0.99 * (0.5 * (1.0 + math.cos(math.pi * t / steps))) for t in range(steps)]
+    assert res.thetas[0] == pytest.approx(np.full(objective.dim, lr * sum(factors)), rel=1e-7)
+    # ...and a descending row, whose value falls every step, by exactly lr per step
+    descent = optimize.Objective(Scenario(2, 2), False, lambda th: (th[:, 0].copy(), np.ones_like(th)))
+    res = run_search(descent, starts[:1], cfg)
+    assert res.steps_run == steps
+    assert res.thetas[0] == pytest.approx(np.full(descent.dim, -lr * steps), rel=1e-7)
 
 
 def test_stalled_row_stacked_gets_its_result_alone():
@@ -538,6 +549,31 @@ def test_bounce_with_zero_gap_tolerance_stops_on_an_unchanged_gap():
     assert exact.converged and exact.loops == 8 and len(exact.records) == 17
     assert exact.records[-1].gap == exact.records[-3].gap
     assert exact.records == bounce_loop(GISIN_2, ms, NOISY_SINGLET, **cfgs).records
+
+
+def test_bounce_end_gap_does_not_hang_on_the_last_bits_of_the_bound_gradient(monkeypatch):
+    # The ascent's decaying rate lets it settle on the bound's local maximum; at a
+    # constant rate it stalls short of it, at a point set by the gradient's last bits
+    # (a 1e-12 scaling moved this gap by about 0.07).
+    make = optimize._make_bound_objective
+    cfgs = dict(min_cfg=OptimizerConfig(0.01, 2000), max_cfg=OptimizerConfig(0.02, 2000))
+    gaps = []
+    for scale in (1.0, 1.0 + 1e-12, 1.0 - 1e-12):
+
+        def scaled(*args, scale=scale):
+            objective = make(*args)
+
+            def evaluate(thetas):
+                values, grad = objective(thetas)
+                return values, grad * scale
+
+            return evaluate
+
+        monkeypatch.setattr(optimize, "_make_bound_objective", scaled)
+        res = bounce_loop(GISIN_2, tetrahedron_axes_settings(), NOISY_SINGLET, **cfgs)
+        assert res.converged
+        gaps.append(res.final_gap)
+    assert max(gaps) - min(gaps) < 1e-3
 
 
 def test_bounce_accepts_operator_start():

@@ -52,12 +52,7 @@ from .mapping import (
     residual_norm,
     solve_alpha,
 )
-from .noise import (
-    NoiseModel,
-    PLACEMENT_AFTER_EACH_GATE,
-    PLACEMENTS,
-    prepare_noisy_singlets,
-)
+from .noise import PLACEMENT_AFTER_EACH_GATE, PLACEMENTS, prepare_noisy_singlets
 from .optimize import (
     DEFAULT_ASCENT,
     DEFAULT_DESCENT,
@@ -223,7 +218,7 @@ def _resolve_h(cfg: dict) -> np.ndarray:
         if not np.all(np.isfinite(h)):
             raise ValueError("h entries must be finite")
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.linalg.norm(h)):  # the residual gate scales with |h|
+            if not np.isfinite(np.linalg.norm(h)):  # the residual gate is RESIDUAL_RTOL |h|
                 raise ValueError("h entries too large: the norm of h overflows")
         return h
     raise ValueError("no operator given: use --preset or --h")
@@ -350,9 +345,9 @@ def _cmd_ineq2ham(cfg: dict):
     if cfg["data_file"] is not None:
         sources = [(None, _load_correlator_file(cfg["data_file"]))]
     else:
-        models = [NoiseModel(p, cfg["noise_placement"]) for p in _parse_p_grid(cfg["p_grid"]).tolist()]
-        cs = correlator_vector(prepare_noisy_singlets(models))
-        sources = [(nm.p, c) for nm, c in zip(models, cs)]
+        ps = _parse_p_grid(cfg["p_grid"])
+        cs = correlator_vector(prepare_noisy_singlets(ps, cfg["noise_placement"]))
+        sources = list(zip(ps.tolist(), cs))
     minima = sweep_minima(bc, [c for _, c in sources], starts, opt_cfg)
     rows = []
     for (p, c), best in zip(sources, minima.tolist()):
@@ -384,15 +379,17 @@ def _cmd_bounce(cfg: dict):
     op_given = any(cfg.get(k) is not None for k in ("preset", "h"))
     if ineq_given and op_given:
         raise ValueError("start from an inequality or an operator, not both")
-    start = _resolve_h(cfg) if op_given else _resolve_alpha(cfg, default_delta=2.0)
     ms0 = tetrahedron_axes_settings()
+    if op_given:  # T has rank 9 at the tetrahedron axes, so every finite h solves there
+        alpha = solve_alpha(ms0, _resolve_h(cfg))
+    else:
+        alpha = _resolve_alpha(cfg, default_delta=2.0)
     if cfg["data_file"] is not None:
         c = _load_correlator_file(cfg["data_file"])
     else:
-        nm = NoiseModel(cfg["p"], cfg["noise_placement"])
-        c = correlator_vector(prepare_noisy_singlets([nm]))[0]
+        c = correlator_vector(prepare_noisy_singlets([cfg["p"]], cfg["noise_placement"]))[0]
     result = bounce_loop(
-        start,
+        alpha,
         ms0,
         c,
         min_cfg=_search_cfg(DEFAULT_DESCENT, cfg),

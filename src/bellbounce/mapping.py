@@ -39,7 +39,7 @@ __all__ = [
     "RANK_RCOND",
 ]
 
-# Consistency gate for solved systems: ||T a - h|| <= RESIDUAL_RTOL * max(1, ||h||).
+# Consistency gate for solved systems: ||T a - h|| <= RESIDUAL_RTOL * ||h||.
 RESIDUAL_RTOL = 1e-8
 # Relative singular-value cutoff for rank decisions and pseudo-inversion.
 RANK_RCOND = 1e-10
@@ -136,8 +136,8 @@ def _residual_batch(na, nb, alpha, hmat) -> np.ndarray:
 
 
 def _residual_gate(h) -> float:
-    # Largest residual a solved system may leave: RESIDUAL_RTOL * max(1, ||h||).
-    return RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(h)))
+    # Largest residual a solved system may leave: RESIDUAL_RTOL * ||h||, at every scale.
+    return RESIDUAL_RTOL * float(np.linalg.norm(h))
 
 
 def _quantum_values(na, nb, cmats, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +251,7 @@ def solve_alpha(ms: MeasurementSettings, h) -> BellCoeffs:
 
     Raises:
         ValueError: if h does not have shape (9,).
-        LinearSolveError: if the residual exceeds 1e-8 * max(1, ||h||) or is
+        LinearSolveError: if the residual exceeds 1e-8 * ||h|| or is
             not finite (h not representable at these settings). This is the
             optimizer's feasibility gate, so a point the bound objective
             scores finite is always solved.

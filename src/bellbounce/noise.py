@@ -7,7 +7,7 @@ it is a valid probability mixture for 0 <= p <= 1/3 and contracts that
 qubit's Bloch components by (1 - 4p).
 
 `prepare_noisy_singlets` runs the circuit on a stack of states, one per noise
-model: a noise sweep is one pass, and one state is a stack of one. Every gate
+strength: a noise sweep is one pass, and one state is a stack of one. Every gate
 and every channel validates every state in its output stack (finite entries,
 trace, Hermiticity, positivity), once per gate or channel, so CPTP violations
 surface immediately rather than as corrupted correlators downstream.
@@ -15,14 +15,11 @@ surface immediately rather than as corrupted correlators downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pauli import EMBEDDED_PAULIS, check_state
 
 __all__ = [
-    "NoiseModel",
     "PLACEMENT_AFTER_EACH_GATE",
     "PLACEMENT_FINAL_ONLY",
     "PLACEMENTS",
@@ -35,22 +32,6 @@ PLACEMENT_FINAL_ONLY = "final-state-only"
 PLACEMENTS = (PLACEMENT_AFTER_EACH_GATE, PLACEMENT_FINAL_ONLY)
 
 P_MAX = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Depolarizing strength and channel placement policy."""
-
-    p: float
-    placement: str = PLACEMENT_AFTER_EACH_GATE
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= P_MAX):
-            raise ValueError(f"noise strength must lie in [0, 1/3], got {self.p!r}")
-        if self.placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; choose from {PLACEMENTS}"
-            )
 
 
 _X0, _, _Z0 = EMBEDDED_PAULIS[0]
@@ -74,25 +55,29 @@ def _depolarize(rho: np.ndarray, qubit: int, p) -> np.ndarray:
     return check_state(out)
 
 
-def prepare_noisy_singlets(models) -> np.ndarray:
-    """Run the singlet circuit once on a stack of states, one per noise model (k, 4, 4).
+def prepare_noisy_singlets(ps, placement: str = PLACEMENT_AFTER_EACH_GATE) -> np.ndarray:
+    """Run the singlet circuit once on a stack of states, one per noise strength (k, 4, 4).
 
     Default placement inserts the channel on every qubit a gate touches,
     immediately after that gate (so qubit 0 sees three channels and qubit 1
     two). Final-state-only runs the circuit noiselessly and applies one
     channel per qubit at the end. At p = 0 both give the exact singlet.
 
-    The models share one placement. A state's bits do not depend on the other
-    models in the stack.
+    A state's bits do not depend on the other strengths in the stack.
 
     Raises:
-        ValueError: on an empty stack, or models with different placements.
+        ValueError: on an empty or non-flat stack, a strength outside [0, 1/3] (nan
+            included; the first such is named), or an unknown placement.
     """
-    placements = {nm.placement for nm in models}
-    if len(placements) != 1:
-        raise ValueError(f"need noise models with one placement, got {sorted(placements)}")
-    (placement,) = placements
-    p = np.array([nm.p for nm in models])[:, None, None]  # state i at strength p[i, 0, 0]
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 1 or ps.size == 0:
+        raise ValueError(f"need a non-empty list of noise strengths, got shape {ps.shape}")
+    for p in ps.tolist():
+        if not (0.0 <= p <= P_MAX):
+            raise ValueError(f"noise strength must lie in [0, 1/3], got {p!r}")
+    if placement not in PLACEMENTS:
+        raise ValueError(f"unknown placement {placement!r}; choose from {PLACEMENTS}")
+    p = ps[:, None, None]  # state i at strength p[i, 0, 0]
     rho = np.zeros((len(p), 4, 4), dtype=complex)
     rho[..., 0, 0] = 1.0
     for u, touched in SINGLET_CIRCUIT:

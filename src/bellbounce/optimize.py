@@ -488,7 +488,7 @@ class BounceResult:
 
 
 def bounce_loop(
-    start,
+    alpha: BellCoeffs,
     ms0: MeasurementSettings,
     c,
     *,
@@ -500,9 +500,8 @@ def bounce_loop(
     """Alternate value descent and bound ascent until the gap stops improving.
 
     Args:
-        start: either BellCoeffs (loop begins by minimizing the quantum
-            value at fixed inequality) or a 9-component operator coefficient
-            vector (an inequality is first solved for at ms0 by solve_alpha).
+        alpha: the starting inequality; the loop begins by minimizing the
+            quantum value at it. An operator h starts from solve_alpha(ms0, h).
         ms0: initial measurement settings.
         c: measured Pauli correlator vector driving the quantum value.
         gap_tol: stop once a full loop improves the gap beta_Q - beta_C by
@@ -516,30 +515,23 @@ def bounce_loop(
     run_search). A bound ascent is not run when the last one kept alpha and the
     descent since returned its start settings: its inputs would be the last
     one's, so it would keep alpha again, and its record is written as if it ran.
-    The inequality is solve_alpha's: from h at ms0 for an operator start, and
-    from the ascent's h at its winning settings after a strictly higher bound.
-    Each recorded beta_Q is quantum_value_from_data at the current settings,
-    and each bound ascent starts from h = T . alpha, with T built from the
-    current settings by build_transfer_matrix. The result's loops, final_gap
-    and violation are read from its records.
+    After a strictly higher bound, the inequality is solve_alpha's, from the
+    ascent's h at its winning settings. Each recorded beta_Q is
+    quantum_value_from_data at the current settings, and each bound ascent
+    starts from h = T . alpha, with T built from the current settings by
+    build_transfer_matrix. The result's loops, final_gap and violation are read
+    from its records.
 
     Raises:
         ValueError: on a bad budget or tolerance, correlators outside [-1, 1]
             (nan or inf included), or settings that do not match the
             inequality's scenario; each before any search starts.
-        LinearSolveError: if solve_alpha refuses the operator start: its h
-            leaves a residual above the gate at ms0. A winning ascent's settings
-            passed the same gate, so solve_alpha does not refuse them.
     """
     if max_loops < 1:
         raise ValueError("loop budget must be positive")
     if not (gap_tol >= 0 and np.isfinite(gap_tol)):
         raise ValueError("gap tolerance must be non-negative and finite")
     c = np.asarray(c, dtype=float)
-    if isinstance(start, BellCoeffs):
-        alpha = start
-    else:
-        alpha = solve_alpha(ms0, np.asarray(start, dtype=float))
     scenario = alpha.scenario
 
     ms = ms0

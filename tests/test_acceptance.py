@@ -44,7 +44,6 @@ from bellbounce.noise import (
     PLACEMENT_FINAL_ONLY,
     PLACEMENTS,
     SINGLET_CIRCUIT,
-    NoiseModel,
     prepare_noisy_singlets,
 )
 from bellbounce.optimize import (
@@ -200,7 +199,7 @@ def test_criterion_09_noise_sweep():
     grid = np.arange(15) / 1000.0
     ms0 = tetrahedron_axes_settings()
     bc = gisin_variant(2.0)
-    cs = [correlator_vector(prepare_noisy_singlets([NoiseModel(float(p))])[0]) for p in grid]
+    cs = correlator_vector(prepare_noisy_singlets(grid))
     original = np.array([quantum_value_from_data(c, ms0, bc) for c in cs])
     cfg = OptimizerConfig(learning_rate=0.01, max_steps=2000)
     theta0 = ms0.to_vector()
@@ -216,7 +215,7 @@ def test_criterion_09_noise_sweep():
 
 
 def test_criterion_10_bounce_loop():
-    c = correlator_vector(prepare_noisy_singlets([NoiseModel(0.010)])[0])
+    c = correlator_vector(prepare_noisy_singlets([0.010])[0])
     res = bounce_loop(gisin_variant(2.0), tetrahedron_axes_settings(), c)
     assert res.final_gap < 0.0
     assert res.converged
@@ -273,7 +272,7 @@ def test_criterion_11b_cptp_every_step():
                 for qubit in (0, 1):
                     rho = _depolarized(rho, qubit, p)
                     check_state(rho)
-            ref = prepare_noisy_singlets([NoiseModel(p, placement)])[0]
+            ref = prepare_noisy_singlets([p], placement)[0]
             assert np.max(np.abs(rho - ref)) < 1e-13
     _report(11, "state stays physical after every gate and channel")
 

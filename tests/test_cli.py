@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,12 @@ from bellbounce import cli, optimize
 from bellbounce.bell import BellCoeffs, classical_bound, gisin_variant
 from bellbounce.cli import main
 from bellbounce.lattice import lattice_quantum_floor, load_lattice
-from bellbounce.mapping import bell_operator
-from bellbounce.noise import NoiseModel, prepare_noisy_singlets
+from bellbounce.mapping import bell_operator, solve_alpha
+from bellbounce.noise import prepare_noisy_singlets
 from bellbounce.optimize import DEFAULT_ASCENT, DEFAULT_DESCENT, OptimizerConfig, run_search
 from bellbounce.pauli import correlator_vector
-from bellbounce.presets import tetrahedron_axes_settings
-from bellbounce.serialize import format_float
+from bellbounce.presets import H_G_COEFFS, tetrahedron_axes_settings
+from bellbounce.serialize import format_float, write_json_lines
 
 CERT_SHA = "402455be3535bd7f61760cb7e0ccf0679b0cd281b97936dde814e90d1f348443"
 
@@ -254,7 +255,7 @@ def test_unphysical_data_file_rejected_before_search(capsys, tmp_path):
             assert len(captured.err.splitlines()) == 1 and "tetrahedron" in captured.err
             assert not out.exists()
     # the p = 0 singlet is a vertex of the tetrahedron; all-zero data is its centre
-    singlet = correlator_vector(prepare_noisy_singlets([NoiseModel(0.0)])[0])
+    singlet = correlator_vector(prepare_noisy_singlets([0.0])[0])
     for i, c in enumerate((singlet.tolist(), [0] * 9)):
         data = tmp_path / f"good{i}.json"
         data.write_text(json.dumps(c))
@@ -278,6 +279,8 @@ def test_numerical_failure_exit_code(capsys, tmp_path):
     ["--preset", "H_G", "--m1", "2"],
     ["--preset", "gisin_elegant", "--m1", "4", "--m2", "2"],
     ["--h", "1 .7 -.3 .2 -1 .4 .9 -.6 .5", "--m1", "2", "--m2", "2"],
+    # the gate is relative to ||h||, so a tiny operator is refused just the same
+    ["--h", ",".join(repr(x) for x in (H_G_COEFFS * 1e-100).tolist()), "--m1", "2", "--m2", "3"],
 ])
 def test_ham2ineq_refuses_an_unrepresentable_operator(argv, capsys, tmp_path, monkeypatch):
     # NA^T alpha NB has rank at most min(m1, m2): an H whose best approximation of
@@ -288,6 +291,20 @@ def test_ham2ineq_refuses_an_unrepresentable_operator(argv, capsys, tmp_path, mo
     err = capsys.readouterr().err
     assert err.startswith("error: h has no representation") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_ham2ineq_represents_the_zero_operator_exactly(capsys, tmp_path):
+    # the residual gate is relative to ||h||, so h = 0 passes it only with residual 0,
+    # which alpha = 0 leaves
+    for m1 in (2, 3, 4):
+        out = tmp_path / f"zero{m1}"
+        argv = ["ham2ineq", "--h", "0,0,0,0,0,0,0,0,0", "--m1", str(m1), "--m2", "3",
+                "--restarts", "2", "--steps", "20", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "ham2ineq_summary.json").read_text())
+        assert summary["best_beta_c"] == 0 and summary["residual"] == 0
+        assert summary["alpha"] == [[0] * 3] * m1
 
 
 def test_ham2ineq_outputs(capsys, tmp_path):
@@ -365,7 +382,7 @@ def test_p_grid_stays_inside_its_stop():
     assert cli._parse_p_grid("0:0.014:0.001").tolist() == (0.001 * np.arange(15)).tolist()
     assert cli._parse_p_grid("0.01:0.01:0.001").tolist() == [0.01]
     # a last point that rounds past its stop is clamped to it: 2/15 + 3 * (1/15)
-    # is 0.33333333333333337, above NoiseModel's 1/3
+    # is 0.33333333333333337, above the noise strength's cap of 1/3
     third = cli._parse_p_grid("0.13333333333333333:0.3333333333333333:0.06666666666666667")
     assert len(third) == 4 and third[-1] == 1 / 3 and np.all(third <= 1 / 3)
 
@@ -427,6 +444,22 @@ def test_bounce_outputs(capsys, tmp_path):
         assert abs(row["gap"] - (row["beta_q"] - row["beta_c"])) < 1e-10
     assert summary["violation"] is True
     assert summary["final_gap"] == rows[-1]["gap"]
+
+
+def test_bounce_from_an_operator_bounces_from_its_inequality(capsys, tmp_path):
+    # --preset H_G starts the loop from solve_alpha(H_G) at the tetrahedron axes
+    argv = ["bounce", "--preset", "H_G", "--steps", "60", "--max-loops", "3",
+            "--out", str(tmp_path / "cli")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    ms0 = tetrahedron_axes_settings()
+    c = correlator_vector(prepare_noisy_singlets([0.010])[0])
+    want = optimize.bounce_loop(solve_alpha(ms0, H_G_COEFFS), ms0, c,
+                                min_cfg=replace(DEFAULT_DESCENT, max_steps=60),
+                                max_cfg=replace(DEFAULT_ASCENT, max_steps=60), max_loops=3)
+    write_json_lines(tmp_path / "want.jsonl", (asdict(r) for r in want.records))
+    got = (tmp_path / "cli" / "bounce_trajectory.jsonl").read_bytes()
+    assert got == (tmp_path / "want.jsonl").read_bytes() and len(want.records) > 3
 
 
 def test_lattice_report(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellbounce.bell import BellCoeffs
+from bellbounce.bell import BellCoeffs, gisin_variant
 from bellbounce.mapping import (
     LinearSolveError,
     MeasurementSettings,
@@ -15,6 +15,7 @@ from bellbounce.mapping import (
     residual_norm,
     solve_alpha,
 )
+from bellbounce.presets import H_G_COEFFS, tetrahedron_axes_settings
 from reference_ops import pauli_coeffs_from_operator
 
 
@@ -167,6 +168,24 @@ def test_inconsistent_system_rejected():
         b = np.tile([[1.0, 2.0]], (3, 1))
         with pytest.raises(LinearSolveError):
             solve_alpha(MeasurementSettings(party_a=a, party_b=b), h)
+
+
+def test_residual_gate_is_relative_at_every_scale():
+    # H_G scaled by 1e-100 has no representation with 2 settings for a party: these
+    # 2x3 settings leave a residual of 0.41 ||h||, far below 1e-8. At the tetrahedron
+    # axes it solves to the delta = 2 matrix scaled alike, and h = 0 solves exactly
+    # to alpha = 0.
+    h = H_G_COEFFS * 1e-100
+    theta = [2.00107415751, 1.69511991599, 0.12872212179, 0.103846196715, 2.55496380885,
+             5.7350124322, 1.90580249655, 4.58356207361, 1.7078482795, 5.87523331429]
+    with pytest.raises(LinearSolveError):
+        solve_alpha(MeasurementSettings.from_vector(2, 3, theta), h)
+    ms = tetrahedron_axes_settings()
+    assert np.allclose(solve_alpha(ms, h).alpha, gisin_variant(2.0).alpha * 1e-100,
+                       rtol=1e-12, atol=0)
+    for m1, m2 in ((2, 3), (3, 3), (4, 3)):
+        zero = solve_alpha(_random_settings(np.random.default_rng(27), m1, m2), np.zeros(9))
+        assert np.array_equal(zero.alpha, np.zeros((m1, m2)))
 
 
 def test_solve_mode_validation():

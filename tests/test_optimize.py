@@ -22,7 +22,7 @@ from bellbounce.optimize import (
     run_search,
     value_objective,
 )
-from bellbounce.noise import NoiseModel, prepare_noisy_singlets
+from bellbounce.noise import prepare_noisy_singlets
 from bellbounce.pauli import correlator_vector
 from bellbounce.presets import (
     ELEGANT_COEFFS,
@@ -31,7 +31,7 @@ from bellbounce.presets import (
 )
 from finite_diff import finite_diff_gradient
 
-SINGLET = correlator_vector(prepare_noisy_singlets([NoiseModel(0.0)])[0])
+SINGLET = correlator_vector(prepare_noisy_singlets([0.0])[0])
 FAST = OptimizerConfig(learning_rate=0.02, max_steps=120)
 FAST_DOWN = OptimizerConfig(learning_rate=0.01, max_steps=120)
 GISIN_2 = gisin_variant(2.0)
@@ -509,15 +509,19 @@ def _bounce_every_half_step(alpha, ms, c, cfg, max_loops=10, gap_tol=1e-6):
     return records
 
 
-NOISY_SINGLET = correlator_vector(prepare_noisy_singlets([NoiseModel(0.010)])[0])
+NOISY_SINGLET = correlator_vector(prepare_noisy_singlets([0.010])[0])
 
 
 @pytest.mark.parametrize(
-    "start, c, steps, skips",
-    [(GISIN_2, NOISY_SINGLET, 100, 1), (H_G_COEFFS, NOISY_SINGLET, 60, 1), (GISIN_2, np.zeros(9), 40, 0)],
+    "alpha, c, steps, skips",
+    [
+        (GISIN_2, NOISY_SINGLET, 100, 1),
+        (solve_alpha(tetrahedron_axes_settings(), H_G_COEFFS), NOISY_SINGLET, 60, 1),
+        (GISIN_2, np.zeros(9), 40, 0),
+    ],
     ids=["gisin", "H_G", "mixed"],
 )
-def test_bounce_skips_a_repeated_bound_ascent_with_the_same_records(monkeypatch, start, c, steps, skips):
+def test_bounce_skips_a_repeated_bound_ascent_with_the_same_records(monkeypatch, alpha, c, steps, skips):
     # At p = 0.010 the last descent returns its start after an ascent that kept alpha,
     # so the ascent after it would repeat that one; the gisin loop also has ascents
     # that raise the bound. With maximally mixed data (all correlators 0) no descent
@@ -531,9 +535,8 @@ def test_bounce_skips_a_repeated_bound_ascent_with_the_same_records(monkeypatch,
         return search(*args)
 
     monkeypatch.setattr(optimize, "run_search", counted)
-    res = bounce_loop(start, ms, c, min_cfg=cfg, max_cfg=cfg)
+    res = bounce_loop(alpha, ms, c, min_cfg=cfg, max_cfg=cfg)
     ran = len(calls)
-    alpha = start if isinstance(start, BellCoeffs) else solve_alpha(ms, start)
     want = _bounce_every_half_step(alpha, ms, c, cfg)
     assert [(r.kind, r.beta_c, r.beta_q) for r in res.records] == want
     assert len(calls) - ran == len(want) - 1 and ran == len(want) - 1 - skips
@@ -579,8 +582,9 @@ def test_bounce_end_gap_does_not_hang_on_the_last_bits_of_the_bound_gradient(mon
 def test_bounce_accepts_operator_start():
     ms = tetrahedron_axes_settings()
     tiny = OptimizerConfig(learning_rate=0.01, max_steps=40)
-    res = bounce_loop(H_G_COEFFS, ms, SINGLET, min_cfg=tiny, max_cfg=tiny, max_loops=1)
+    # an operator starts from its inequality at the start settings
     start = solve_alpha(ms, H_G_COEFFS)
+    res = bounce_loop(start, ms, SINGLET, min_cfg=tiny, max_cfg=tiny, max_loops=1)
     assert abs(res.records[0].beta_c - classical_bound(start)[0]) < 1e-12
     assert res.violation  # ideal data violates from the start
 

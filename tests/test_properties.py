@@ -22,7 +22,7 @@ from bellbounce.mapping import (
     build_transfer_matrix,
     solve_alpha,
 )
-from bellbounce.noise import P_MAX, PLACEMENTS, NoiseModel, prepare_noisy_singlets
+from bellbounce.noise import P_MAX, PLACEMENTS, prepare_noisy_singlets
 from bellbounce.optimize import (
     DEFAULT_ASCENT,
     DEFAULT_DESCENT,
@@ -353,18 +353,19 @@ def test_value_gradient_matches_central_difference(step, case):
 
 @st.composite
 def bounce_cases(draw):
-    # Generic settings, noisy-singlet correlators, and a start: an inequality, or an
-    # operator T(ms) x that the settings reach.
+    # Generic settings, noisy-singlet correlators, and a start: an inequality, or the
+    # inequality solved from an operator T(ms) x that the settings reach.
     m1, m2 = draw(st.sampled_from([(m1, m2) for m1 in (2, 3, 4) for m2 in (2, 3, 4)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     angles = rng.uniform(0, 2 * np.pi, (m1 + m2, 2))
     ms = MeasurementSettings(angles[:m1], angles[m1:])
     x = rng.normal(size=(m1, m2))
-    start = build_transfer_matrix(ms) @ x.ravel()
     if draw(st.booleans()):
         start = BellCoeffs(x)
-    noise = NoiseModel(draw(st.floats(0.0, P_MAX)), draw(st.sampled_from(PLACEMENTS)))
-    return start, ms, correlator_vector(prepare_noisy_singlets([noise])[0])
+    else:
+        start = solve_alpha(ms, build_transfer_matrix(ms) @ x.ravel())
+    p, placement = draw(st.floats(0.0, P_MAX)), draw(st.sampled_from(PLACEMENTS))
+    return start, ms, correlator_vector(prepare_noisy_singlets([p], placement)[0])
 
 
 @settings(PROPERTY, max_examples=40)

@@ -46,7 +46,6 @@ from .mapping import (
     RANK_RCOND,
     RESIDUAL_RTOL,
     LinearSolveError,
-    _residual_gate,
     bell_operator,
     quantum_value_from_data,
     residual_norm,
@@ -218,8 +217,9 @@ def _resolve_h(cfg: dict) -> np.ndarray:
         if not np.all(np.isfinite(h)):
             raise ValueError("h entries must be finite")
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.linalg.norm(h)):  # the residual gate is RESIDUAL_RTOL |h|
-                raise ValueError("h entries too large: the norm of h overflows")
+            # the residual gate is RESIDUAL_RTOL |h|, which np.linalg.norm forms from h . h
+            if not np.isfinite(np.linalg.norm(h)):
+                raise ValueError("h entries too large: the sum of their squares overflows")
         return h
     raise ValueError("no operator given: use --preset or --h")
 
@@ -240,6 +240,13 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+def _write_summary(cfg: dict, command: str, fields: dict):
+    write_json(
+        _out_dir(cfg) / f"{command.replace('-', '_')}_summary.json",
+        {"command": command, "provenance": _provenance(cfg), **fields},
+    )
+
+
 def _print_kv(key: str, value):
     if isinstance(value, float):
         value = format_float(value)
@@ -256,34 +263,24 @@ def _cmd_classical_bound(cfg: dict):
     _print_kv("classical bound", beta)
     _print_kv("witness a", witness.a.tolist())
     _print_kv("witness b", witness.b.tolist())
-    summary = {
-        "command": "classical-bound",
-        "provenance": _provenance(cfg),
-        "beta_c": beta,
-        "witness_a": witness.a.tolist(),
-        "witness_b": witness.b.tolist(),
-    }
+    fields = {"beta_c": beta, "witness_a": witness.a.tolist(), "witness_b": witness.b.tolist()}
     if cfg["gisin_delta"] is not None:
         closed = gisin_bound_closed_form(cfg["gisin_delta"])
         _print_kv("closed form", closed)
         _print_kv("difference", beta - closed)
-        summary["closed_form"] = closed
-        summary["difference"] = beta - closed
+        fields["closed_form"] = closed
+        fields["difference"] = beta - closed
     if cfg["out"] is not None:
-        write_json(_out_dir(cfg) / "classical_bound_summary.json", summary)
+        _write_summary(cfg, "classical-bound", fields)
 
 
 def _cmd_ham2ineq(cfg: dict):
     h = _resolve_h(cfg)
     scenario = Scenario(cfg["m1"], cfg["m2"])
-    # NA^T alpha NB has rank at most k = min(m1, m2), so no settings leave a residual below
-    # H's best rank-k one (Eckart-Young); at k = 3 that is 0, and no SVD need run
-    k = min(scenario.m1, scenario.m2)
-    if k < 3:
-        floor = float(np.linalg.norm(np.linalg.svd(h.reshape(3, 3), compute_uv=False)[k:]))
-        if floor > _residual_gate(h):
-            raise ValueError(f"h has no representation with {k} settings for a party: "
-                             f"its best rank-{k} residual {floor:.3g} exceeds the residual gate")
+    # NA^T alpha NB has rank at most min(m1, m2): below 3, the settings that represent a
+    # nonzero H form an empty or measure-zero set, which no random start reaches
+    if min(scenario.m1, scenario.m2) < 3 and h.any():
+        raise ValueError("a nonzero operator needs at least 3 settings per party")
     opt_cfg = _search_cfg(DEFAULT_ASCENT, cfg)
     objective = bound_objective(h, scenario)
     _check_bound_batch(cfg["restarts"], scenario.m1, scenario.m2)
@@ -293,25 +290,19 @@ def _cmd_ham2ineq(cfg: dict):
     resid = residual_norm(best.settings, alpha.ravel(), h)
     _print_kv("best classical bound", best.value)
     _print_kv("winning restart", best.best_index)
-    out = _out_dir(cfg)
     curve = [(step, v) for step, v in enumerate(best.history.tolist()) if math.isfinite(v)]
-    write_csv(out / "ham2ineq_curve.csv", ("step", "value"), curve)
-    write_json(
-        out / "ham2ineq_summary.json",
-        {
-            "command": "ham2ineq",
-            "provenance": _provenance(cfg),
-            "h": h.tolist(),
-            "scenario": [scenario.m1, scenario.m2],
-            "restarts": cfg["restarts"],
-            "steps": cfg["steps"],
-            "best_beta_c": best.value,
-            "winning_restart": best.best_index,
-            "settings": best.settings.to_vector().tolist(),
-            "alpha": alpha.tolist(),
-            "residual": resid,
-        },
-    )
+    write_csv(_out_dir(cfg) / "ham2ineq_curve.csv", ("step", "value"), curve)
+    _write_summary(cfg, "ham2ineq", {
+        "h": h.tolist(),
+        "scenario": [scenario.m1, scenario.m2],
+        "restarts": cfg["restarts"],
+        "steps": cfg["steps"],
+        "best_beta_c": best.value,
+        "winning_restart": best.best_index,
+        "settings": best.settings.to_vector().tolist(),
+        "alpha": alpha.tolist(),
+        "residual": resid,
+    })
 
 
 def _parse_p_grid(text: str) -> np.ndarray:
@@ -358,20 +349,14 @@ def _cmd_ineq2ham(cfg: dict):
             f"{label} original {format_float(original)} "
             f"optimized {format_float(best)} beta_c {format_float(beta_c)}"
         )
-    out = _out_dir(cfg)
-    write_csv(out / "ineq2ham_rows.csv", ("p", "original", "optimized", "beta_c"), rows)
-    write_json(
-        out / "ineq2ham_summary.json",
-        {
-            "command": "ineq2ham",
-            "provenance": _provenance(cfg),
-            "alpha": bc.alpha.tolist(),
-            "beta_c": beta_c,
-            "restarts": cfg["restarts"],
-            "steps": cfg["steps"],
-            "rows": [list(r) for r in rows],
-        },
-    )
+    write_csv(_out_dir(cfg) / "ineq2ham_rows.csv", ("p", "original", "optimized", "beta_c"), rows)
+    _write_summary(cfg, "ineq2ham", {
+        "alpha": bc.alpha.tolist(),
+        "beta_c": beta_c,
+        "restarts": cfg["restarts"],
+        "steps": cfg["steps"],
+        "rows": [list(r) for r in rows],
+    })
 
 
 def _cmd_bounce(cfg: dict):
@@ -401,23 +386,17 @@ def _cmd_bounce(cfg: dict):
     _print_kv("converged", result.converged)
     _print_kv("violation", result.violation)
     _print_kv("final gap", result.final_gap)
-    out = _out_dir(cfg)
-    write_json_lines(out / "bounce_trajectory.jsonl", (asdict(r) for r in result.records))
-    write_json(
-        out / "bounce_summary.json",
-        {
-            "command": "bounce",
-            "provenance": _provenance(cfg),
-            "loops": result.loops,
-            "converged": result.converged,
-            "violation": result.violation,
-            "final_gap": result.final_gap,
-            "final_beta_c": result.records[-1].beta_c,
-            "final_beta_q": result.records[-1].beta_q,
-            "alpha": result.alpha.alpha.tolist(),
-            "settings": result.settings.to_vector().tolist(),
-        },
-    )
+    write_json_lines(_out_dir(cfg) / "bounce_trajectory.jsonl", map(asdict, result.records))
+    _write_summary(cfg, "bounce", {
+        "loops": result.loops,
+        "converged": result.converged,
+        "violation": result.violation,
+        "final_gap": result.final_gap,
+        "final_beta_c": result.records[-1].beta_c,
+        "final_beta_q": result.records[-1].beta_q,
+        "alpha": result.alpha.alpha.tolist(),
+        "settings": result.settings.to_vector().tolist(),
+    })
 
 
 def _cmd_lattice(cfg: dict):
@@ -445,21 +424,16 @@ def _cmd_lattice(cfg: dict):
     for new_local, scaled in improved:
         _print_kv(f"improved bound (local {format_float(new_local)})", scaled)
     if cfg["out"] is not None:
-        write_json(
-            _out_dir(cfg) / "lattice_summary.json",
-            {
-                "command": "lattice",
-                "provenance": _provenance(cfg),
-                "vertices": ls.vertices,
-                "edge_count": len(ls.coupling),
-                "total_coupling": ls.total_coupling(),
-                "beta_local": beta_local,
-                "beta_lattice": beta,
-                "certificate_sha256": digest,
-                "quantum_floor": floor,
-                "improved_bounds": [list(pair) for pair in improved],
-            },
-        )
+        _write_summary(cfg, "lattice", {
+            "vertices": ls.vertices,
+            "edge_count": len(ls.coupling),
+            "total_coupling": ls.total_coupling(),
+            "beta_local": beta_local,
+            "beta_lattice": beta,
+            "certificate_sha256": digest,
+            "quantum_floor": floor,
+            "improved_bounds": [list(pair) for pair in improved],
+        })
 
 
 _HANDLERS = {

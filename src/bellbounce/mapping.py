@@ -12,9 +12,10 @@ the explicit 9 x (m1*m2) array when one is wanted.
 T = NA^T (x) NB^T, so T . alpha = h is NA^T alpha NB = H (H = h as 3x3), solved
 on the 3-column factors (pinv(A (x) B) = pinv(A) (x) pinv(B), Van Loan 2000) by
 one batch kernel shared with the optimizer. It inverts only 3x3 matrices, in
-one call: a factor of 3 settings itself, one of more its Gram matrix. A party
-with fewer than 3 settings, or a singular or badly conditioned row, takes an
-SVD solve. T's singular values are the products of the factors', so that
+one call: a factor of 3 settings itself, any other its Gram matrix. A singular
+or badly conditioned row takes an SVD solve; a party with fewer than 3
+settings has a singular Gram matrix, so its rows reach the SVD through that
+fallback. T's singular values are the products of the factors', so that
 solve's rank cutoff applies to those products. The kernel also returns the
 factors' pseudo-inverses, which the optimizer's bound gradient reuses.
 """
@@ -173,13 +174,13 @@ def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
 
 
 def _inverted(f: np.ndarray) -> np.ndarray:
-    # The 3x3 matrix inverted for pinv(F) of factors F (n, m, 3), m >= 3: F itself at
-    # m = 3, F^T F at m > 3.
+    # The 3x3 matrix inverted for pinv(F) of factors F (n, m, 3): F itself at m = 3,
+    # F^T F otherwise (singular at m < 3).
     return f if f.shape[-2] == 3 else f.swapaxes(-1, -2) @ f
 
 
 def _pinv_from(f: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    # pinv(F) (n, 3, m) from the inverse of _inverted(F): F^-1 at m = 3, (F^T F)^-1 F^T at m > 3.
+    # pinv(F) (n, 3, m) from the inverse of _inverted(F): F^-1 at m = 3, else (F^T F)^-1 F^T.
     return inv if f.shape[-2] == 3 else inv @ f.swapaxes(-1, -2)
 
 
@@ -188,17 +189,16 @@ def _solve_unique_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
 
     pinv(T) = pinv(NA^T) (x) pinv(NB^T), each factor's taken from the inverse of
     the 3x3 matrix _inverted(F); one call inverts both factors' for every row.
-    Returns (alpha, pa, pbt), the same triple as _solve_min_norm_batch. A party
-    with fewer than 3 settings has no 3x3 matrix to invert, so such a batch
-    takes _solve_min_norm_batch's values, and so do rows whose inversion fails
-    or (unless both factors are 3x3) whose inverted matrices are not finite or
-    may be badly conditioned (see MAX_COND_SQUARED). No row is refused here:
-    the residual gate decides whether a row's alpha solves its system. hmat is
-    (3, 3) or (n, 3, 3); a row gets the same bits alone as in any batch.
+    Returns (alpha, pa, pbt), the same triple as _solve_min_norm_batch. Rows
+    whose inversion fails, or (unless both factors are 3x3) whose inverted
+    matrices are not finite or may be badly conditioned (see MAX_COND_SQUARED),
+    take _solve_min_norm_batch's values. A party with fewer than 3 settings has
+    a singular Gram matrix, so every row of such a batch reaches the SVD solve
+    through that fallback. No row is refused here: the residual gate decides
+    whether a row's alpha solves its system. hmat is (3, 3) or (n, 3, 3); a row
+    gets the same bits alone as in any batch.
     """
     n, m1, m2 = len(na), na.shape[1], nb.shape[1]
-    if min(m1, m2) < 3:  # NA^T alpha NB has rank below 3 (and T below 9)
-        return _solve_min_norm_batch(na, nb, hmat)
     try:
         invs = np.linalg.inv(np.concatenate((_inverted(na), _inverted(nb)))).reshape(2, n, 3, 3)
     except np.linalg.LinAlgError:
@@ -238,9 +238,10 @@ def solve_alpha(ms: MeasurementSettings, h) -> BellCoeffs:
 
     alpha is pinv(T) h, the least-squares solution of minimal Euclidean norm,
     by the optimizer's kernel: it inverts each factor, or its 3x3 Gram matrix
-    at more than 3 settings, and takes one iterative-refinement step; a party
-    with fewer than 3 settings, or badly conditioned factors, take an SVD solve
-    (cutoff 1e-10 relative on the singular values of T).
+    at any other number of settings, and takes one iterative-refinement step;
+    singular or badly conditioned factors take an SVD solve (cutoff 1e-10
+    relative on the singular values of T). A party with fewer than 3 settings
+    has a singular Gram matrix, so it reaches the SVD through that fallback.
 
     Args:
         ms: measurement settings; T is their transfer matrix.

@@ -355,10 +355,10 @@ def bound_objective(h, scenario: Scenario) -> Objective:
 
     Every scored point solves T(theta) alpha = h within tolerance, with the
     kernel solve_alpha uses (3x3 inverses of the factors or their Gram
-    matrices; an SVD for a party with fewer than 3 settings or a badly
-    conditioned row), and its score is the exact enumerated bound of that
-    alpha. The gradient is the analytic subgradient at the enumerated winning
-    strategy.
+    matrices; an SVD for a singular or badly conditioned row, which every row
+    is at fewer than 3 settings for a party), and its score is the exact
+    enumerated bound of that alpha. The gradient is the analytic subgradient
+    at the enumerated winning strategy.
     """
     h = np.asarray(h, dtype=float)
     return Objective(scenario, True, _make_bound_objective(h, scenario.m1, scenario.m2))

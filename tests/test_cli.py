@@ -176,6 +176,9 @@ _A33 = "[[1, 2, 3], [4, 5, 6], [7, 8, 9]]"
     pytest.param(["ham2ineq", "--preset", "H_G", "--h", "1,0,0,0,1,0,0,0,1"], None,
                  "choose either --preset or --h, not both", id="preset-and-h"),
     pytest.param(["ham2ineq", "--h", "1,2,3"], None, "h must have 9 entries, got 3", id="h-size"),
+    # |h| is 2e154, finite, but np.linalg.norm forms it from h . h, which overflows
+    pytest.param(["ham2ineq", "--h", "2e154,0,0,0,0,0,0,0,0"], None,
+                 "h entries too large: the sum of their squares overflows", id="h-squares"),
     pytest.param(["ham2ineq"], None, "no operator given: use --preset or --h", id="no-operator"),
     pytest.param(["ineq2ham", "--p-grid", "0:1"], None,
                  "p grid must be start:stop:step, got '0:1'", id="grid-parts"),
@@ -266,30 +269,43 @@ def test_unphysical_data_file_rejected_before_search(capsys, tmp_path):
             capsys.readouterr()
 
 
-def test_numerical_failure_exit_code(capsys, tmp_path):
-    # a rank-2 H passes the rank screen at 2x2, but random settings miss the
-    # measure-zero set that represents it, so no start is feasible
-    argv = ["ham2ineq", "--h", "1 0 0 0 1 0 0 0 0", "--m1", "2", "--m2", "2",
-            "--restarts", "2", "--steps", "30", "--out", str(tmp_path)]
-    assert main(argv) == 3
-    assert "numerical failure" in capsys.readouterr().err
+def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
+    # no valid input reaches a failed search or solve, so the search raises each
+    # numerical error in turn; LinAlgError subclasses ValueError, yet exits 3
+    argv = ["ham2ineq", "--preset", "H_G", "--restarts", "2", "--steps", "30",
+            "--out", str(tmp_path)]
+    for error in (optimize.NoFeasiblePointError, cli.LinearSolveError, np.linalg.LinAlgError):
+        def fail(*args, error=error):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "run_search", fail)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "numerical failure: injected\n"
+
+
+def _h_arg(h) -> str:
+    return ",".join(repr(x) for x in np.asarray(h, dtype=float).tolist())
 
 
 @pytest.mark.parametrize("argv", [
     ["--preset", "H_G", "--m1", "2"],
     ["--preset", "gisin_elegant", "--m1", "4", "--m2", "2"],
     ["--h", "1 .7 -.3 .2 -1 .4 .9 -.6 .5", "--m1", "2", "--m2", "2"],
-    # the gate is relative to ||h||, so a tiny operator is refused just the same
-    ["--h", ",".join(repr(x) for x in (H_G_COEFFS * 1e-100).tolist()), "--m1", "2", "--m2", "3"],
+    ["--h", _h_arg(H_G_COEFFS * 1e-100), "--m1", "2", "--m2", "3"],
+    ["--h", "1,0,0,0,0,0,0,0,0", "--m1", "2", "--m2", "2"],  # rank 1
+    ["--h", "1,0,0,0,0,0,0,0,1", "--m1", "2", "--m2", "3"],  # rank 2
+    ["--h", "1,0,0,0,0,0,0,0,0", "--m1", "3", "--m2", "2"],  # rank 1
+    # |h|^2 underflows to 0, where a relative residual gate passes any settings
+    ["--h", _h_arg(H_G_COEFFS * 1e-200), "--m1", "2", "--m2", "3"],
 ])
 def test_ham2ineq_refuses_an_unrepresentable_operator(argv, capsys, tmp_path, monkeypatch):
-    # NA^T alpha NB has rank at most min(m1, m2): an H whose best approximation of
-    # that rank misses the residual gate is bad input, refused before any start
+    # NA^T alpha NB has rank at most min(m1, m2): below 3, the settings that represent
+    # a nonzero H form a measure-zero set at best, so such a search is refused unstarted
     monkeypatch.setattr(cli, "random_starts", None)
     out = tmp_path / "out"
     assert main(["ham2ineq", *argv, "--restarts", "2", "--steps", "30", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: h has no representation") and err.count("\n") == 1
+    assert err == "error: a nonzero operator needs at least 3 settings per party\n"
     assert not out.exists()
 
 
@@ -638,7 +654,7 @@ def test_bounce_refuses_alpha_whose_sums_overflow(capsys, tmp_path):
 def test_ham2ineq_refuses_h_whose_norm_overflows(capsys, tmp_path):
     argv = ["ham2ineq", "--h", "1e308 0 0 0 1e308 0 0 0 1e308", "--restarts", "1", "--steps", "3"]
     _refused_in_one_line(capsys, tmp_path / "out", argv,
-                         "h entries too large: the norm of h overflows")
+                         "h entries too large: the sum of their squares overflows")
 
 
 def test_learning_rate_above_a_turn_refused(capsys, tmp_path):

@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +53,6 @@ from .mapping import (
 )
 from .noise import PLACEMENT_AFTER_EACH_GATE, PLACEMENTS, prepare_noisy_singlets
 from .optimize import (
-    DEFAULT_ASCENT,
-    DEFAULT_DESCENT,
     NoFeasiblePointError,
     OptimizerConfig,
     _check_bound_batch,
@@ -82,8 +80,10 @@ _OPTIONS = {
     "out": (str, {"help": "output directory"}),
     "restarts": (int, {}),
     "steps": (int, {"help": "step budget: a start not improved by half of it stops"}),
-    "lr": (float, {"help": "learning rate: the bound ascent's decays from it to 1%% over the "
-                           "step budget; the value descent's is constant"}),
+    "lr": (float, {"help": "learning rate (default: each search direction's own); the bound "
+                           "ascent's decays from it to 1%% over the step budget, the value "
+                           "descent's is constant; in bounce it sets both half-steps' "
+                           "starting rate"}),
     "noise_placement": (str, {"choices": PLACEMENTS}),
     "gisin_delta": (float, {}),
     "alpha": (str, {"help": "inline coefficients"}),
@@ -217,21 +217,11 @@ def _resolve_h(cfg: dict) -> np.ndarray:
         if not np.all(np.isfinite(h)):
             raise ValueError("h entries must be finite")
         with np.errstate(over="ignore"):
-            # the residual gate is RESIDUAL_RTOL |h|, which np.linalg.norm forms from h . h
+            # squares that overflow are out of the search's range: Adam squares h-sized gradients
             if not np.isfinite(np.linalg.norm(h)):
                 raise ValueError("h entries too large: the sum of their squares overflows")
         return h
     raise ValueError("no operator given: use --preset or --h")
-
-
-def _search_cfg(default: OptimizerConfig, cfg: dict) -> OptimizerConfig:
-    # The direction's default learning rate unless --lr is given, and --steps.
-    lr = cfg["lr"]
-    return replace(
-        default,
-        learning_rate=default.learning_rate if lr is None else lr,
-        max_steps=cfg["steps"],
-    )
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -281,7 +271,7 @@ def _cmd_ham2ineq(cfg: dict):
     # nonzero H form an empty or measure-zero set, which no random start reaches
     if min(scenario.m1, scenario.m2) < 3 and h.any():
         raise ValueError("a nonzero operator needs at least 3 settings per party")
-    opt_cfg = _search_cfg(DEFAULT_ASCENT, cfg)
+    opt_cfg = OptimizerConfig(cfg["lr"], cfg["steps"])
     objective = bound_objective(h, scenario)
     _check_bound_batch(cfg["restarts"], scenario.m1, scenario.m2)
     starts = random_starts(objective.dim, cfg["restarts"], cfg["seed"])
@@ -329,7 +319,7 @@ def _cmd_ineq2ham(cfg: dict):
         raise ValueError("settings optimization is wired for (4, 3) coefficient matrices")
     ms0 = tetrahedron_axes_settings()
     beta_c = classical_bound(bc)[0]
-    opt_cfg = _search_cfg(DEFAULT_DESCENT, cfg)
+    opt_cfg = OptimizerConfig(cfg["lr"], cfg["steps"])
     theta0 = ms0.to_vector()
     # every point runs these starts; the canonical start is row 0, so it wins ties
     starts = np.vstack([theta0, random_starts(theta0.size, cfg["restarts"], cfg["seed"])])
@@ -377,8 +367,7 @@ def _cmd_bounce(cfg: dict):
         alpha,
         ms0,
         c,
-        min_cfg=_search_cfg(DEFAULT_DESCENT, cfg),
-        max_cfg=_search_cfg(DEFAULT_ASCENT, cfg),
+        cfg=OptimizerConfig(cfg["lr"], cfg["steps"]),
         gap_tol=cfg["gap_tol"],
         max_loops=cfg["max_loops"],
     )

@@ -22,6 +22,7 @@ factors' pseudo-inverses, which the optimizer's bound gradient reuses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,16 +130,24 @@ def bell_operator(ms: MeasurementSettings, bc: BellCoeffs) -> np.ndarray:
     return out
 
 
-def _residual_batch(na, nb, alpha, hmat) -> np.ndarray:
-    # ||NA^T alpha NB - H||_F, the same number as ||T vec(alpha) - h||.
-    # np.linalg.norm's Frobenius formula, without its dispatch
+def _residual_scale(h) -> float:
+    # 2^-e, e = frexp(max|h|)[1] >= -1021: times it, h and its residuals square without
+    # underflow or overflow, and a power of two scales exactly, so the norm keeps its bits.
+    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(h))))[1], -1021))
+
+
+def _residual_batch(na, nb, alpha, hmat, scale: float = 1.0) -> np.ndarray:
+    # ||NA^T alpha NB - H||_F, the same number as ||T vec(alpha) - h||, formed times scale
+    # (_residual_scale(H)): np.linalg.norm's Frobenius formula, without its dispatch
     r = na.swapaxes(-1, -2) @ alpha @ nb - hmat
-    return np.sqrt(np.add.reduce(r * r, axis=(-2, -1)))
+    r *= scale
+    return np.sqrt(np.add.reduce(r * r, axis=(-2, -1))) / scale
 
 
-def _residual_gate(h) -> float:
+def _residual_gate(h, scale: float | None = None) -> float:
     # Largest residual a solved system may leave: RESIDUAL_RTOL * ||h||, at every scale.
-    return RESIDUAL_RTOL * float(np.linalg.norm(h))
+    scale = _residual_scale(h) if scale is None else scale
+    return RESIDUAL_RTOL * float(np.linalg.norm(h * scale)) / scale
 
 
 def _quantum_values(na, nb, cmats, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -261,11 +270,12 @@ def solve_alpha(ms: MeasurementSettings, h) -> BellCoeffs:
     if h.shape != (9,):
         raise ValueError(f"h must have shape (9,), got {h.shape}")
     na, nb, hmat = ms.bloch_a()[None], ms.bloch_b()[None], h.reshape(3, 3)
+    scale = _residual_scale(h)
     # as in the optimizer: a nearly singular T may overflow, and the gate refuses it
     with np.errstate(all="ignore"):
         alpha = _solve_unique_batch(na, nb, hmat)[0][0]
-        res = float(_residual_batch(na[0], nb[0], alpha, hmat))
-    if not np.isfinite(res) or res > _residual_gate(h):
+        res = float(_residual_batch(na[0], nb[0], alpha, hmat, scale))
+    if not np.isfinite(res) or res > _residual_gate(h, scale):
         raise LinearSolveError(
             f"inconsistent system: residual {res!r} for these settings"
         )

@@ -4,12 +4,14 @@ Both search directions are an Objective run by one engine (run_search):
   maximize beta_C(solve(T(theta), h))   -- Hamiltonian fixed, Adam ascent
   minimize c . T(theta) . alpha         -- inequality fixed, Adam descent
 
-The ascent's learning rate decays over the step budget T, from the configured
-rate to 1% of it: the update after evaluation t uses
-lr (0.01 + 0.99 (1 + cos(pi t / T)) / 2) (cosine annealing, Loshchilov & Hutter
-2017). At a constant rate Adam stalls short of the bound's local maximum, and
-where it stalls depends on the last bits of the gradient. The descent's rate
-is constant.
+One OptimizerConfig sets a search's step budget and learning rate; a rate of
+None is the direction's own, 0.02 for the ascent and 0.01 for the descent. The
+ascent's rate decays over the step budget T, from that rate to 1% of it: the
+update after evaluation t uses lr (0.01 + 0.99 (1 + cos(pi t / T)) / 2) (cosine
+annealing, Loshchilov & Hutter 2017). At a constant rate Adam stalls short of
+the bound's local maximum, and where it stalls depends on the last bits of the
+gradient. The descent's rate is constant. The bounce loop runs both directions
+from one config.
 
 Each objective returns values and gradients at the engine's points; the
 engine keeps each row's best value and angles and takes Adam steps, written
@@ -64,6 +66,7 @@ from .mapping import (
     _quantum_values,
     _residual_batch,
     _residual_gate,
+    _residual_scale,
     _solve_min_norm_batch,  # noqa: F401  (the SVD fallback; perfbench times the solve by name)
     _solve_unique_batch,
     build_transfer_matrix,
@@ -86,8 +89,6 @@ __all__ = [
     "run_search",
     "sweep_minima",
     "bounce_loop",
-    "DEFAULT_ASCENT",
-    "DEFAULT_DESCENT",
 ]
 
 
@@ -114,25 +115,21 @@ MAX_LEARNING_RATE = 2 * np.pi
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    learning_rate: float
+    """A search's learning rate (None: its direction's own) and step budget."""
+
+    learning_rate: float | None = None
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+        lr = self.learning_rate
+        if lr is not None and not (lr > 0 and np.isfinite(lr)):
             raise ValueError("learning rate must be positive and finite")
-        if self.learning_rate > MAX_LEARNING_RATE:
-            raise ValueError(f"learning rate must be at most 2*pi, got {self.learning_rate!r}")
+        if lr is not None and lr > MAX_LEARNING_RATE:
+            raise ValueError(f"learning rate must be at most 2*pi, got {lr!r}")
         if self.max_steps < 1:
             raise ValueError("step budget must be positive")
         if self.max_steps > MAX_STEPS:
             raise ValueError(f"step budget must be at most {MAX_STEPS}, got {self.max_steps}")
-
-
-# Ascent on the classical bound / descent on the quantum value. The ascent's rate
-# is where it starts: it decays to 1% of it over the step budget (see
-# _run_lockstep). The descent's rate is constant.
-DEFAULT_ASCENT = OptimizerConfig(learning_rate=0.02)
-DEFAULT_DESCENT = OptimizerConfig(learning_rate=0.01)
 
 
 def adam_step(theta, m, v, t: int, gradient, lr: float, maximize: bool = False):
@@ -220,7 +217,8 @@ def _check_bound_batch(n: int, m1: int, m2: int):
 
 def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
     hmat = h.reshape(3, 3)
-    gate = _residual_gate(h)
+    scale = _residual_scale(h)  # fixed with h, like the gate
+    gate = _residual_gate(h, scale)
 
     checked = set()  # batch sizes that passed _check_bound_batch
 
@@ -234,7 +232,7 @@ def _make_bound_objective(h: np.ndarray, m1: int, m2: int):
         with np.errstate(all="ignore"):
             alpha, pa, pbt = _solve_unique_batch(na, nb, hmat)
             # the one feasibility rule, solve_alpha's too: a nan residual fails it
-            feasible = _residual_batch(na, nb, alpha, hmat) <= gate
+            feasible = _residual_batch(na, nb, alpha, hmat, scale) <= gate
             bounds, a, b = _enumerated_bounds(alpha)
             g = a[:, :, None] * b[:, None, :]
             # the bound's gradient in each Bloch vector, chained to that vector's angles
@@ -288,6 +286,8 @@ def _run_lockstep(objective: Objective, theta0: np.ndarray, cfg: OptimizerConfig
     # its best is frozen, so its result does not depend on the batch.
     maximize = objective.maximize
     steps, half, lr = cfg.max_steps, (cfg.max_steps + 1) // 2, cfg.learning_rate
+    if lr is None:  # the direction's own rate: the ascent's starts higher, then decays
+        lr = 0.02 if maximize else 0.01
     pick = np.ndarray.argmax if maximize else np.ndarray.argmin
     theta, m, v = theta0.copy(), np.zeros_like(theta0), np.zeros_like(theta0)
     batch_best = -np.inf if maximize else np.inf
@@ -410,7 +410,7 @@ def run_search(
     flat. Raises ValueError on an empty batch, and NoFeasiblePointError if a
     maximizing search finds no feasible point.
     """
-    cfg = cfg or (DEFAULT_ASCENT if objective.maximize else DEFAULT_DESCENT)
+    cfg = cfg or OptimizerConfig()
     sc = objective.scenario
     theta0s = np.asarray(theta0s, dtype=float)
     if theta0s.ndim != 2 or theta0s.shape[1] != objective.dim:
@@ -492,8 +492,7 @@ def bounce_loop(
     ms0: MeasurementSettings,
     c,
     *,
-    min_cfg: OptimizerConfig | None = None,
-    max_cfg: OptimizerConfig | None = None,
+    cfg: OptimizerConfig | None = None,
     gap_tol: float = 1e-6,
     max_loops: int = 10,
 ) -> BounceResult:
@@ -504,6 +503,8 @@ def bounce_loop(
             quantum value at it. An operator h starts from solve_alpha(ms0, h).
         ms0: initial measurement settings.
         c: measured Pauli correlator vector driving the quantum value.
+        cfg: every half-step's search config; a learning rate of None gives
+            each direction its own rate (see the module docstring).
         gap_tol: stop once a full loop improves the gap beta_Q - beta_C by
             at most this; must be finite and non-negative.
         max_loops: hard loop budget; must be positive.
@@ -511,7 +512,7 @@ def bounce_loop(
     The recorded trajectory keeps the half-step contracts exact: a minimize
     half-step never raises beta_Q, and a maximize half-step keeps the current
     inequality and settings unless the search finds a strictly higher beta_C.
-    Each half-step is a run_search whose config's max_steps is a budget (see
+    Each half-step is a run_search with cfg, whose max_steps is a budget (see
     run_search). A bound ascent is not run when the last one kept alpha and the
     descent since returned its start settings: its inputs would be the last
     one's, so it would keep alpha again, and its record is written as if it ran.
@@ -544,7 +545,7 @@ def bounce_loop(
     kept = False  # the last bound ascent kept alpha and the settings it started from
     for _ in range(max_loops):
         theta = ms.to_vector()[None, :]
-        res_min = run_search(value_objective(alpha, c), theta, min_cfg)
+        res_min = run_search(value_objective(alpha, c), theta, cfg)
         ms = res_min.settings
         beta_q = res_min.value
         records.append(
@@ -556,7 +557,7 @@ def bounce_loop(
         if not (kept and np.array_equal(res_min.thetas[0], theta[0])):
             h_cur = build_transfer_matrix(ms) @ alpha.alpha.ravel()
             theta = ms.to_vector()[None, :]
-            res_max = run_search(bound_objective(h_cur, scenario), theta, max_cfg)
+            res_max = run_search(bound_objective(h_cur, scenario), theta, cfg)
             kept = res_max.value <= beta_c
             if not kept:
                 ms, beta_c = res_max.settings, res_max.value

@@ -3,19 +3,19 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellbounce import cli, optimize
-from bellbounce.bell import BellCoeffs, classical_bound, gisin_variant
+from bellbounce.bell import BellCoeffs, Scenario, classical_bound, gisin_variant
 from bellbounce.cli import main
 from bellbounce.lattice import lattice_quantum_floor, load_lattice
 from bellbounce.mapping import bell_operator, solve_alpha
 from bellbounce.noise import prepare_noisy_singlets
-from bellbounce.optimize import DEFAULT_ASCENT, DEFAULT_DESCENT, OptimizerConfig, run_search
+from bellbounce.optimize import Objective, OptimizerConfig, run_search
 from bellbounce.pauli import correlator_vector
 from bellbounce.presets import H_G_COEFFS, tetrahedron_axes_settings
 from bellbounce.serialize import format_float, write_json_lines
@@ -462,17 +462,18 @@ def test_bounce_outputs(capsys, tmp_path):
     assert summary["final_gap"] == rows[-1]["gap"]
 
 
-def test_bounce_from_an_operator_bounces_from_its_inequality(capsys, tmp_path):
-    # --preset H_G starts the loop from solve_alpha(H_G) at the tetrahedron axes
+@pytest.mark.parametrize("lr", [None, 0.01], ids=["own-rates", "lr"])
+def test_bounce_from_an_operator_bounces_from_its_inequality(capsys, tmp_path, lr):
+    # --preset H_G starts the loop from solve_alpha(H_G) at the tetrahedron axes; without
+    # --lr each half-step takes its direction's own rate, and --lr sets both
     argv = ["bounce", "--preset", "H_G", "--steps", "60", "--max-loops", "3",
-            "--out", str(tmp_path / "cli")]
+            "--out", str(tmp_path / "cli")] + ([] if lr is None else ["--lr", str(lr)])
     assert main(argv) == 0
     capsys.readouterr()
     ms0 = tetrahedron_axes_settings()
     c = correlator_vector(prepare_noisy_singlets([0.010])[0])
     want = optimize.bounce_loop(solve_alpha(ms0, H_G_COEFFS), ms0, c,
-                                min_cfg=replace(DEFAULT_DESCENT, max_steps=60),
-                                max_cfg=replace(DEFAULT_ASCENT, max_steps=60), max_loops=3)
+                                cfg=OptimizerConfig(lr, 60), max_loops=3)
     write_json_lines(tmp_path / "want.jsonl", (asdict(r) for r in want.records))
     got = (tmp_path / "cli" / "bounce_trajectory.jsonl").read_bytes()
     assert got == (tmp_path / "want.jsonl").read_bytes() and len(want.records) > 3
@@ -665,7 +666,20 @@ def test_learning_rate_above_a_turn_refused(capsys, tmp_path):
     assert OptimizerConfig(learning_rate=2 * np.pi).learning_rate == 2 * np.pi
     with pytest.raises(ValueError, match="at most 2"):
         OptimizerConfig(learning_rate=np.nextafter(2 * np.pi, 7.0))
-    assert (DEFAULT_ASCENT.learning_rate, DEFAULT_DESCENT.learning_rate) == (0.02, 0.01)
+    # without a rate, the first step moves each angle by the direction's own rate times
+    # sign(g), up to Adam's epsilon: 0.02 for the ascent, 0.01 for the descent
+    g = np.array([3.0, -0.5, 0.0, 2.0, -4.0, -2.5, 0.0, -1.0, 5.0, 0.25])
+    for maximize, rate in ((True, 0.02), (False, 0.01)):
+        seen = []
+
+        def evaluate(thetas):
+            seen.append(thetas.copy())
+            return np.zeros(len(thetas)), np.tile(g, (len(thetas), 1))
+
+        fake = Objective(Scenario(2, 3), maximize, evaluate)
+        run_search(fake, np.zeros((1, 10)), OptimizerConfig(max_steps=1))
+        step = seen[1][0] - seen[0][0]
+        assert np.allclose(step, (1 if maximize else -1) * rate * np.sign(g), rtol=0, atol=1e-8)
 
 
 def test_nonfinite_improved_bound_rejected_before_output(capsys, tmp_path):

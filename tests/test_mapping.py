@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellbounce.bell import BellCoeffs, gisin_variant
+from bellbounce.bell import BellCoeffs, Scenario, gisin_variant
 from bellbounce.mapping import (
     LinearSolveError,
     MeasurementSettings,
@@ -14,6 +14,13 @@ from bellbounce.mapping import (
     quantum_value_from_data,
     residual_norm,
     solve_alpha,
+)
+from bellbounce.optimize import (
+    NoFeasiblePointError,
+    OptimizerConfig,
+    bound_objective,
+    random_starts,
+    run_search,
 )
 from bellbounce.presets import H_G_COEFFS, tetrahedron_axes_settings
 from reference_ops import pauli_coeffs_from_operator
@@ -171,18 +178,24 @@ def test_inconsistent_system_rejected():
 
 
 def test_residual_gate_is_relative_at_every_scale():
-    # H_G scaled by 1e-100 has no representation with 2 settings for a party: these
-    # 2x3 settings leave a residual of 0.41 ||h||, far below 1e-8. At the tetrahedron
-    # axes it solves to the delta = 2 matrix scaled alike, and h = 0 solves exactly
-    # to alpha = 0.
-    h = H_G_COEFFS * 1e-100
+    # H_G scaled down has no representation with 2 settings for a party: these 2x3
+    # settings leave a residual of 0.41 ||h||, far above the gate 1e-8 ||h|| but at
+    # 1e-100 far below 1e-8, and at 1e-200 and 1e-300 the residual's and h's squares
+    # underflow unless both are scaled first. At the tetrahedron axes it solves to the
+    # delta = 2 matrix scaled alike, and h = 0 solves exactly to alpha = 0.
     theta = [2.00107415751, 1.69511991599, 0.12872212179, 0.103846196715, 2.55496380885,
              5.7350124322, 1.90580249655, 4.58356207361, 1.7078482795, 5.87523331429]
-    with pytest.raises(LinearSolveError):
-        solve_alpha(MeasurementSettings.from_vector(2, 3, theta), h)
     ms = tetrahedron_axes_settings()
-    assert np.allclose(solve_alpha(ms, h).alpha, gisin_variant(2.0).alpha * 1e-100,
-                       rtol=1e-12, atol=0)
+    for scale in (1e-100, 1e-200, 1e-300):
+        h = H_G_COEFFS * scale
+        with pytest.raises(LinearSolveError):
+            solve_alpha(MeasurementSettings.from_vector(2, 3, theta), h)
+        assert np.allclose(solve_alpha(ms, h).alpha, gisin_variant(2.0).alpha * scale,
+                           rtol=1e-12, atol=0)
+    # the bound objective's gate is the same: no 2x3 start is feasible at 1e-200
+    objective = bound_objective(H_G_COEFFS * 1e-200, Scenario(2, 3))
+    with pytest.raises(NoFeasiblePointError):
+        run_search(objective, random_starts(objective.dim, 4, 0), OptimizerConfig(max_steps=20))
     for m1, m2 in ((2, 3), (3, 3), (4, 3)):
         zero = solve_alpha(_random_settings(np.random.default_rng(27), m1, m2), np.zeros(9))
         assert np.array_equal(zero.alpha, np.zeros((m1, m2)))

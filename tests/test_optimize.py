@@ -45,6 +45,9 @@ def _random_settings(rng, m1, m2):
 
 
 def test_config_validation():
+    # a learning rate of None is the search direction's own
+    assert OptimizerConfig().learning_rate is None and OptimizerConfig().max_steps == 10_000
+    assert OptimizerConfig(None, 5) == OptimizerConfig(max_steps=5)
     with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
@@ -475,7 +478,7 @@ def test_bounce_contracts_exact():
     ms = tetrahedron_axes_settings()
     c = SINGLET * 0.92  # mildly degraded data
     small = OptimizerConfig(learning_rate=0.01, max_steps=150)
-    res = bounce_loop(bc, ms, c, min_cfg=small, max_cfg=small, max_loops=3)
+    res = bounce_loop(bc, ms, c, cfg=small, max_loops=3)
     assert res.records[0].kind == "init"
     for prev, cur in zip(res.records, res.records[1:]):
         if cur.kind == "minimize-quantum-value":
@@ -535,7 +538,7 @@ def test_bounce_skips_a_repeated_bound_ascent_with_the_same_records(monkeypatch,
         return search(*args)
 
     monkeypatch.setattr(optimize, "run_search", counted)
-    res = bounce_loop(alpha, ms, c, min_cfg=cfg, max_cfg=cfg)
+    res = bounce_loop(alpha, ms, c, cfg=cfg)
     ran = len(calls)
     want = _bounce_every_half_step(alpha, ms, c, cfg)
     assert [(r.kind, r.beta_c, r.beta_q) for r in res.records] == want
@@ -547,11 +550,11 @@ def test_bounce_with_zero_gap_tolerance_stops_on_an_unchanged_gap():
     # from loop 8 at p = 0.010 a loop leaves the gap exactly as it was; gap_tol = 0
     # stops there, with the records the default tolerance gives
     ms = tetrahedron_axes_settings()
-    cfgs = dict(min_cfg=OptimizerConfig(0.01, 100), max_cfg=OptimizerConfig(0.02, 100))
-    exact = bounce_loop(GISIN_2, ms, NOISY_SINGLET, gap_tol=0.0, **cfgs)
+    cfg = OptimizerConfig(max_steps=100)
+    exact = bounce_loop(GISIN_2, ms, NOISY_SINGLET, cfg=cfg, gap_tol=0.0)
     assert exact.converged and exact.loops == 8 and len(exact.records) == 17
     assert exact.records[-1].gap == exact.records[-3].gap
-    assert exact.records == bounce_loop(GISIN_2, ms, NOISY_SINGLET, **cfgs).records
+    assert exact.records == bounce_loop(GISIN_2, ms, NOISY_SINGLET, cfg=cfg).records
 
 
 def test_bounce_end_gap_does_not_hang_on_the_last_bits_of_the_bound_gradient(monkeypatch):
@@ -559,7 +562,7 @@ def test_bounce_end_gap_does_not_hang_on_the_last_bits_of_the_bound_gradient(mon
     # constant rate it stalls short of it, at a point set by the gradient's last bits
     # (a 1e-12 scaling moved this gap by about 0.07).
     make = optimize._make_bound_objective
-    cfgs = dict(min_cfg=OptimizerConfig(0.01, 2000), max_cfg=OptimizerConfig(0.02, 2000))
+    cfg = OptimizerConfig(max_steps=2000)
     gaps = []
     for scale in (1.0, 1.0 + 1e-12, 1.0 - 1e-12):
 
@@ -573,7 +576,7 @@ def test_bounce_end_gap_does_not_hang_on_the_last_bits_of_the_bound_gradient(mon
             return evaluate
 
         monkeypatch.setattr(optimize, "_make_bound_objective", scaled)
-        res = bounce_loop(GISIN_2, tetrahedron_axes_settings(), NOISY_SINGLET, **cfgs)
+        res = bounce_loop(GISIN_2, tetrahedron_axes_settings(), NOISY_SINGLET, cfg=cfg)
         assert res.converged
         gaps.append(res.final_gap)
     assert max(gaps) - min(gaps) < 1e-3
@@ -584,7 +587,7 @@ def test_bounce_accepts_operator_start():
     tiny = OptimizerConfig(learning_rate=0.01, max_steps=40)
     # an operator starts from its inequality at the start settings
     start = solve_alpha(ms, H_G_COEFFS)
-    res = bounce_loop(start, ms, SINGLET, min_cfg=tiny, max_cfg=tiny, max_loops=1)
+    res = bounce_loop(start, ms, SINGLET, cfg=tiny, max_loops=1)
     assert abs(res.records[0].beta_c - classical_bound(start)[0]) < 1e-12
     assert res.violation  # ideal data violates from the start
 

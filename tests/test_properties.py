@@ -4,8 +4,6 @@ the symmetries of the classical bound and its witness's tie rule, the bound
 objective's settings-independent ceiling and rotation invariance, and the
 bounce loop's contracts."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +22,7 @@ from bellbounce.mapping import (
 )
 from bellbounce.noise import P_MAX, PLACEMENTS, prepare_noisy_singlets
 from bellbounce.optimize import (
-    DEFAULT_ASCENT,
-    DEFAULT_DESCENT,
+    OptimizerConfig,
     _enumerated_bounds,
     bounce_loop,
     bound_objective,
@@ -372,8 +369,7 @@ def bounce_cases(draw):
 @given(case=bounce_cases())
 def test_bounce_contracts_from_random_starts(case):
     start, ms, c = case
-    res = bounce_loop(start, ms, c, min_cfg=replace(DEFAULT_DESCENT, max_steps=25),
-                      max_cfg=replace(DEFAULT_ASCENT, max_steps=25), max_loops=3)
+    res = bounce_loop(start, ms, c, cfg=OptimizerConfig(max_steps=25), max_loops=3)
     assert len(res.records) == 1 + 2 * res.loops
     assert [r.kind for r in res.records[1:]] == ["minimize-quantum-value",
                                                  "maximize-classical-bound"] * res.loops

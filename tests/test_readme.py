@@ -1,14 +1,13 @@
 """The README's quick start runs and gives the values its comments state."""
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from bellbounce import optimize
 from bellbounce.bell import gisin_variant
-from bellbounce.optimize import DEFAULT_ASCENT, DEFAULT_DESCENT
+from bellbounce.optimize import OptimizerConfig
 from bellbounce.pauli import min_eigenvalue
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,9 +31,7 @@ def test_bounce_block(monkeypatch):
     loop = optimize.bounce_loop
 
     def small(*args, **kwargs):
-        cfgs = dict(min_cfg=replace(DEFAULT_DESCENT, max_steps=50),
-                    max_cfg=replace(DEFAULT_ASCENT, max_steps=50))
-        return loop(*args, **cfgs, **kwargs)
+        return loop(*args, cfg=OptimizerConfig(max_steps=50), **kwargs)
 
     monkeypatch.setattr(optimize, "bounce_loop", small)
     ns: dict = {}

@@ -56,6 +56,7 @@ from .optimize import (
     NoFeasiblePointError,
     OptimizerConfig,
     _check_bound_batch,
+    _check_steps,
     bounce_loop,
     bound_objective,
     random_starts,
@@ -79,7 +80,9 @@ _OPTIONS = {
     "seed": (int, {}),
     "out": (str, {"help": "output directory"}),
     "restarts": (int, {}),
-    "steps": (int, {"help": "step budget: a start not improved by half of it stops"}),
+    "steps": (int, {"help": "step budget: a search's start not improved by half of it stops; "
+                            "in ineq2ham, the most sweeps of each start's block descent, which "
+                            "stops at its first sweep that does not lower the value"}),
     "lr": (float, {"help": "learning rate (default: each search direction's own); the bound "
                            "ascent's decays from it to 1%% over the step budget, the value "
                            "descent's is constant; in bounce it sets both half-steps' "
@@ -119,7 +122,7 @@ _COMMANDS = {
         "inequality to minimal quantum value",
         {"gisin_delta": None, "alpha_file": None, "p_grid": "0:0.014:0.001", "data_file": None,
          "noise_placement": PLACEMENT_AFTER_EACH_GATE, "restarts": 4, "steps": 2_000,
-         "lr": None, "seed": 0, "out": "."},
+         "seed": 0, "out": "."},
     ),
     "bounce": (
         "alternate the two optimizations",
@@ -319,7 +322,7 @@ def _cmd_ineq2ham(cfg: dict):
         raise ValueError("settings optimization is wired for (4, 3) coefficient matrices")
     ms0 = tetrahedron_axes_settings()
     beta_c = classical_bound(bc)[0]
-    opt_cfg = OptimizerConfig(cfg["lr"], cfg["steps"])
+    _check_steps(cfg["steps"])  # a bad budget is refused before any start is drawn
     theta0 = ms0.to_vector()
     # every point runs these starts; the canonical start is row 0, so it wins ties
     starts = np.vstack([theta0, random_starts(theta0.size, cfg["restarts"], cfg["seed"])])
@@ -329,7 +332,7 @@ def _cmd_ineq2ham(cfg: dict):
         ps = _parse_p_grid(cfg["p_grid"])
         cs = correlator_vector(prepare_noisy_singlets(ps, cfg["noise_placement"]))
         sources = list(zip(ps.tolist(), cs))
-    minima = sweep_minima(bc, [c for _, c in sources], starts, opt_cfg)
+    minima = sweep_minima(bc, [c for _, c in sources], starts, cfg["steps"])
     rows = []
     for (p, c), best in zip(sources, minima.tolist()):
         original = quantum_value_from_data(c, ms0, bc)

@@ -18,6 +18,10 @@ settings has a singular Gram matrix, so its rows reach the SVD through that
 fallback. T's singular values are the products of the factors', so that
 solve's rank cutoff applies to those products. The kernel also returns the
 factors' pseudo-inverses, which the optimizer's bound gradient reuses.
+
+The quantum value c . T . alpha is linear in each party's Bloch vectors, so
+_block_descent, the noise sweep's search, sets each party's vectors to their
+closed-form best response in turn.
 """
 
 from __future__ import annotations
@@ -162,6 +166,79 @@ def _quantum_values(na, nb, cmats, alpha) -> tuple[np.ndarray, np.ndarray]:
     return np.add.reduce((na * ga).reshape(len(na), -1), axis=1), ga
 
 
+def _values_at(alpha_mat, cmats, thetas):
+    # beta_Q of each row of angles, as quantum_value_from_data reads them
+    m1 = alpha_mat.shape[0]
+    bloch = _bloch_batch(thetas.reshape(len(thetas), -1, 2))
+    return _quantum_values(bloch[:, :m1], bloch[:, m1:], cmats, alpha_mat)[0]
+
+
+def _unit(g: np.ndarray, n: np.ndarray):
+    # (g_i / |g_i|, |g_i|) for the 3-vectors g_i of g, where a zero g_i keeps n_i
+    gg = g * g
+    norms = gg[..., 0] + gg[..., 1]
+    norms += gg[..., 2]
+    np.sqrt(norms, out=norms)
+    if norms.all():
+        return g / norms[..., None], norms
+    out = n.copy()
+    np.divide(g, norms[..., None], out=out, where=norms[..., None] > 0)
+    return out, norms
+
+
+def _block_descent(alpha_mat: np.ndarray, cmats: np.ndarray, thetas: np.ndarray, max_sweeps: int):
+    """Minimise beta_Q = sum_ab alpha_ab nA_a^T C nB_b from each row of angles (n, dim)
+    by exact block steps (see-saw: Werner & Wolf 2001; Pal & Vertesi 2010).
+
+    cmats is (n, 3, 3), one C per row, or (1, 3, 3) for one C every row shares.
+    beta_Q is linear in each Bloch vector, so with B fixed nA_a = -v_a/|v_a|,
+    v_a = C sum_b alpha_ab nB_b, is A's best response, and then nB_b = -w_b/|w_b|,
+    w_b = C^T sum_a alpha_ab nA_a, is B's, after which beta_Q = -sum_b |w_b|. A zero
+    v_a or w_b keeps its vector. A row stops at its first sweep that does not strictly
+    lower beta_Q, keeping the vectors before it; max_sweeps caps the sweeps. Returns
+    (values (n,), thetas (n, dim)): each row's angles, read off its vectors, and
+    _values_at them, or the start's angles and value unless that is strictly lower.
+    A row's result depends neither on the rest of the batch nor on the other rows' C.
+    """
+    n, (m1, m2) = len(thetas), alpha_mat.shape
+    start = _values_at(alpha_mat, cmats, thetas)
+    bloch = _bloch_batch(thetas.reshape(n, -1, 2))
+    na, nb = bloch[:, :m1], bloch[:, m1:]
+    # alpha and each C times 2^-e, e the exponent of its largest entry: exact, and it
+    # leaves every best response as it is while no squared norm overflows or underflows
+    sa, sc = (np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(-2, -1)))[1])
+              for x in (alpha_mat, cmats))
+    # -v = K vec(nB) and -w = K^T vec(nA), with K = -kron(alpha, C) per row
+    k = (alpha_mat * -sa)[None, :, None, :, None] * (cmats * sc[:, None, None])[:, None, :, None, :]
+    k = np.broadcast_to(k.reshape(-1, 3 * m1, 3 * m2), (n, 3 * m1, 3 * m2))
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    best = start * (sa * sc)  # beta_Q in the same scaled units, exactly
+    rows = np.arange(n)
+    for _ in range(max_sweeps):
+        na_new = _unit((k @ nb.reshape(-1, 3 * m2, 1)).reshape(-1, m1, 3), na)[0]
+        nb_new, norms = _unit((kt @ na_new.reshape(-1, 3 * m1, 1)).reshape(-1, m2, 3), nb)
+        value = -np.add.reduce(norms, axis=1)
+        lower = value < best
+        if not lower.all():  # these rows stop, keeping their vectors before this sweep
+            done = rows[~lower]
+            bloch[done, :m1], bloch[done, m1:] = na[~lower], nb[~lower]
+            rows, k, kt = rows[lower], k[lower], kt[lower]
+            na_new, nb_new, value = na_new[lower], nb_new[lower], value[lower]
+            if not len(rows):
+                break
+        na, nb, best = na_new, nb_new, value
+    else:
+        bloch[rows, :m1], bloch[rows, m1:] = na, nb
+    # (t, p) of n = (cos t, sin t cos p, sin t sin p)
+    x, y, z = bloch.reshape(-1, 3).T
+    angles = np.stack([np.arctan2(np.hypot(y, z), x), np.arctan2(z, y)], axis=1).reshape(n, -1)
+    values = _values_at(alpha_mat, cmats, angles)
+    kept = ~(values < start)
+    np.copyto(values, start, where=kept)
+    np.copyto(angles, thetas, where=kept[:, None])
+    return values, angles
+
+
 def _solve_min_norm_batch(na: np.ndarray, nb: np.ndarray, hmat: np.ndarray):
     """Minimum-norm alpha of NA^T alpha NB = H for batches na (n, m1, 3), nb (n, m2, 3).
 
@@ -239,7 +316,11 @@ def residual_norm(ms: MeasurementSettings, alpha_flat: np.ndarray, h: np.ndarray
     """||T . alpha - h|| for the transfer matrix T of the settings ms."""
     alpha = np.asarray(alpha_flat, dtype=float).reshape(ms.m1, ms.m2)
     hmat = np.asarray(h, dtype=float).reshape(3, 3)
-    return float(_residual_batch(ms.bloch_a(), ms.bloch_b(), alpha, hmat))
+    na, nb = ms.bloch_a(), ms.bloch_b()
+    # formed at the residual's own power-of-two scale, so it squares without underflow
+    # or overflow, whatever the scale of h
+    scale = _residual_scale(na.T @ alpha @ nb - hmat)
+    return float(_residual_batch(na, nb, alpha, hmat, scale))
 
 
 def solve_alpha(ms: MeasurementSettings, h) -> BellCoeffs:

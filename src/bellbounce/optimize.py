@@ -25,9 +25,16 @@ winning settings, the same kernel on the same angles. The value objective is
 linear in each Bloch vector, so its gradient is exact and analytic, one point
 per restart per step, and by Euler's identity its value is
 sum_a nA_a . d beta_Q/d nA_a: the gradient's party-A half scores the point. It
-takes one correlator vector c for the whole batch or one per row. Both
-objectives chain their gradient in the Bloch vectors to the angles in closed
-form (pauli._bloch_chain), from the cosines and sines of the angles.
+takes one correlator vector c for the whole batch. Both objectives chain their
+gradient in the Bloch vectors to the angles in closed form (pauli._bloch_chain),
+from the cosines and sines of the angles.
+
+The noise sweep (sweep_minima) runs no engine: being linear in each Bloch
+vector, beta_Q has a closed-form best response for each party while the other
+is fixed, and mapping._block_descent alternates the two (see-saw). It needs
+no rate, and the sweep's several starts per point cover a start that stops at
+a saddle. A bounce half-step has one start, so the bounce loop keeps the Adam
+descent.
 
 The classical bound is only piecewise smooth, so correctness rests on
 best-so-far tracking, not smooth convergence: the reported optimum is always
@@ -38,9 +45,10 @@ and get gradient 0, as does any non-finite gradient entry.
 
 run_search runs all its starts in one lockstep batch: each engine step
 evaluates every start's current point in one call, and a row's result does
-not depend on the rest of the batch, nor on the other rows' correlators.
-sweep_minima relies on that to run a whole noise sweep, every point's starts
-with that point's c, as one batch. random_starts draws start i of seed s from
+not depend on the rest of the batch. Neither does a block-descent row's, nor
+on the other rows' correlators: sweep_minima relies on that to run a whole
+noise sweep, every point's starts with that point's C, as one batch, in chunks
+or whole alike. random_starts draws start i of seed s from
 a stream seeded by (s, i), so it does not depend on how many are drawn.
 
 max_steps is a budget, not a count: a start that has not improved on its
@@ -63,6 +71,7 @@ import numpy as np
 from .bell import BellCoeffs, Scenario, _check_batch_budget, _check_enumeration, _enumerated_bounds
 from .mapping import (
     MeasurementSettings,
+    _block_descent,
     _quantum_values,
     _residual_batch,
     _residual_gate,
@@ -104,7 +113,7 @@ ADAM_EPSILON = 1e-8
 # run_search keeps one best-so-far curve of steps + 1 floats, so a search takes at
 # most 2^25 steps (256 MiB of curve), about 3,000x the paper's longest (10,000).
 # random_starts draws at most 2^16 starts, 2,048x the paper's 32, and
-# sweep_minima runs at most that many rows per chunk (about 2 KB of step
+# sweep_minima runs at most that many rows per chunk (about 3 KB of block-descent
 # temporaries each), so the per-row arrays stay small.
 MAX_STEPS = 2**25 - 1
 MAX_RANDOM_STARTS = 2**16
@@ -126,10 +135,14 @@ class OptimizerConfig:
             raise ValueError("learning rate must be positive and finite")
         if lr is not None and lr > MAX_LEARNING_RATE:
             raise ValueError(f"learning rate must be at most 2*pi, got {lr!r}")
-        if self.max_steps < 1:
-            raise ValueError("step budget must be positive")
-        if self.max_steps > MAX_STEPS:
-            raise ValueError(f"step budget must be at most {MAX_STEPS}, got {self.max_steps}")
+        _check_steps(self.max_steps)
+
+
+def _check_steps(max_steps: int):
+    if max_steps < 1:
+        raise ValueError("step budget must be positive")
+    if max_steps > MAX_STEPS:
+        raise ValueError(f"step budget must be at most {MAX_STEPS}, got {max_steps}")
 
 
 def adam_step(theta, m, v, t: int, gradient, lr: float, maximize: bool = False):
@@ -255,19 +268,16 @@ def _make_qv_objective(alpha_mat: np.ndarray, c: np.ndarray, m1: int, m2: int):
     # chained to each vector's angles by _bloch_chain's closed form. The value comes
     # from the first half: beta_Q is linear in each nA_a, so by Euler's identity it is
     # sum_a nA_a . d beta_Q/d nA_a, and _quantum_values returns that half with it.
-    # c holds one correlator row per batch row, or one row that every row shares.
-    cmats = np.asarray(c, dtype=float).reshape(-1, 3, 3)
+    cmat = np.asarray(c, dtype=float).reshape(1, 3, 3)
     alpha_mat = np.asarray(alpha_mat, dtype=float)
     alpha_t = alpha_mat.T
 
     def objective(thetas: np.ndarray):
         n = thetas.shape[0]
-        if len(cmats) not in (1, n):
-            raise ValueError(f"{len(cmats)} correlator rows for a batch of {n}")
         bloch, trig = _bloch_batch(thetas.reshape(n, m1 + m2, 2), trig=True)
         na, nb = bloch[:, :m1], bloch[:, m1:]
-        values, ga = _quantum_values(na, nb, cmats, alpha_mat)
-        g = np.concatenate([ga, alpha_t @ na @ cmats], axis=1)
+        values, ga = _quantum_values(na, nb, cmat, alpha_mat)
+        g = np.concatenate([ga, alpha_t @ na @ cmat], axis=1)
         grad = _bloch_chain(trig, g).reshape(n, -1)
         finite = np.isfinite(grad)
         if not finite.all():
@@ -367,13 +377,12 @@ def bound_objective(h, scenario: Scenario) -> Objective:
 def value_objective(alpha: BellCoeffs, c) -> Objective:
     """Descent of c . T(theta) . alpha at fixed inequality coefficients.
 
-    c is one correlator vector (9,) that every batch row uses, or a stack
-    (k, 9) with one vector per row of a k-row batch; a row's result depends
-    only on its own vector. The gradient is the exact analytic derivative.
+    c is one correlator vector (9,) that every batch row uses. The gradient is
+    the exact analytic derivative.
     """
     c = np.asarray(c, dtype=float)
-    if not (c.shape == (9,) or (c.ndim == 2 and c.shape[1] == 9)):
-        raise ValueError(f"correlators must have shape (9,) or (k, 9), got {c.shape}")
+    if c.shape != (9,):
+        raise ValueError(f"correlators must have shape (9,), got {c.shape}")
     sc = alpha.scenario
     evaluate = _make_qv_objective(alpha.alpha, c, sc.m1, sc.m2)
     return Objective(sc, False, evaluate)
@@ -426,29 +435,32 @@ def run_search(
     return OptimizeResult(settings, float(values[i]), history, i, values, thetas, steps_run)
 
 
-def sweep_minima(
-    alpha: BellCoeffs,
-    cs,
-    starts: np.ndarray,
-    cfg: OptimizerConfig | None = None,
-) -> np.ndarray:
+def sweep_minima(alpha: BellCoeffs, cs, starts: np.ndarray, max_steps: int) -> np.ndarray:
     """Lowest quantum value of alpha for each correlator vector in cs (p, 9).
 
-    Every point runs every row of starts. The points' starts are stacked into
-    one lockstep batch, each row with its point's correlators, and a point's
-    optimum is the least of its own rows' values: what run_search finds for
-    that point alone. The sweep runs in chunks of consecutive points of at
-    most MAX_RANDOM_STARTS rows, or of one point when its starts alone are more.
+    Every point runs every row of starts by block descent
+    (mapping._block_descent), at most max_steps sweeps each. The points' starts
+    are stacked into one batch, each row with its point's correlators, and a
+    point's optimum is the least of its own rows' values: what the descent
+    finds for that point alone. The sweep runs in chunks of consecutive points
+    of at most MAX_RANDOM_STARTS rows, or of one point when its starts alone
+    are more.
     """
+    _check_steps(max_steps)
+    dim = 2 * (alpha.scenario.m1 + alpha.scenario.m2)
     cs = np.asarray(cs, dtype=float)
     starts = np.asarray(starts, dtype=float)
+    if cs.ndim != 2 or cs.shape[1] != 9:
+        raise ValueError(f"correlators must have shape (p, 9), got {cs.shape}")
+    if starts.ndim != 2 or starts.shape[1] != dim or len(starts) == 0:
+        raise ValueError(f"starts must have shape (n, {dim}), n > 0, got {starts.shape}")
     k = len(starts)
-    chunk = max(1, MAX_RANDOM_STARTS // max(k, 1))
+    chunk = max(1, MAX_RANDOM_STARTS // k)
     minima = np.empty(len(cs))
     for i in range(0, len(cs), chunk):
         part = cs[i : i + chunk]
-        objective = value_objective(alpha, np.repeat(part, k, axis=0))
-        values = run_search(objective, np.tile(starts, (len(part), 1)), cfg).values
+        cmats = np.repeat(part, k, axis=0).reshape(-1, 3, 3)
+        values = _block_descent(alpha.alpha, cmats, np.tile(starts, (len(part), 1)), max_steps)[0]
         minima[i : i + len(part)] = values.reshape(len(part), k).min(axis=1)
     return minima
 

@@ -47,7 +47,6 @@ from bellbounce.noise import (
     prepare_noisy_singlets,
 )
 from bellbounce.optimize import (
-    OptimizerConfig,
     bounce_loop,
     bound_objective,
     random_starts,
@@ -201,10 +200,9 @@ def test_criterion_09_noise_sweep():
     bc = gisin_variant(2.0)
     cs = correlator_vector(prepare_noisy_singlets(grid))
     original = np.array([quantum_value_from_data(c, ms0, bc) for c in cs])
-    cfg = OptimizerConfig(learning_rate=0.01, max_steps=2000)
     theta0 = ms0.to_vector()
     starts = np.vstack([theta0, random_starts(theta0.size, 4, 1)])
-    optimized = sweep_minima(bc, cs, starts, cfg)
+    optimized = sweep_minima(bc, cs, starts, 2000)
     assert np.all(np.diff(original) >= 0.0)
     assert np.all(np.diff(optimized) >= -1e-9)
     assert np.all(optimized <= original + 1e-9)

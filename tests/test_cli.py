@@ -364,19 +364,42 @@ def test_ineq2ham_zero_data(capsys, tmp_path):
     assert row[3] == -8
 
 
+def test_ineq2ham_sweeps_an_inequality_with_a_zero_column(capsys, tmp_path):
+    # delta = 0 zeroes alpha's last column, so B's last vector has nothing to turn
+    # against; it keeps its start, and at p = 0 the sweep reaches -4 sqrt(2)
+    argv = ["ineq2ham", "--gisin-delta", "0", "--p-grid", "0:0:0.001", "--restarts", "1",
+            "--steps", "20", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = json.loads((tmp_path / "ineq2ham_summary.json").read_text())["rows"]
+    assert abs(row[2] - (-4 * np.sqrt(2))) <= 1e-9
+
+
+def test_ham2ineq_writes_the_residual_of_a_tiny_operator(capsys, tmp_path):
+    # H_G x 1e-200: the residual's squares underflow unless it is scaled first, and
+    # the summary read 0; formed at its own scale it is about 1e-200 times H_G's
+    h = ",".join(repr(x) for x in (H_G_COEFFS * 1e-200).tolist())
+    argv = ["ham2ineq", "--h", h, "--restarts", "4", "--steps", "200"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    residual = json.loads((tmp_path / "ham2ineq_summary.json").read_text())["residual"]
+    assert 0 < residual <= 1e-8 * np.linalg.norm(H_G_COEFFS) * 1e-200
+
+
 def test_ineq2ham_chunked_sweep_is_byte_identical(capsys, tmp_path, monkeypatch):
-    # 5 points x 3 starts: a cap of 7 rows splits the sweep into 3 searches, and a
-    # cap below one point's 3 rows runs each point alone
+    # 5 points x 3 starts: a cap of 7 rows splits the sweep into 3 block descents, and
+    # a cap below one point's 3 rows runs each point alone
     argv = ["ineq2ham", "--p-grid", "0:0.004:0.001", "--restarts", "2", "--steps", "30"]
     assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
     whole = capsys.readouterr()
     searches = []
+    block_descent = optimize._block_descent
 
-    def counted(*args, **kwargs):
-        searches.append(len(args[1]))
-        return run_search(*args, **kwargs)
+    def counted(alpha, cmats, thetas, max_sweeps):
+        searches.append(len(thetas))
+        return block_descent(alpha, cmats, thetas, max_sweeps)
 
-    monkeypatch.setattr(optimize, "run_search", counted)
+    monkeypatch.setattr(optimize, "_block_descent", counted)
     for key, value, batches in (("MAX_RANDOM_STARTS", 7, [6, 6, 3]),
                                 ("MAX_RANDOM_STARTS", 2, [3] * 5)):
         with monkeypatch.context() as patched:
@@ -766,7 +789,7 @@ def test_help_lists_each_subcommands_options(capsys):
         "ham2ineq": {"--preset", "--h", "--m1", "--m2", "--restarts", "--steps", "--lr",
                      "--seed"},
         "ineq2ham": {"--gisin-delta", "--alpha-file", "--p-grid", "--data-file",
-                     "--noise-placement", "--restarts", "--steps", "--lr", "--seed"},
+                     "--noise-placement", "--restarts", "--steps", "--seed"},
         "bounce": {"--gisin-delta", "--alpha-file", "--preset", "--h", "--p", "--data-file",
                    "--noise-placement", "--max-loops", "--gap-tol", "--steps", "--lr",
                    "--seed"},

@@ -8,6 +8,7 @@ from bellbounce import bell, optimize
 from bellbounce.bell import BellCoeffs, Scenario, classical_bound, gisin_variant
 from bellbounce.mapping import (
     MeasurementSettings,
+    _block_descent,
     build_transfer_matrix,
     quantum_value_from_data,
     solve_alpha,
@@ -20,6 +21,7 @@ from bellbounce.optimize import (
     bound_objective,
     random_starts,
     run_search,
+    sweep_minima,
     value_objective,
 )
 from bellbounce.noise import prepare_noisy_singlets
@@ -271,22 +273,25 @@ def test_stalled_row_stacked_gets_its_result_alone():
     starts = np.zeros((2, objective.dim))
     starts[1, 0] = 2.0
     cfg = OptimizerConfig(learning_rate=0.1, max_steps=16)
-    # the maximally mixed state's correlators (all 0) never move the value either
-    cs = np.stack([np.zeros(9), SINGLET * 0.92])
-    values = value_objective(GISIN_2, cs)
-    cases = [
-        (objective, starts, lambda i: objective, cfg),
-        (values, random_starts(values.dim, 2, seed=4), lambda i: value_objective(GISIN_2, cs[i]), FAST_DOWN),
-    ]
-    for stacked_objective, rows, alone_objective, cfg in cases:
-        stacked = run_search(stacked_objective, rows, cfg)
-        assert stacked.steps_run == cfg.max_steps
-        for i, row in enumerate(rows):
-            solo = run_search(alone_objective(i), row[None, :], cfg)
-            assert solo.steps_run == (cfg.max_steps // 2 if i == 0 else cfg.max_steps)
-            assert solo.value == stacked.values[i]
-            assert np.array_equal(solo.thetas[0], stacked.thetas[i])
-        assert np.array_equal(stacked.thetas[0], rows[0])
+    stacked = run_search(objective, starts, cfg)
+    assert stacked.steps_run == cfg.max_steps
+    for i, row in enumerate(starts):
+        solo = run_search(objective, row[None, :], cfg)
+        assert solo.steps_run == (cfg.max_steps // 2 if i == 0 else cfg.max_steps)
+        assert solo.value == stacked.values[i]
+        assert np.array_equal(solo.thetas[0], stacked.thetas[i])
+    assert np.array_equal(stacked.thetas[0], starts[0])
+    # the block descent too: the maximally mixed state's correlators (all 0) never lower
+    # the value, so row 0 stops at its first sweep and keeps its start, while row 1
+    # sweeps on; each row gets alone what it gets stacked
+    cmats = np.stack([np.zeros(9), SINGLET * 0.92]).reshape(2, 3, 3)
+    rows = random_starts(2 * (4 + 3), 2, seed=4)
+    values, thetas = _block_descent(GISIN_2.alpha, cmats, rows, 60)
+    assert np.array_equal(thetas[0], rows[0]) and values[0] == 0
+    assert not np.array_equal(thetas[1], rows[1])
+    for i, row in enumerate(rows):
+        solo = _block_descent(GISIN_2.alpha, cmats[i : i + 1], row[None, :], 60)
+        assert solo[0][0] == values[i] and np.array_equal(solo[1][0], thetas[i])
 
 
 def test_all_infeasible_bound_batch_stops_at_step_zero_and_raises():
@@ -334,13 +339,13 @@ def test_harness_determinism_and_seeding(objective, canonical, cfg):
         assert solo.value == value
         assert np.array_equal(solo.settings.to_vector(), theta)
     if not objective.maximize:
-        # so does a row with its own correlators in a batch whose rows' differ
-        cs = SINGLET * np.linspace(0.7, 1.0, len(starts))[:, None]
-        stacked = run_search(value_objective(GISIN_2, cs), starts, cfg)
-        for row, c, value, theta in zip(starts, cs, stacked.values, stacked.thetas):
-            solo = run_search(value_objective(GISIN_2, c), row[None, :], cfg)
-            assert solo.value == value
-            assert np.array_equal(solo.settings.to_vector(), theta)
+        # so does a block-descent row with its own correlators in a batch whose rows' differ
+        cmats = (SINGLET * np.linspace(0.7, 1.0, len(starts))[:, None]).reshape(-1, 3, 3)
+        values, thetas = _block_descent(GISIN_2.alpha, cmats, starts, cfg.max_steps)
+        for row, cmat, value, theta in zip(starts, cmats, values, thetas):
+            solo = _block_descent(GISIN_2.alpha, cmat[None], row[None, :], cfg.max_steps)
+            assert solo[0][0] == value
+            assert np.array_equal(solo[1][0], theta)
     # random start i depends only on (seed, i), not on how many are drawn
     assert np.array_equal(random_starts(objective.dim, 1, seed=9), starts[1:2])
     different = run_search(objective, random_starts(objective.dim, 1, seed=10), cfg)
@@ -394,22 +399,25 @@ def test_value_objective_correlator_shapes():
         m1, m2 = bc.alpha.shape
         thetas = np.stack([_random_settings(rng, m1, m2).to_vector() for _ in range(3)])
         shared = value_objective(bc, c).evaluate(thetas)
-        # one row that every batch row shares, or one row per batch row
-        for stack in (c[None, :], np.stack([c] * 3)):
-            got = value_objective(bc, stack).evaluate(thetas)
-            assert np.array_equal(got[0], shared[0]) and np.array_equal(got[1], shared[1])
-        # a row alone gets the bits it gets in the batch, with c shared or its own
-        cs = rng.uniform(-1, 1, size=(3, 9))
-        mixed = value_objective(bc, cs).evaluate(thetas)
+        # a row alone gets the bits it gets in the batch
         for i in range(3):
-            for ci, batch in ((c, shared), (cs[i], mixed)):
-                alone = value_objective(bc, ci).evaluate(thetas[i : i + 1])
+            alone = value_objective(bc, c).evaluate(thetas[i : i + 1])
+            assert alone[0][0] == shared[0][i] and np.array_equal(alone[1][0], shared[1][i])
+        # the block descent takes one C that every row shares, or one per row, and a
+        # row alone gets the bits it gets in the batch either way
+        cmats = rng.uniform(-1, 1, size=(3, 3, 3))
+        one = _block_descent(bc.alpha, c.reshape(1, 3, 3), thetas, 20)
+        got = _block_descent(bc.alpha, np.stack([c.reshape(3, 3)] * 3), thetas, 20)
+        assert np.array_equal(got[0], one[0]) and np.array_equal(got[1], one[1])
+        mixed = _block_descent(bc.alpha, cmats, thetas, 20)
+        for i in range(3):
+            for cmat, batch in ((c.reshape(1, 3, 3), one), (cmats[i : i + 1], mixed)):
+                alone = _block_descent(bc.alpha, cmat, thetas[i : i + 1], 20)
                 assert alone[0][0] == batch[0][i] and np.array_equal(alone[1][0], batch[1][i])
-    for bad in (c.reshape(3, 3), c[:8], np.zeros((2, 3, 9))):
+    # value_objective takes one correlator vector: a stack is the block descent's
+    for bad in (c.reshape(3, 3), c[:8], np.zeros((2, 3, 9)), c[None, :], np.stack([c, c])):
         with pytest.raises(ValueError, match="shape"):
             value_objective(GISIN_2, bad)
-    with pytest.raises(ValueError, match="2 correlator rows for a batch of 3"):
-        value_objective(bc, np.stack([c, c])).evaluate(thetas)
 
 
 def test_value_objective_evaluates_the_factory_closure(monkeypatch):
@@ -626,3 +634,43 @@ def test_bounce_rejects_nonfinite_correlators_before_searching(monkeypatch, bad)
     c[0] = bad
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         bounce_loop(gisin_variant(2.0), tetrahedron_axes_settings(), c)
+
+
+def test_block_descent_closed_forms_and_zero_data():
+    # at p = 0 the singlet's C = -I, so beta_Q = -sum_ab alpha_ab nA_a . nB_b, whose
+    # minimum is -4 sqrt(2) for delta = 0 (a zero column: its vector never moves) and
+    # -4 sqrt(6) for delta = 2; all-zero data gives 0. No numpy warning on the way.
+    cases = [(0.0, SINGLET, -4 * math.sqrt(2)), (2.0, SINGLET, -4 * math.sqrt(6)),
+             (2.0, np.zeros(9), 0.0)]
+    # ineq2ham's rows: the tetrahedron axes, then 4 random starts
+    theta0 = tetrahedron_axes_settings().to_vector()
+    starts = np.vstack([theta0, random_starts(theta0.size, 4, 0)])
+    for delta, c, want in cases:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            (got,) = sweep_minima(gisin_variant(delta), c[None, :], starts, 2000)
+        assert abs(got - want) <= 1e-9, (delta, got)
+
+
+@pytest.mark.parametrize("alpha", [GISIN_2.alpha, gisin_variant(0.0).alpha,
+                                   np.random.default_rng(61).normal(size=(4, 3)),
+                                   np.random.default_rng(62).normal(size=(2, 5)) * 1e-200,
+                                   np.random.default_rng(63).normal(size=(5, 2)) * 1e200],
+                         ids=["gisin2", "gisin0", "random", "tiny", "huge"])
+def test_block_descent_never_ends_above_its_start_and_reports_its_angles_value(alpha):
+    bc = BellCoeffs(alpha)
+    m1, m2 = alpha.shape
+    rng = np.random.default_rng(64)
+    thetas = random_starts(2 * (m1 + m2), 12, seed=5)
+    cs = correlator_vector(prepare_noisy_singlets(rng.uniform(0, 1 / 3, len(thetas))))
+
+    def value_at(c, theta):
+        return quantum_value_from_data(c, MeasurementSettings.from_vector(m1, m2, theta), bc)
+
+    starts = np.array([value_at(c, theta) for c, theta in zip(cs, thetas)])
+    for sweeps in (1, 3, 200):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            values, angles = _block_descent(alpha, cs.reshape(-1, 3, 3), thetas, sweeps)
+        assert np.all(values <= starts)
+        assert values.tolist() == [value_at(c, angle) for c, angle in zip(cs, angles)]
+    # after 200 sweeps every row is strictly below its start
+    assert np.all(values < starts)

@@ -21,7 +21,10 @@ factors' pseudo-inverses, which the optimizer's bound gradient reuses.
 
 The quantum value c . T . alpha is linear in each party's Bloch vectors, so
 _block_descent, the noise sweep's search, sets each party's vectors to their
-closed-form best response in turn.
+closed-form best response in turn. After each such sweep it also turns all of a
+row's vectors by one rotation, the best one in closed form for the symmetric
+part of C: a noisy singlet's C is close to -I, so beta_Q barely changes along
+joint rotations, and block steps alone creep along them for hundreds of sweeps.
 """
 
 from __future__ import annotations
@@ -186,6 +189,15 @@ def _unit(g: np.ndarray, n: np.ndarray):
     return out, norms
 
 
+def _eigenrotation(m: np.ndarray, order: int = 1) -> np.ndarray:
+    # A rotation whose columns are eigenvectors of sym(m), for a batch m (n, 3, 3), their
+    # eigenvalues ascending (order 1) or descending (order -1). Each column's sign is
+    # free, so the last one's is chosen to make det +1.
+    v = np.linalg.eigh(m + m.swapaxes(-1, -2))[1][..., ::order]
+    v[..., 2] *= np.sign(np.linalg.det(v))[..., None]
+    return v
+
+
 def _block_descent(alpha_mat: np.ndarray, cmats: np.ndarray, thetas: np.ndarray, max_sweeps: int):
     """Minimise beta_Q = sum_ab alpha_ab nA_a^T C nB_b from each row of angles (n, dim)
     by exact block steps (see-saw: Werner & Wolf 2001; Pal & Vertesi 2010).
@@ -194,8 +206,18 @@ def _block_descent(alpha_mat: np.ndarray, cmats: np.ndarray, thetas: np.ndarray,
     beta_Q is linear in each Bloch vector, so with B fixed nA_a = -v_a/|v_a|,
     v_a = C sum_b alpha_ab nB_b, is A's best response, and then nB_b = -w_b/|w_b|,
     w_b = C^T sum_a alpha_ab nA_a, is B's, after which beta_Q = -sum_b |w_b|. A zero
-    v_a or w_b keeps its vector. A row stops at its first sweep that does not strictly
-    lower beta_Q, keeping the vectors before it; max_sweeps caps the sweeps. Returns
+    v_a or w_b keeps its vector.
+
+    After each sweep, turning every vector of both parties by one rotation R makes
+    beta_Q = tr(C R N R^T), N = sum_ab alpha_ab nB_b nA_a^T. With sym(C) = U diag(lambda)
+    U^T (once per call) and sym(N) = V diag(sigma) V^T, R = U J V^T, where J pairs
+    ascending lambda with descending sigma and makes det R = +1, minimises
+    tr(sym(C) R sym(N) R^T) over rotations (von Neumann's trace inequality). That is
+    beta_Q itself only for a symmetric C, so a row takes the turned vectors only where
+    they strictly lower beta_Q.
+
+    A row stops at its first sweep that does not strictly lower beta_Q, keeping the
+    vectors before it (turned or not); max_sweeps caps the sweeps. Returns
     (values (n,), thetas (n, dim)): each row's angles, read off its vectors, and
     _values_at them, or the start's angles and value unless that is strictly lower.
     A row's result depends neither on the rest of the batch nor on the other rows' C.
@@ -208,10 +230,13 @@ def _block_descent(alpha_mat: np.ndarray, cmats: np.ndarray, thetas: np.ndarray,
     # leaves every best response as it is while no squared norm overflows or underflows
     sa, sc = (np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(-2, -1)))[1])
               for x in (alpha_mat, cmats))
+    alpha_t = (alpha_mat * sa).T
+    cs = cmats * sc[:, None, None]
     # -v = K vec(nB) and -w = K^T vec(nA), with K = -kron(alpha, C) per row
-    k = (alpha_mat * -sa)[None, :, None, :, None] * (cmats * sc[:, None, None])[:, None, :, None, :]
+    k = (alpha_mat * -sa)[None, :, None, :, None] * cs[:, None, :, None, :]
     k = np.broadcast_to(k.reshape(-1, 3 * m1, 3 * m2), (n, 3 * m1, 3 * m2))
     kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    u, cs = (np.broadcast_to(x, (n, 3, 3)) for x in (_eigenrotation(cs), cs))
     best = start * (sa * sc)  # beta_Q in the same scaled units, exactly
     rows = np.arange(n)
     for _ in range(max_sweeps):
@@ -222,10 +247,20 @@ def _block_descent(alpha_mat: np.ndarray, cmats: np.ndarray, thetas: np.ndarray,
         if not lower.all():  # these rows stop, keeping their vectors before this sweep
             done = rows[~lower]
             bloch[done, :m1], bloch[done, m1:] = na[~lower], nb[~lower]
-            rows, k, kt = rows[lower], k[lower], kt[lower]
+            rows, k, kt, u, cs = rows[lower], k[lower], kt[lower], u[lower], cs[lower]
             na_new, nb_new, value = na_new[lower], nb_new[lower], value[lower]
             if not len(rows):
                 break
+        # the best joint rotation R, taken where it strictly lowers beta_Q = tr(C R N R^T)
+        nmat = nb_new.swapaxes(-1, -2) @ (alpha_t @ na_new)
+        r = u @ _eigenrotation(nmat, -1).swapaxes(-1, -2)
+        turned = cs * (r @ nmat.swapaxes(-1, -2) @ r.swapaxes(-1, -2))
+        turned = np.add.reduce(turned.reshape(-1, 9), axis=1)
+        better = turned < value
+        if better.any():
+            rt = r[better].swapaxes(-1, -2)
+            na_new[better], nb_new[better] = na_new[better] @ rt, nb_new[better] @ rt
+            value[better] = turned[better]
         na, nb, best = na_new, nb_new, value
     else:
         bloch[rows, :m1], bloch[rows, m1:] = na, nb

@@ -31,10 +31,12 @@ from the cosines and sines of the angles.
 
 The noise sweep (sweep_minima) runs no engine: being linear in each Bloch
 vector, beta_Q has a closed-form best response for each party while the other
-is fixed, and mapping._block_descent alternates the two (see-saw). It needs
-no rate, and the sweep's several starts per point cover a start that stops at
-a saddle. A bounce half-step has one start, so the bounce loop keeps the Adam
-descent.
+is fixed, and mapping._block_descent alternates the two (see-saw). After each
+sweep it turns all of a row's vectors by the joint rotation that is best in
+closed form, so that its rows stop within tens of sweeps, not hundreds. It
+needs no rate, and the sweep's several starts per point cover a start that
+stops at a saddle, as the tetrahedron axes do at p = 0.010. A bounce half-step
+has one start, so the bounce loop keeps the Adam descent.
 
 The classical bound is only piecewise smooth, so correctness rests on
 best-so-far tracking, not smooth convergence: the reported optimum is always

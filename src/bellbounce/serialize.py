@@ -67,7 +67,14 @@ def write_json_lines(path, rows):
 
 
 def _cell(value) -> str:
-    # a string is written as is, any other value as its stable JSON scalar
+    # a string is written as is, None as an empty cell, any other value as its stable
+    # JSON scalar; a float or an int, most cells of every table, is formatted here
+    # directly: the same text and refusal as dumps_stable's, and it needs no quoting
+    kind = type(value)
+    if kind is float:
+        return format_float(value)
+    if kind is int:
+        return str(value)
     if value is None:
         return ""
     text = value if isinstance(value, str) else dumps_stable(value)
@@ -79,8 +86,6 @@ def _cell(value) -> str:
 def write_csv(path, header, rows):
     """Plain comma-separated table; floats use the same fixed format."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_cell(h) for h in header))
-        fh.write("\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row))
+        for row in (header, *rows):
+            fh.write(",".join(map(_cell, row)))
             fh.write("\n")

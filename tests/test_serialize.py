@@ -91,3 +91,21 @@ def test_write_csv(tmp_path):
     assert path.read_text() == "step,value,note\n0,0.5,ok\n1,-8,\n"
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", ("a",), [("has,comma",)])
+
+
+def test_write_csv_cells_keep_dumps_stable_bytes(tmp_path):
+    # float and int cells are formatted without dumps_stable, and must keep its bytes:
+    # a string is written as is, None as an empty cell, anything else as dumps_stable
+    cells = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -8.0, 0, -7, 2**70, True,
+             np.float64(-0.0), np.float64(5e-324), np.float32(0.1), np.int64(-3), "ok", None]
+    path = tmp_path / "cells.csv"
+    write_csv(path, [f"c{i}" for i in range(len(cells))], [cells, cells[::-1]])
+    rows = [",".join("" if v is None else v if isinstance(v, str) else dumps_stable(v)
+                     for v in row) for row in (cells, cells[::-1])]
+    header = ",".join(f"c{i}" for i in range(len(cells)))
+    assert path.read_bytes() == f"{header}\n{rows[0]}\n{rows[1]}\n".encode()
+    assert rows[0].startswith("0,0,4.94065645841e-324,-4.94065645841e-324,1e+308,-1e+308,")
+    # and its refusals: a non-finite float, and a string that would need quoting
+    for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan), "a,b", 'say "hi"', "two\nlines"):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "bad.csv", ("a",), [(1, bad)])
